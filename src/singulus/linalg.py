@@ -1,9 +1,11 @@
 """Exact sparse linear algebra over word-size prime fields and the rationals.
 
-Ranks over a prime field are fast lower bounds for the rational rank; the
-calling code computes everything mod two independent primes and escalates to
-fraction-free rational elimination on disagreement, so no silent rank loss
-can survive.
+Every rank and every normal form comes from one sparse elimination kernel
+on rows (dicts column -> nonzero value), run over F_p with ``% p`` on ints
+or over Q with plain Fraction arithmetic.  Ranks over a prime field are
+lower bounds for the rational rank; the calling code computes everything
+mod two independent primes and, on disagreement, runs the same kernel on
+Fraction rows, so no silent rank loss can survive.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .errors import BadPrimeError
 
@@ -80,26 +81,11 @@ class SparseMatrix:
             out[r][c] = v
         return out
 
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(
-            self.cols,
-            self.rows,
-            [(c, r, v) for (r, c), v in self.entries.items()],
-            modulus=self.modulus,
-        )
-
     def to_dense(self):
         out = [[0] * self.cols for _ in range(self.rows)]
         for (r, c), v in self.entries.items():
             out[r][c] = v
         return out
-
-    def dump(self, fh):
-        """Debug dump in coordinate text format: 'row col numerator/denominator'."""
-        fh.write(f"{self.rows} {self.cols} {self.nnz()}\n")
-        for (r, c) in sorted(self.entries):
-            v = Fraction(self.entries[(r, c)])
-            fh.write(f"{r} {c} {v.numerator}/{v.denominator}\n")
 
     def __repr__(self):
         tag = f", mod {self.modulus}" if self.modulus else ""
@@ -125,49 +111,60 @@ def reduce_mod(m: SparseMatrix, p: int) -> SparseMatrix:
     return SparseMatrix(m.rows, m.cols, entries, modulus=p)
 
 
-def rank_mod_p(m: SparseMatrix, p: int) -> RankCertificate:
-    """Rank over F_p by sparse elimination.
+# -- the elimination kernel --------------------------------------------
 
-    Columns are processed in increasing order, so the pivot-column set is
-    canonical (column c is a pivot iff it lies outside the span of the
-    columns before it).  Within a column the pivot row is the sparsest
-    remaining row, lowest index first, to limit fill-in.
+
+def _subtract(row, f, prow, p):
+    """row -= f * prow in place over F_p (Q when p is None), storing no zeros."""
+    if p is None:
+        for c, v in prow.items():
+            x = row.get(c, 0) - f * v
+            if x:
+                row[c] = x
+            else:
+                del row[c]
+    else:
+        for c, v in prow.items():
+            x = (row.get(c, 0) - f * v) % p
+            if x:
+                row[c] = x
+            else:
+                del row[c]
+
+
+def _echelon(rows, p):
+    """Semi-echelon form of sparse rows over F_p, or over Q when p is None.
+
+    Each row is reduced at its leading (smallest) column against the pivots
+    found so far.  A row that survives is scaled to a leading 1 and stored
+    under that column; stored rows are never touched again.  Returns the
+    dict pivot column -> row.  The pivot columns are canonical: column c is
+    a pivot iff it lies outside the span of the columns before it.  Input
+    rows must hold no zero values.
     """
-    mr = m if m.modulus == p else reduce_mod(m, p)
-    rows = mr.row_dicts()
-    col_rows: dict[int, set[int]] = {}
-    for (r, c) in mr.entries:
-        col_rows.setdefault(c, set()).add(r)
-    pivot_cols = []
-    for col in range(mr.cols):
-        cand = col_rows.get(col)
-        if not cand:
-            continue
-        piv = min(cand, key=lambda r: (len(rows[r]), r))
-        prow = rows[piv]
-        inv = pow(prow[col], -1, p)
-        if inv != 1:
-            for c2 in prow:
-                prow[c2] = prow[c2] * inv % p
-        for r in [r for r in cand if r != piv]:
-            row = rows[r]
-            f = row.pop(col)
-            col_rows[col].discard(r)
-            for c2, v2 in prow.items():
-                if c2 == col:
-                    continue
-                nv = (row.get(c2, 0) - f * v2) % p
-                if nv:
-                    if c2 not in row:
-                        col_rows.setdefault(c2, set()).add(r)
-                    row[c2] = nv
-                elif c2 in row:
-                    del row[c2]
-                    col_rows[c2].discard(r)
-        for c2 in prow:
-            col_rows[c2].discard(piv)
-        pivot_cols.append(col)
-    return RankCertificate(len(pivot_cols), p, tuple(pivot_cols))
+    pivots: dict[int, dict] = {}
+    for row in rows:
+        row = dict(row)
+        while row:
+            c = min(row)
+            prow = pivots.get(c)
+            if prow is not None:
+                _subtract(row, row[c], prow, p)
+                continue
+            if p is None:
+                inv = 1 / Fraction(row[c])
+                pivots[c] = {cc: v * inv for cc, v in row.items()}
+            else:
+                inv = pow(row[c], -1, p)
+                pivots[c] = {cc: v * inv % p for cc, v in row.items()}
+            break
+    return pivots
+
+
+def rank_mod_p(m: SparseMatrix, p: int) -> RankCertificate:
+    """Rank over F_p."""
+    pivots = _echelon(reduce_mod(m, p).row_dicts(), p)
+    return RankCertificate(len(pivots), p, tuple(sorted(pivots)))
 
 
 def kernel_dim(m: SparseMatrix, p: int) -> int:
@@ -175,48 +172,29 @@ def kernel_dim(m: SparseMatrix, p: int) -> int:
 
 
 def rank_rational(m: SparseMatrix) -> RankCertificate:
-    """Exact rank over the rationals via fraction-free (Bareiss) elimination.
-
-    Dense and slow; this is the oracle that settles prime-field disagreements.
-    """
+    """Exact rank over the rationals; settles prime-field disagreements."""
     if m.modulus is not None:
         raise ValueError("rational rank needs an unreduced matrix")
-    dense = [[0] * m.cols for _ in range(m.rows)]
-    row_dens = [1] * m.rows
-    for (r, c), v in m.entries.items():
-        v = Fraction(v)
-        dense[r][c] = v
-        row_dens[r] = lcm(row_dens[r], v.denominator)
-    for r in range(m.rows):
-        if row_dens[r] != 1:
-            dense[r] = [int(v * row_dens[r]) for v in dense[r]]
-        else:
-            dense[r] = [int(v) for v in dense[r]]
-    prev = 1
-    r = 0
-    pivot_cols = []
-    for c in range(m.cols):
-        if r == m.rows:
-            break
-        sel = next((i for i in range(r, m.rows) if dense[i][c]), None)
-        if sel is None:
-            continue
-        if sel != r:
-            dense[r], dense[sel] = dense[sel], dense[r]
-        for i in range(r + 1, m.rows):
-            if not any(dense[i][c:]):
-                continue
-            pc = dense[r][c]
-            ic = dense[i][c]
-            rowi = dense[i]
-            rowr = dense[r]
-            for j in range(c + 1, m.cols):
-                rowi[j] = (pc * rowi[j] - ic * rowr[j]) // prev
-            rowi[c] = 0
-        prev = dense[r][c]
-        pivot_cols.append(c)
-        r += 1
-    return RankCertificate(r, "rational", tuple(pivot_cols))
+    pivots = _echelon(m.row_dicts(), None)
+    return RankCertificate(len(pivots), "rational", tuple(sorted(pivots)))
+
+
+def rref(rows, field):
+    """Reduced row echelon form of sparse rows (dicts col -> nonzero value).
+
+    Returns a dict mapping pivot column to its fully reduced, normalized
+    row.  The result depends only on the row space and the column order,
+    so pivot columns and normal forms are canonical.
+    """
+    p = field.modulus
+    pivots = _echelon(rows, p)
+    # descending order: every pivot row used to clear column cc > c is
+    # already reduced, so it brings in free columns only
+    for c in sorted(pivots, reverse=True):
+        row = pivots[c]
+        for cc in [cc for cc in row if cc != c and cc in pivots]:
+            _subtract(row, row[cc], pivots[cc], p)
+    return pivots
 
 
 # -- working primes ----------------------------------------------------
@@ -264,137 +242,37 @@ def deterministic_primes(seed: int, count: int = 2, lo: int = 1 << 30, hi: int =
     return primes
 
 
-# -- field abstraction for generic echelon work ------------------------
+
+# -- fields seen by the oracle's quotient pieces ------------------------
 
 
 class PrimeField:
-    """Arithmetic callbacks for F_p used by the generic echelon routines."""
+    """F_p: checked conversion of rationals, and negation."""
 
-    __slots__ = ("p",)
+    __slots__ = ("modulus",)
 
     def __init__(self, p: int):
-        self.p = p
+        self.modulus = p
 
     def of(self, x):
         x = Fraction(x)
-        if x.denominator % self.p == 0:
-            raise BadPrimeError(f"denominator divisible by {self.p}")
-        return x.numerator * pow(x.denominator, -1, self.p) % self.p
-
-    def inv(self, a):
-        return pow(a, -1, self.p)
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
+        if x.denominator % self.modulus == 0:
+            raise BadPrimeError(f"denominator divisible by {self.modulus}")
+        return x.numerator * pow(x.denominator, -1, self.modulus) % self.modulus
 
     def neg(self, a):
-        return -a % self.p
-
-    @property
-    def modulus(self):
-        return self.p
+        return -a % self.modulus
 
 
 class RationalField:
     __slots__ = ()
+    modulus = None
 
     def of(self, x):
         return Fraction(x)
 
-    def inv(self, a):
-        return 1 / Fraction(a)
-
-    def mul(self, a, b):
-        return a * b
-
-    def sub(self, a, b):
-        return a - b
-
     def neg(self, a):
         return -a
 
-    @property
-    def modulus(self):
-        return None
-
 
 QQ = RationalField()
-
-
-def rref(rows, field):
-    """Reduced row echelon form of sparse rows (dicts col -> value).
-
-    Returns a dict mapping pivot column to its fully reduced, normalized
-    row.  The result depends only on the row space and the column order,
-    so pivot columns and normal forms are canonical.
-    """
-    pivots: dict[int, dict] = {}
-    for row in rows:
-        row = dict(row)
-        while row:
-            c = min(row)
-            if c in pivots:
-                f = row.pop(c)
-                for cc, vv in pivots[c].items():
-                    if cc == c:
-                        continue
-                    nv = field.sub(row.get(cc, 0), field.mul(f, vv))
-                    if nv:
-                        row[cc] = nv
-                    elif cc in row:
-                        del row[cc]
-                continue
-            # clear any remaining entries at existing pivot columns above c,
-            # so the stored row touches only its own pivot and free columns
-            for cc in [cc for cc in row if cc != c and cc in pivots]:
-                f = row.pop(cc)
-                for c2, v2 in pivots[cc].items():
-                    if c2 == cc:
-                        continue
-                    nv = field.sub(row.get(c2, 0), field.mul(f, v2))
-                    if nv:
-                        row[c2] = nv
-                    elif c2 in row:
-                        del row[c2]
-            inv = field.inv(row[c])
-            if inv != 1:
-                row = {cc: field.mul(vv, inv) for cc, vv in row.items()}
-            for pc, prow in pivots.items():
-                if c in prow:
-                    f = prow.pop(c)
-                    for cc, vv in row.items():
-                        if cc == c:
-                            continue
-                        nv = field.sub(prow.get(cc, 0), field.mul(f, vv))
-                        if nv:
-                            prow[cc] = nv
-                        elif cc in prow:
-                            del prow[cc]
-            pivots[c] = row
-            break
-    return pivots
-
-
-def matmul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
-    """Sparse product a @ b (used by self-checks and tests)."""
-    if a.cols != b.rows:
-        raise ValueError("shape mismatch")
-    if a.modulus != b.modulus:
-        raise ValueError("modulus mismatch")
-    rows_b: dict[int, list] = {}
-    for (r, c), v in b.entries.items():
-        rows_b.setdefault(r, []).append((c, v))
-    acc: dict[tuple[int, int], object] = {}
-    for (r, k), v in a.entries.items():
-        for c, w in rows_b.get(k, ()):
-            acc[(r, c)] = acc.get((r, c), 0) + v * w
-    p = a.modulus
-    entries = []
-    for (r, c), v in acc.items():
-        v = v % p if p else v
-        if v:
-            entries.append((r, c, v))
-    return SparseMatrix(a.rows, b.cols, entries, modulus=p)

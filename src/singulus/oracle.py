@@ -10,7 +10,8 @@ multiplication-by-variable block matrices.
 
 Everything is computed modulo two independent word-size primes; ranks over a
 prime field can only drop, so agreement certifies the answer for practical
-purposes and any disagreement escalates to exact rational arithmetic.
+purposes and any disagreement reruns the same sparse elimination kernel
+over the rationals.
 """
 
 from __future__ import annotations
@@ -286,7 +287,9 @@ def _quotient_piece(f, partials, k, field) -> _Piece:
     rows = []
     if k - (d - 1) >= 0:
         for fi in partials:
-            items = [(mm, field.of(c)) for mm, c in fi.terms.items()]
+            # the elimination kernel takes no zero values: drop coefficients
+            # whose image vanishes in the field
+            items = [(mm, v) for mm, c in fi.terms.items() if (v := field.of(c))]
             for m in _basis(n, k - d + 1):
                 rows.append({col_of[mm * m]: c for mm, c in items})
     pivots = rref(rows, field)
@@ -447,12 +450,18 @@ def graded_betti(f: Polynomial, max_degree=None, primes=None) -> BettiTable:
     else:
         betas = _betti_over_field(f, q_max, QQ)
 
+    # cone_check has shown over Q that the partials are independent, so
+    # only primes that agree on a wrong answer can break positions 0 and 1
     if betas.get((0, 0)) != 1 or any(p == 0 and q != 0 for p, q in betas):
-        raise AssertionError("position 0 must be exactly the ground field in degree 0")
+        raise BadPrimeError(
+            "position 0 must be exactly the ground field in degree 0; "
+            f"the working primes {used} are bad for this polynomial"
+        )
     beta1 = {q: b for (p, q), b in betas.items() if p == 1}
     if beta1 != {d - 1: n + 1}:
-        raise AssertionError(
-            f"position 1 must be {n + 1} generators in degree {d - 1}, got {beta1}"
+        raise BadPrimeError(
+            f"position 1 must be {n + 1} generators in degree {d - 1}, got {beta1}; "
+            f"the working primes {used} are bad for this polynomial"
         )
 
     boundary = {p: betas[(p, q_max)] for p in range(0, n + 1) if (p, q_max) in betas}
@@ -499,8 +508,8 @@ def cross_check(f: Polynomial, window=None, max_degree=None, primes=None) -> Cro
     """Run both pipelines and compare every quantity they share.
 
     Deviations are collected, not raised: a pipeline error (cone, window,
-    incomplete bound) becomes a deviation entry, and value disagreements
-    name the degree or invariant where the two sides differ.
+    incomplete bound, bad prime) becomes a deviation entry, and value
+    disagreements name the degree or invariant where the two sides differ.
     """
     deviations: list[str] = []
     hilbert = None
@@ -509,12 +518,12 @@ def cross_check(f: Polynomial, window=None, max_degree=None, primes=None) -> Cro
 
     try:
         hilbert = hilbert_fit(f, window=window, primes=primes)
-    except (WindowTooSmallError, ValueError, NonHomogeneousError) as exc:
+    except (WindowTooSmallError, ValueError, NonHomogeneousError, BadPrimeError) as exc:
         deviations.append(f"hilbert_fit failed: {exc}")
 
     try:
         table = graded_betti(f, max_degree=max_degree, primes=primes)
-    except (ConeError, IncompleteTableError, ValueError) as exc:
+    except (ConeError, IncompleteTableError, ValueError, BadPrimeError) as exc:
         deviations.append(f"graded_betti failed: {exc}")
 
     if table is not None:

@@ -1,8 +1,8 @@
 """Independent oracles and generators shared by the test modules.
 
-The rank oracle here is deliberately a different algorithm (dense Gaussian
-elimination over Fractions) from anything in the package, so it can sit on
-the other side of cross-checks.
+The rank and normal-form oracle here is deliberately a different algorithm
+(dense Gauss-Jordan elimination over Fractions or residues) from anything in
+the package, so it can sit on the other side of cross-checks.
 """
 
 from __future__ import annotations
@@ -10,29 +10,71 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from singulus.linalg import SparseMatrix
 from singulus.tables import BettiTable
 
 
-def dense_rational_rank(rows) -> int:
-    """Plain Gaussian elimination on a dense list-of-lists copy."""
-    a = [[Fraction(v) for v in row] for row in rows]
-    if not a:
-        return 0
-    ncols = len(a[0])
-    rank = 0
+def dense_rref(rows, p=None) -> dict:
+    """Plain Gauss-Jordan elimination on a dense list-of-lists copy, over Q
+    or, given a prime p, over F_p.
+
+    Returns {pivot column: {column: value}} without zero values, the shape
+    of ``singulus.linalg.rref``.
+    """
+    if p is None:
+        a = [[Fraction(v) for v in row] for row in rows]
+    else:
+        a = [[v % p for v in row] for row in rows]
+    ncols = len(a[0]) if a else 0
+    pivot_cols = []
     for c in range(ncols):
+        rank = len(pivot_cols)
         piv = next((i for i in range(rank, len(a)) if a[i][c]), None)
         if piv is None:
             continue
         a[rank], a[piv] = a[piv], a[rank]
-        inv = 1 / a[rank][c]
-        a[rank] = [v * inv for v in a[rank]]
+        if p is None:
+            inv = 1 / a[rank][c]
+            a[rank] = [v * inv for v in a[rank]]
+        else:
+            inv = pow(a[rank][c], -1, p)
+            a[rank] = [v * inv % p for v in a[rank]]
         for i in range(len(a)):
             if i != rank and a[i][c]:
                 f = a[i][c]
                 a[i] = [v - f * w for v, w in zip(a[i], a[rank])]
-        rank += 1
-    return rank
+                if p is not None:
+                    a[i] = [v % p for v in a[i]]
+        pivot_cols.append(c)
+    return {
+        c: {j: v for j, v in enumerate(a[i]) if v} for i, c in enumerate(pivot_cols)
+    }
+
+
+def dense_rational_rank(rows) -> int:
+    return len(dense_rref(rows))
+
+
+def matmul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
+    """Sparse product a @ b."""
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch")
+    if a.modulus != b.modulus:
+        raise ValueError("modulus mismatch")
+    rows_b: dict[int, list] = {}
+    for (r, c), v in b.entries.items():
+        rows_b.setdefault(r, []).append((c, v))
+    acc: dict[tuple[int, int], object] = {}
+    for (r, k), v in a.entries.items():
+        for c, w in rows_b.get(k, ()):
+            acc[(r, c)] = acc.get((r, c), 0) + v * w
+    p = a.modulus
+    entries = []
+    for (r, c), v in acc.items():
+        v = v % p if p else v
+        if v:
+            entries.append((r, c, v))
+    return SparseMatrix(a.rows, b.cols, entries, modulus=p)
 
 
 def repaired_table(rng: random.Random, n: int, d: int, t: int):

@@ -20,6 +20,9 @@ FIXTURES = REPO / "fixtures"
 
 def run_cli(*args, hashseed=None):
     env = dict(os.environ)
+    # the child imports singulus from this checkout, installed or not
+    src = str(REPO / "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     if hashseed is not None:
         env["PYTHONHASHSEED"] = str(hashseed)
     return subprocess.run(
@@ -165,6 +168,41 @@ def test_inspect_poly_prime_override_is_stable():
     a, b = json.loads(base.stdout), json.loads(override.stdout)
     assert a["sigma"] == b["sigma"]
     assert a["hilbert"] == b["hilbert"]
+
+
+def test_inspect_poly_prime_dividing_every_coefficient_falls_back_to_rationals():
+    # every partial vanishes mod 3, so the primes disagree and the rational
+    # fallback settles the table
+    res = run_cli(
+        "inspect-poly", "--expr", "x0^3+x1^3+x2^3", "--prime", "3", "--prime", "5",
+        "--format", "json",
+    )
+    assert res.returncode == 0, res.stderr
+    doc = json.loads(res.stdout)
+    assert doc["verdict"]["kind"] == "smooth"
+    assert doc["deviations"] == []
+    cols = {c["k"]: c["degrees"] for c in doc["betti_columns"]}
+    assert cols == {1: [2, 2, 2], 2: [4]}
+
+
+@pytest.mark.parametrize(
+    "expr, primes, reason",
+    [
+        # a denominator vanishes mod 3
+        ("1/3*x0^4+x1^4+x2^4", ["3", "5"], "divisible by 3"),
+        # one prime, under which position 1 comes out wrong
+        ("x0^3+x1^3+x2^3", ["3"], "primes [3] are bad"),
+    ],
+)
+def test_inspect_poly_bad_pinned_prime_exits_1(expr, primes, reason):
+    args = [arg for p in primes for arg in ("--prime", p)]
+    res = run_cli("inspect-poly", "--expr", expr, *args)
+    assert res.returncode == 1
+    assert "Traceback" not in res.stderr
+    lines = res.stderr.splitlines()
+    assert lines and all(line.startswith("error: ") for line in lines)
+    assert any(line.startswith("error: graded_betti failed") for line in lines)
+    assert reason in res.stderr
 
 
 def test_inspect_poly_window_too_small_exits_1():

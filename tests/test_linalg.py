@@ -1,4 +1,3 @@
-import io
 import random
 from fractions import Fraction
 
@@ -14,13 +13,12 @@ from singulus.linalg import (
     deterministic_primes,
     is_probable_prime,
     kernel_dim,
-    matmul,
     rank_mod_p,
     rank_rational,
     reduce_mod,
     rref,
 )
-from _helpers import dense_rational_rank
+from _helpers import dense_rational_rank, dense_rref, matmul
 
 M61 = 2**61 - 1
 
@@ -86,7 +84,9 @@ def test_rank_rational_matches_large_prime_on_random_matrices():
     for _ in range(100):
         dense = [[rng.randint(-30, 30) for _ in range(6)] for _ in range(6)]
         m = SparseMatrix.from_dense(dense)
-        assert rank_rational(m).rank == rank_mod_p(m, M61).rank
+        rank = dense_rational_rank(dense)
+        assert rank_rational(m).rank == rank
+        assert rank_mod_p(m, M61).rank == rank
 
 
 def test_rank_certificate_consistency():
@@ -171,7 +171,24 @@ def test_rref_mod_p_rank_matches_elimination():
         rows = [
             {c: field.of(v) for c, v in enumerate(row) if v % 97} for row in dense
         ]
-        assert len(rref(rows, field)) == rank_mod_p(m, 97).rank
+        rank = len(dense_rref(dense, 97))
+        assert len(rref(rows, field)) == rank
+        assert rank_mod_p(m, 97).rank == rank
+
+
+@given(sparse_matrices)
+def test_rref_matches_dense_reference_over_QQ(m):
+    rows = [{c: QQ.of(v) for c, v in row.items()} for row in m.row_dicts()]
+    assert rref(rows, QQ) == dense_rref(m.to_dense())
+
+
+@given(sparse_matrices)
+def test_rref_matches_dense_reference_mod_97(m):
+    field = PrimeField(97)
+    rows = [
+        {c: field.of(v) for c, v in row.items() if v % 97} for row in m.row_dicts()
+    ]
+    assert rref(rows, field) == dense_rref(m.to_dense(), 97)
 
 
 def test_matmul():
@@ -187,13 +204,6 @@ def test_matrix_validation():
         SparseMatrix(2, 2, [(2, 0, 1)])
     with pytest.raises(ValueError):
         SparseMatrix(2, 2, [(0, 0, 5)], modulus=3)
-
-
-def test_coordinate_dump_format():
-    m = SparseMatrix(2, 2, [(0, 1, Fraction(3, 4)), (1, 0, 2)])
-    buf = io.StringIO()
-    m.dump(buf)
-    assert buf.getvalue() == "2 2 2\n0 1 3/4\n1 0 2/1\n"
 
 
 def test_deterministic_primes():

@@ -8,7 +8,7 @@ from singulus.errors import (
     NonHomogeneousError,
     WindowTooSmallError,
 )
-from singulus.linalg import PrimeField, matmul
+from singulus.linalg import PrimeField
 from singulus.oracle import (
     _betti_over_field,
     _jacobian_matrix,
@@ -26,7 +26,7 @@ from singulus.rules import (
     hilbert_function_from_table,
     koszul_smooth_table,
 )
-from _helpers import cusp_threefold_table, dense_rational_rank
+from _helpers import cusp_threefold_table, dense_rational_rank, matmul
 
 CUSP_POLY = parse("x0*x1*x2 + x3^3", 3)
 FERMAT = {(n, d): parse("+".join(f"x{i}^{d}" for i in range(n + 1)), n) for n, d in
