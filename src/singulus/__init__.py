@@ -21,7 +21,6 @@ from .polynomials import (
 from .linalg import (
     RankCertificate,
     SparseMatrix,
-    kernel_dim,
     rank_mod_p,
     rank_rational,
     reduce_mod,
@@ -65,7 +64,6 @@ __all__ = [
     "squarefree_check",
     "RankCertificate",
     "SparseMatrix",
-    "kernel_dim",
     "rank_mod_p",
     "rank_rational",
     "reduce_mod",

@@ -156,8 +156,16 @@ def cmd_inspect_poly(args) -> int:
         "degree": f.degree,
     }
     extra = {"deviations": cross.deviations, "squarefree": squarefree}
+    warnings = []
     if not squarefree:
-        extra["warnings"] = ["the polynomial appears to have a repeated factor"]
+        warnings.append("the polynomial appears to have a repeated factor")
+    if args.prime and len(set(args.prime)) == 1:
+        warnings.append(
+            f"ranks mod the single prime {args.prime[0]} are not certified; "
+            "pass two distinct primes to certify them"
+        )
+    if warnings:
+        extra["warnings"] = warnings
     if cross.hilbert is not None:
         extra["hilbert"] = hilbert_to_document(cross.hilbert)
     if cross.table is not None:
@@ -165,7 +173,6 @@ def cmd_inspect_poly(args) -> int:
 
     if cross.rule_report is not None:
         doc = report_to_document(cross.rule_report, info, __version__, extra=extra)
-        _emit(doc, args.format)
     else:
         # no table: report what we have, deterministically
         doc = {
@@ -174,7 +181,7 @@ def cmd_inspect_poly(args) -> int:
             "input": info,
             **extra,
         }
-        _emit_plain(doc, args.format)
+    _emit(doc, args.format)
 
     if hard_failures:
         for dev in hard_failures:
@@ -215,27 +222,6 @@ def _emit(doc: dict, fmt: str):
         sys.stdout.write(canonical_json(doc))
     else:
         sys.stdout.write(render_report_text(doc))
-
-
-def _emit_plain(doc: dict, fmt: str):
-    if fmt == "json":
-        sys.stdout.write(canonical_json(doc))
-        return
-    lines = [
-        f"singulus {doc['tool']['version']} — {doc['kind']}",
-        f"input digest: sha256:{doc['input']['digest']}",
-        f"polynomial: {doc['input']['expression']}",
-    ]
-    if "hilbert" in doc:
-        h = doc["hilbert"]
-        lines.append(
-            f"hilbert: delta={h['delta']} degree_sigma={h['degree_sigma']} "
-            f"tjurina={h['tjurina']} k0={h['k0']}"
-        )
-    if doc.get("deviations"):
-        lines.append("deviations:")
-        lines.extend(f"  - {dev}" for dev in doc["deviations"])
-    sys.stdout.write("\n".join(lines) + "\n")
 
 
 def main(argv=None) -> int:

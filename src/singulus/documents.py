@@ -152,13 +152,40 @@ def hilbert_to_document(hilbert) -> dict:
 
 
 def render_report_text(doc: dict) -> str:
+    """Plain rendering of a report document.
+
+    A polynomial inspection whose Betti side failed has no rule-engine
+    fields; it renders as its header, a one-line Hilbert summary when the
+    Hilbert side ran, its warnings and its deviations.
+    """
     lines = [
         f"singulus {doc['tool']['version']} — {doc['kind']}",
         f"input digest: sha256:{doc['input']['digest']}",
-        f"n={doc['n']} d={doc['d']}",
     ]
     if "expression" in doc["input"]:
-        lines.insert(2, f"polynomial: {doc['input']['expression']}")
+        lines.append(f"polynomial: {doc['input']['expression']}")
+    if "verdict" in doc:
+        lines.extend(_rule_report_lines(doc))
+    elif "hilbert" in doc:
+        h = doc["hilbert"]
+        lines.append(
+            f"hilbert: delta={h['delta']} degree_sigma={h['degree_sigma']} "
+            f"tjurina={h['tjurina']} k0={h['k0']}"
+        )
+    if doc.get("warnings"):
+        lines.append("warnings:")
+        lines.extend(f"  - {w}" for w in doc["warnings"])
+    if "deviations" in doc:
+        if doc["deviations"]:
+            lines.append("deviations:")
+            lines.extend(f"  - {dev}" for dev in doc["deviations"])
+        else:
+            lines.append("deviations: none")
+    return "\n".join(lines) + "\n"
+
+
+def _rule_report_lines(doc: dict) -> list[str]:
+    lines = [f"n={doc['n']} d={doc['d']}"]
     if "hilbert" in doc:
         h = doc["hilbert"]
         vals = ", ".join(f"{k}:{v}" for k, v in sorted(h["values"].items(), key=lambda t: int(t[0])))
@@ -193,13 +220,7 @@ def render_report_text(doc: dict) -> str:
         lines.append(f"  {c['name']:<15} {c['status']:<15} {_witness_text(c)}")
     lines.append(f"flags: {doc['flags']}")
     lines.append(f"obstructions: {doc['obstructions']}")
-    if "deviations" in doc:
-        if doc["deviations"]:
-            lines.append("deviations:")
-            lines.extend(f"  - {dev}" for dev in doc["deviations"])
-        else:
-            lines.append("deviations: none")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 def _poly_text(coeffs: list[str]) -> str:

@@ -60,29 +60,11 @@ class SparseMatrix:
                 data[(r, c)] = v
         self.entries = data
 
-    @classmethod
-    def from_dense(cls, array, modulus=None) -> "SparseMatrix":
-        rows = len(array)
-        cols = len(array[0]) if rows else 0
-        entries = [
-            (r, c, v)
-            for r, row in enumerate(array)
-            for c, v in enumerate(row)
-            if v
-        ]
-        return cls(rows, cols, entries, modulus=modulus)
-
     def nnz(self) -> int:
         return len(self.entries)
 
     def row_dicts(self) -> list[dict]:
         out = [dict() for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            out[r][c] = v
-        return out
-
-    def to_dense(self):
-        out = [[0] * self.cols for _ in range(self.rows)]
         for (r, c), v in self.entries.items():
             out[r][c] = v
         return out
@@ -93,22 +75,32 @@ class SparseMatrix:
 
 
 def reduce_mod(m: SparseMatrix, p: int) -> SparseMatrix:
-    """Entrywise image in the field with p elements."""
+    """Entrywise image in the field with p elements.
+
+    A matrix holds a handful of distinct values, so each one is converted
+    once; the entries of ``m`` are already validated and are not checked
+    again.
+    """
     if m.modulus is not None:
         if m.modulus == p:
             return m
         raise ValueError("matrix already reduced mod a different prime")
-    entries = []
+    images = {}
+    entries = {}
     for (r, c), v in m.entries.items():
-        v = Fraction(v)
-        if v.denominator % p == 0:
-            raise BadPrimeError(
-                f"denominator of entry ({r},{c}) divisible by {p}"
-            )
-        x = v.numerator * pow(v.denominator, -1, p) % p
+        x = images.get(v)
+        if x is None:
+            q = Fraction(v)
+            if q.denominator % p == 0:
+                raise BadPrimeError(
+                    f"denominator of entry ({r},{c}) divisible by {p}"
+                )
+            x = images[v] = q.numerator * pow(q.denominator, -1, p) % p
         if x:
-            entries.append((r, c, x))
-    return SparseMatrix(m.rows, m.cols, entries, modulus=p)
+            entries[(r, c)] = x
+    out = SparseMatrix(m.rows, m.cols, modulus=p)
+    out.entries = entries
+    return out
 
 
 # -- the elimination kernel --------------------------------------------
@@ -165,10 +157,6 @@ def rank_mod_p(m: SparseMatrix, p: int) -> RankCertificate:
     """Rank over F_p."""
     pivots = _echelon(reduce_mod(m, p).row_dicts(), p)
     return RankCertificate(len(pivots), p, tuple(sorted(pivots)))
-
-
-def kernel_dim(m: SparseMatrix, p: int) -> int:
-    return m.cols - rank_mod_p(m, p).rank
 
 
 def rank_rational(m: SparseMatrix) -> RankCertificate:

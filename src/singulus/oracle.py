@@ -22,6 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial
+from operator import add
 
 from .errors import (
     BadPrimeError,
@@ -41,7 +42,7 @@ from .linalg import (
     reduce_mod,
     rref,
 )
-from .polynomials import Polynomial, dim_degree_piece, monomial_basis
+from .polynomials import Polynomial, dim_degree_piece, grevlex_exponents
 from .rules import (
     evaluate_polynomial,
     full_report,
@@ -100,7 +101,8 @@ def _validate(f: Polynomial):
 
 @lru_cache(maxsize=None)
 def _basis(n: int, k: int):
-    return tuple(monomial_basis(n, k))
+    """Degree-k exponent vectors, increasing in grevlex."""
+    return tuple(grevlex_exponents(n, k))
 
 
 def _prime_plan(f: Polynomial, primes):
@@ -123,22 +125,41 @@ def _replacement_primes(f: Polynomial, exclude, count=1):
 # -- Jacobian graded pieces ---------------------------------------------
 
 
+def _partial_terms(f: Polynomial):
+    """Each partial derivative as (exponents, coefficient) pairs; integral
+    coefficients become plain ints."""
+    return [
+        [
+            (m.exponents, c.numerator if c.denominator == 1 else c)
+            for m, c in f.partial(i).terms.items()
+        ]
+        for i in range(f.n + 1)
+    ]
+
+
+def _kills_a_partial(f: Polynomial, p: int) -> bool:
+    """Whether p divides every coefficient of some nonzero partial, so that
+    ranks mod p say nothing about ranks over Q."""
+    return any(
+        terms and all(c.numerator % p == 0 for _, c in terms)
+        for terms in _partial_terms(f)
+    )
+
+
 def _jacobian_matrix(f: Polynomial, k: int) -> SparseMatrix:
     """Degree-k piece of the gradient map, rows = generators m*f_i over the
     degree-k monomial columns (decreasing order)."""
     n, d = f.n, f.degree
     monos = _basis(n, k)
     ncols = len(monos)
-    col_of = {m: ncols - 1 - i for i, m in enumerate(monos)}
+    col_of = {e: ncols - 1 - i for i, e in enumerate(monos)}
     entries = []
     row = 0
     if k - (d - 1) >= 0:
-        partials = [f.partial(i) for i in range(n + 1)]
-        for fi in partials:
-            items = list(fi.terms.items())
+        for terms in _partial_terms(f):
             for m in _basis(n, k - d + 1):
-                for mm, c in items:
-                    entries.append((row, col_of[mm * m], c))
+                for e, c in terms:
+                    entries.append((row, col_of[tuple(map(add, e, m))], c))
                 row += 1
     return SparseMatrix(row, ncols, entries)
 
@@ -152,19 +173,24 @@ def milnor_dimension(f: Polynomial, k: int, primes=None) -> int:
     if matrix.rows == 0:
         return dim_degree_piece(n, k)
     plist, auto = _prime_plan(f, primes)
-    ranks = []
+    ranks = {}
     used = list(plist)
     for p in plist:
         while True:
             try:
-                ranks.append(rank_mod_p(reduce_mod(matrix, p), p).rank)
+                ranks[p] = rank_mod_p(reduce_mod(matrix, p), p).rank
                 break
             except BadPrimeError:
                 if not auto:
                     raise
                 p = _replacement_primes(f, used)[0]
                 used.append(p)
-    rank = ranks[0] if len(set(ranks)) == 1 else rank_rational(matrix).rank
+    # trust the modular ranks when they agree and no prime wiped out a partial
+    agreed = set(ranks.values())
+    if len(agreed) == 1 and not any(_kills_a_partial(f, p) for p in ranks):
+        rank = agreed.pop()
+    else:
+        rank = rank_rational(matrix).rank
     return dim_degree_piece(n, k) - rank
 
 
@@ -269,7 +295,8 @@ def _newton_fit(vals, base, r) -> tuple[Fraction, ...]:
 
 class _Piece:
     """Monomial basis of one graded piece of the quotient plus the normal
-    forms of the pivot monomials, over one field."""
+    forms of the pivot monomials, over one field; monomials are exponent
+    vectors."""
 
     __slots__ = ("basis", "index", "normal")
 
@@ -283,27 +310,26 @@ def _quotient_piece(f, partials, k, field) -> _Piece:
     n, d = f.n, f.degree
     monos = _basis(n, k)
     ncols = len(monos)
-    col_of = {m: ncols - 1 - i for i, m in enumerate(monos)}
+    col_of = {e: ncols - 1 - i for i, e in enumerate(monos)}
     rows = []
     if k - (d - 1) >= 0:
         for fi in partials:
             # the elimination kernel takes no zero values: drop coefficients
             # whose image vanishes in the field
-            items = [(mm, v) for mm, c in fi.terms.items() if (v := field.of(c))]
+            items = [(m.exponents, v) for m, c in fi.terms.items() if (v := field.of(c))]
             for m in _basis(n, k - d + 1):
-                rows.append({col_of[mm * m]: c for mm, c in items})
+                rows.append({col_of[tuple(map(add, e, m))]: v for e, v in items})
     pivots = rref(rows, field)
     basis = []
     index = {}
     for ci in range(ncols - 1, -1, -1):  # descending column = increasing grevlex
         if ci not in pivots:
-            mono = monos[ncols - 1 - ci]
-            index[mono] = len(basis)
-            basis.append(mono)
+            e = monos[ncols - 1 - ci]
+            index[e] = len(basis)
+            basis.append(e)
     normal = {}
     for ci, row in pivots.items():
-        mono = monos[ncols - 1 - ci]
-        normal[mono] = {
+        normal[monos[ncols - 1 - ci]] = {
             index[monos[ncols - 1 - cc]]: field.neg(v)
             for cc, v in row.items()
             if cc != ci
@@ -317,7 +343,7 @@ def _mult_matrix(pieces, i, k, field) -> SparseMatrix:
     entries = []
     one = field.of(1)
     for j, mu in enumerate(src.basis):
-        nu = mu.times_var(i)
+        nu = mu[:i] + (mu[i] + 1,) + mu[i + 1 :]
         pos = dst.index.get(nu)
         if pos is not None:
             entries.append((pos, j, one))
@@ -403,11 +429,10 @@ def cone_check(f: Polynomial):
     reconcile."""
     n, d = f.n, f.degree
     monos = _basis(n, d - 1)
-    col_of = {m: i for i, m in enumerate(monos)}
-    entries = []
-    for i in range(n + 1):
-        for mm, c in f.partial(i).terms.items():
-            entries.append((i, col_of[mm], c))
+    col_of = {e: i for i, e in enumerate(monos)}
+    entries = [
+        (i, col_of[e], c) for i, terms in enumerate(_partial_terms(f)) for e, c in terms
+    ]
     matrix = SparseMatrix(n + 1, len(monos), entries)
     rank = rank_rational(matrix).rank
     if rank < n + 1:

@@ -38,11 +38,6 @@ class Monomial:
     def __mul__(self, other: "Monomial") -> "Monomial":
         return Monomial(a + b for a, b in zip(self.exponents, other.exponents))
 
-    def times_var(self, i: int) -> "Monomial":
-        e = list(self.exponents)
-        e[i] += 1
-        return Monomial(e)
-
     # Rich comparison follows grevlex so that sorted() gives the fixed order.
     def __lt__(self, other):
         return grevlex_key(self) < grevlex_key(other)
@@ -244,23 +239,31 @@ def partial(f: Polynomial, i: int) -> Polynomial:
     return f.partial(i)
 
 
-def monomial_basis(n: int, k: int) -> list[Monomial]:
-    """All degree-k monomials in x0..xn, strictly increasing in grevlex."""
+def grevlex_exponents(n: int, k: int) -> list[tuple[int, ...]]:
+    """Exponent vectors of all degree-k monomials in x0..xn, strictly
+    increasing in grevlex.
+
+    Increasing grevlex within one degree is decreasing lex order on the
+    reversed vector (e_n, ..., e_0).  So the vectors are built one variable
+    at a time: the new last exponent runs downwards, and in front of each
+    value come the vectors of the remaining degree in the earlier
+    variables, already in order.
+    """
     if k < 0:
         raise ValueError("degree must be non-negative")
-    out: list[Monomial] = []
+    # heads[j]: the degree-j vectors in the variables placed so far
+    heads = [[(j,)] for j in range(k + 1)]
+    for _ in range(n):
+        heads = [
+            [h + (e,) for e in range(j, -1, -1) for h in heads[j - e]]
+            for j in range(k + 1)
+        ]
+    return heads[k]
 
-    def rec(prefix, remaining, pos):
-        if pos == n:
-            out.append(Monomial(prefix + (remaining,)))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + (e,), remaining - e, pos + 1)
 
-    rec((), k, 0)
-    out.sort(key=grevlex_key)
-    assert len(out) == comb(k + n, n)
-    return out
+def monomial_basis(n: int, k: int) -> list[Monomial]:
+    """All degree-k monomials in x0..xn, strictly increasing in grevlex."""
+    return [Monomial(e) for e in grevlex_exponents(n, k)]
 
 
 def dim_degree_piece(n: int, k: int) -> int:

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
-from singulus.linalg import SparseMatrix
+from singulus.linalg import SparseMatrix, rank_mod_p
+from singulus.polynomials import Monomial, grevlex_key
 from singulus.tables import BettiTable
 
 
@@ -53,6 +55,36 @@ def dense_rref(rows, p=None) -> dict:
 
 def dense_rational_rank(rows) -> int:
     return len(dense_rref(rows))
+
+
+def from_dense(array, modulus=None) -> SparseMatrix:
+    rows = len(array)
+    cols = len(array[0]) if rows else 0
+    entries = [
+        (r, c, v)
+        for r, row in enumerate(array)
+        for c, v in enumerate(row)
+        if v
+    ]
+    return SparseMatrix(rows, cols, entries, modulus=modulus)
+
+
+def to_dense(m: SparseMatrix):
+    out = [[0] * m.cols for _ in range(m.rows)]
+    for (r, c), v in m.entries.items():
+        out[r][c] = v
+    return out
+
+
+def kernel_dim(m: SparseMatrix, p: int) -> int:
+    return m.cols - rank_mod_p(m, p).rank
+
+
+def sorted_monomials(n: int, k: int) -> list[Monomial]:
+    """Degree-k monomials by brute enumeration of exponent vectors, sorted
+    with ``grevlex_key``."""
+    exps = (e for e in product(range(k + 1), repeat=n + 1) if sum(e) == k)
+    return sorted(map(Monomial, exps), key=grevlex_key)
 
 
 def matmul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:

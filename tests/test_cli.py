@@ -205,6 +205,69 @@ def test_inspect_poly_bad_pinned_prime_exits_1(expr, primes, reason):
     assert reason in res.stderr
 
 
+def test_inspect_poly_prime_killing_the_partials_keeps_the_hilbert_side():
+    # mod 3 every partial of the Fermat cubic vanishes: the Hilbert side
+    # falls back to Q, the Betti side reports the bad prime
+    res = run_cli(
+        "inspect-poly", "--expr", "x0^3+x1^3+x2^3", "--prime", "3", "--format", "json"
+    )
+    assert res.returncode == 1
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: graded_betti failed")
+    assert "primes [3] are bad" in lines[0]
+    hilbert = json.loads(res.stdout)["hilbert"]
+    assert hilbert["delta"] is None
+    assert [hilbert["values"][str(k)] for k in range(6)] == [1, 3, 3, 1, 0, 0]
+
+
+# singular mod 37 (7^3 + 27 = 10*37), smooth over Q
+CURVE_37 = "x0^3+x1^3+x2^3+7*x0*x1*x2"
+SINGLE_PRIME_WARNING = (
+    "ranks mod the single prime 37 are not certified; "
+    "pass two distinct primes to certify them"
+)
+
+
+def test_inspect_poly_single_prime_warns():
+    res = run_cli("inspect-poly", "--expr", CURVE_37, "--prime", "37", "--format", "json")
+    assert res.returncode == 0
+    doc = json.loads(res.stdout)
+    assert doc["verdict"]["kind"] == "singular"  # wrong, hence the warning
+    assert doc["warnings"] == [SINGLE_PRIME_WARNING]
+    text = run_cli("inspect-poly", "--expr", CURVE_37, "--prime", "37")
+    assert text.returncode == 0
+    assert f"warnings:\n  - {SINGLE_PRIME_WARNING}\ndeviations: none\n" in text.stdout
+
+
+def test_inspect_poly_prime_disagreement_falls_back_to_rationals():
+    res = run_cli(
+        "inspect-poly", "--expr", CURVE_37, "--prime", "37", "--prime", "41",
+        "--format", "json",
+    )
+    assert res.returncode == 0, res.stderr
+    doc = json.loads(res.stdout)
+    assert doc["verdict"]["kind"] == "smooth"
+    assert doc["deviations"] == []
+    cols = {c["k"]: c["degrees"] for c in doc["betti_columns"]}
+    assert cols == {1: [2, 2, 2], 2: [4]}
+    assert "warnings" not in doc
+    auto = run_cli("inspect-poly", "--expr", CURVE_37, "--format", "json")
+    assert auto.returncode == 0
+    assert "warnings" not in json.loads(auto.stdout)
+
+
+def test_inspect_poly_text_lists_warnings():
+    # a cone with a repeated factor: the Betti side fails, the text report
+    # still carries the warning
+    res = run_cli("inspect-poly", "--expr", "(x0+x1)^2*x2")
+    assert res.returncode == 1
+    warning = "the polynomial appears to have a repeated factor"
+    assert f"warnings:\n  - {warning}\ndeviations:\n" in res.stdout
+    doc = json.loads(run_cli("inspect-poly", "--expr", "(x0+x1)^2*x2", "--format", "json").stdout)
+    assert doc["warnings"] == [warning]
+
+
 def test_inspect_poly_window_too_small_exits_1():
     res = run_cli("inspect-poly", "--expr", "x0*x1*x2 + x3^3", "--window", "4")
     assert res.returncode == 1

@@ -12,13 +12,19 @@ from singulus.linalg import (
     SparseMatrix,
     deterministic_primes,
     is_probable_prime,
-    kernel_dim,
     rank_mod_p,
     rank_rational,
     reduce_mod,
     rref,
 )
-from _helpers import dense_rational_rank, dense_rref, matmul
+from _helpers import (
+    dense_rational_rank,
+    dense_rref,
+    from_dense,
+    kernel_dim,
+    matmul,
+    to_dense,
+)
 
 M61 = 2**61 - 1
 
@@ -43,14 +49,52 @@ def test_reduce_mod_bad_prime():
         reduce_mod(m, 3)
 
 
+def test_reduce_mod_repeated_values():
+    m = SparseMatrix(
+        2,
+        4,
+        [
+            (0, 0, 3),
+            (0, 1, Fraction(1, 2)),
+            (0, 2, 3),
+            (0, 3, Fraction(9, 2)),
+            (1, 0, Fraction(1, 2)),
+            (1, 1, 6),
+            (1, 3, 5),
+        ],
+    )
+    r = reduce_mod(m, 3)
+    assert (r.rows, r.cols, r.modulus) == (2, 4, 3)
+    # 3, 6 and 9/2 vanish mod 3 and are not stored
+    assert r.entries == {(0, 1): 2, (1, 0): 2, (1, 3): 2}
+    field = PrimeField(3)
+    assert r.entries == {rc: field.of(v) for rc, v in m.entries.items() if field.of(v)}
+
+
+def test_reduce_mod_bad_prime_with_repeated_values():
+    m = SparseMatrix(
+        2,
+        2,
+        [
+            (0, 0, Fraction(1, 2)),
+            (0, 1, Fraction(1, 2)),
+            (1, 0, Fraction(2, 3)),
+            (1, 1, Fraction(2, 3)),
+        ],
+    )
+    assert reduce_mod(m, 5).entries == {(0, 0): 3, (0, 1): 3, (1, 0): 4, (1, 1): 4}
+    with pytest.raises(BadPrimeError, match=r"entry \(1,0\) divisible by 3"):
+        reduce_mod(m, 3)
+
+
 def test_rank_identity():
-    eye = SparseMatrix.from_dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    eye = from_dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     for p in (2, 5, 101):
         assert rank_mod_p(eye, p).rank == 3
 
 
 def test_rank_characteristic_dependence():
-    m = SparseMatrix.from_dense([[1, 1], [1, -1]])
+    m = from_dense([[1, 1], [1, -1]])
     assert rank_mod_p(m, 2).rank == 1
     assert rank_mod_p(m, 5).rank == 2
     assert rank_rational(m).rank == 2
@@ -58,7 +102,7 @@ def test_rank_characteristic_dependence():
 
 def test_rank_vandermonde_mod_101():
     nodes = [1, 2, 3, 4]
-    vm = SparseMatrix.from_dense([[x**j for j in range(4)] for x in nodes])
+    vm = from_dense([[x**j for j in range(4)] for x in nodes])
     cert = rank_mod_p(vm, 101)
     assert cert.rank == 4
     assert cert.pivot_cols == (0, 1, 2, 3)
@@ -67,15 +111,15 @@ def test_rank_vandermonde_mod_101():
 
 def test_kernel_dim_examples():
     assert kernel_dim(SparseMatrix(2, 5), 7) == 5
-    eye = SparseMatrix.from_dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    eye = from_dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert kernel_dim(eye, 7) == 0
-    assert kernel_dim(SparseMatrix.from_dense([[1, 2, 3]]), 7) == 2
+    assert kernel_dim(from_dense([[1, 2, 3]]), 7) == 2
 
 
 def test_rank_rational_outer_product():
     u = [1, -2, 3, 5, 7]
     v = [2, 0, -1, 4, 9]
-    m = SparseMatrix.from_dense([[a * b for b in v] for a in u])
+    m = from_dense([[a * b for b in v] for a in u])
     assert rank_rational(m).rank == 1
 
 
@@ -83,14 +127,14 @@ def test_rank_rational_matches_large_prime_on_random_matrices():
     rng = random.Random(411)
     for _ in range(100):
         dense = [[rng.randint(-30, 30) for _ in range(6)] for _ in range(6)]
-        m = SparseMatrix.from_dense(dense)
+        m = from_dense(dense)
         rank = dense_rational_rank(dense)
         assert rank_rational(m).rank == rank
         assert rank_mod_p(m, M61).rank == rank
 
 
 def test_rank_certificate_consistency():
-    m = SparseMatrix.from_dense([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
+    m = from_dense([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
     cert = rank_rational(m)
     assert cert.rank == len(cert.pivot_cols) == 2
     assert cert.modulus == "rational"
@@ -147,7 +191,7 @@ def test_rank_invariant_under_permutation(m, rng):
 
 @given(sparse_matrices)
 def test_rank_agrees_with_dense_oracle(m):
-    assert rank_rational(m).rank == dense_rational_rank(m.to_dense())
+    assert rank_rational(m).rank == dense_rational_rank(to_dense(m))
 
 
 def test_rref_normal_forms_touch_only_free_columns():
@@ -166,7 +210,7 @@ def test_rref_mod_p_rank_matches_elimination():
     rng = random.Random(5)
     for _ in range(25):
         dense = [[rng.randint(-9, 9) for _ in range(5)] for _ in range(4)]
-        m = SparseMatrix.from_dense(dense)
+        m = from_dense(dense)
         field = PrimeField(97)
         rows = [
             {c: field.of(v) for c, v in enumerate(row) if v % 97} for row in dense
@@ -179,7 +223,7 @@ def test_rref_mod_p_rank_matches_elimination():
 @given(sparse_matrices)
 def test_rref_matches_dense_reference_over_QQ(m):
     rows = [{c: QQ.of(v) for c, v in row.items()} for row in m.row_dicts()]
-    assert rref(rows, QQ) == dense_rref(m.to_dense())
+    assert rref(rows, QQ) == dense_rref(to_dense(m))
 
 
 @given(sparse_matrices)
@@ -188,13 +232,13 @@ def test_rref_matches_dense_reference_mod_97(m):
     rows = [
         {c: field.of(v) for c, v in row.items() if v % 97} for row in m.row_dicts()
     ]
-    assert rref(rows, field) == dense_rref(m.to_dense(), 97)
+    assert rref(rows, field) == dense_rref(to_dense(m), 97)
 
 
 def test_matmul():
-    a = SparseMatrix.from_dense([[1, 2], [0, 1]])
-    b = SparseMatrix.from_dense([[1, 0], [3, 1]])
-    assert matmul(a, b).to_dense() == [[7, 2], [3, 1]]
+    a = from_dense([[1, 2], [0, 1]])
+    b = from_dense([[1, 0], [3, 1]])
+    assert to_dense(matmul(a, b)) == [[7, 2], [3, 1]]
 
 
 def test_matrix_validation():

@@ -8,6 +8,7 @@ from singulus.errors import (
     NonHomogeneousError,
     WindowTooSmallError,
 )
+from singulus import oracle
 from singulus.linalg import PrimeField
 from singulus.oracle import (
     _betti_over_field,
@@ -26,7 +27,7 @@ from singulus.rules import (
     hilbert_function_from_table,
     koszul_smooth_table,
 )
-from _helpers import cusp_threefold_table, dense_rational_rank, matmul
+from _helpers import cusp_threefold_table, dense_rational_rank, matmul, sorted_monomials
 
 CUSP_POLY = parse("x0*x1*x2 + x3^3", 3)
 FERMAT = {(n, d): parse("+".join(f"x{i}^{d}" for i in range(n + 1)), n) for n, d in
@@ -191,6 +192,73 @@ def test_jacobian_matrix_shape():
     m = _jacobian_matrix(CUSP_POLY, 3)
     assert m.cols == len(monomial_basis(3, 3))
     assert m.rows == 4 * len(monomial_basis(3, 1))
+
+
+def literal_jacobian_entries(f, k):
+    """The degree-k gradient block built from Monomial products."""
+    n, d = f.n, f.degree
+    monos = sorted_monomials(n, k)
+    col_of = {m: len(monos) - 1 - i for i, m in enumerate(monos)}
+    entries = {}
+    row = 0
+    if k >= d - 1:
+        for i in range(n + 1):
+            for m in sorted_monomials(n, k - d + 1):
+                for mm, c in f.partial(i).terms.items():
+                    entries[(row, col_of[mm * m])] = c
+                row += 1
+    return row, len(monos), entries
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        FERMAT[(3, 3)],
+        CUSP_POLY,
+        parse("x0^3+x1^3+x2^3+7*x0*x1*x2", 2),
+        parse("1/3*x0^4+2/5*x1^4+x2^4-x0*x1*x2^2", 2),
+    ],
+)
+def test_jacobian_matrix_matches_monomial_products(f):
+    for k in range(f.degree + 3):
+        m = _jacobian_matrix(f, k)
+        assert (m.rows, m.cols, m.entries) == literal_jacobian_entries(f, k)
+        # integral coefficients enter as plain ints
+        assert all(type(v) is int or v.denominator != 1 for v in m.entries.values())
+
+
+def test_prime_killing_the_partials_is_not_trusted():
+    # every partial of the Fermat cubic vanishes mod 3
+    f = FERMAT[(2, 3)]
+    for k in range(8):
+        assert milnor_dimension(f, k, primes=[3]) == milnor_dimension(f, k)
+    assert hilbert_fit(f, primes=[3]).delta is None
+
+
+def test_prime_disagreement_runs_the_rational_fallback(monkeypatch):
+    # singular mod 37 (7^3 + 27 = 10*37), smooth over Q and mod 41
+    f = parse("x0^3+x1^3+x2^3+7*x0*x1*x2", 2)
+    real_rank, real_rref = oracle.rank_rational, oracle.rref
+    fallbacks = []
+
+    def rank_rational(m):
+        fallbacks.append("rank")
+        return real_rank(m)
+
+    def rref(rows, field):
+        if field.modulus is None:
+            fallbacks.append("rref")
+        return real_rref(rows, field)
+
+    monkeypatch.setattr(oracle, "rank_rational", rank_rational)
+    monkeypatch.setattr(oracle, "rref", rref)
+    assert hilbert_fit(f, primes=[37]).delta == 0
+    assert fallbacks == []
+    assert hilbert_fit(f, primes=[37, 41]).delta is None
+    assert "rank" in fallbacks
+    fallbacks.clear()
+    assert graded_betti(f, primes=[37, 41]) == koszul_smooth_table(2, 3)
+    assert "rref" in fallbacks
 
 
 def test_cross_check_consistent_cases():

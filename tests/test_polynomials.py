@@ -9,12 +9,14 @@ from singulus.errors import PolynomialSyntaxError
 from singulus.polynomials import (
     Monomial,
     Polynomial,
+    grevlex_exponents,
     grevlex_key,
     monomial_basis,
     parse,
     partial,
     squarefree_check,
 )
+from _helpers import sorted_monomials
 
 
 def test_parse_fermat_cubic():
@@ -118,6 +120,18 @@ def test_grevlex_degree_two_order():
     # in three variables: x2^2 < x1*x2 < x0*x2 < x1^2 < x0*x1 < x0^2
     expected = [(0, 0, 2), (0, 1, 1), (1, 0, 1), (0, 2, 0), (1, 1, 0), (2, 0, 0)]
     assert [m.exponents for m in monomial_basis(2, 2)] == expected
+
+
+def test_grevlex_exponents_match_sorted_monomials():
+    for n in range(5):
+        for k in range(7):
+            expected = [m.exponents for m in sorted_monomials(n, k)]
+            assert grevlex_exponents(n, k) == expected
+
+
+def test_grevlex_exponents_rejects_negative_degree():
+    with pytest.raises(ValueError):
+        grevlex_exponents(2, -1)
 
 
 def _random_poly(draw, n, max_degree=4, max_terms=5):
