@@ -14,7 +14,6 @@ import sys
 from . import __version__
 from .documents import (
     canonical_json,
-    digest_of,
     hilbert_to_document,
     load_table_file,
     render_report_text,
@@ -26,11 +25,10 @@ from .errors import (
     DocumentError,
     IncompleteTableError,
     NonHomogeneousError,
-    PolynomialSyntaxError,
     WindowTooSmallError,
 )
-from .oracle import cross_check
-from .polynomials import infer_variable_count, parse, squarefree_check
+from .oracle import _validate, cross_check
+from .polynomials import _input_digest, infer_variable_count, parse, squarefree_check
 from .rules import full_report, hspog_dim_guarantee, koszul_smooth_table
 
 
@@ -123,22 +121,13 @@ def cmd_inspect_poly(args) -> int:
         except OSError as exc:
             sys.stderr.write(f"error: {exc}\n")
             return 1
-    try:
-        n = args.n if args.n is not None else infer_variable_count(text)
-        f = parse(text, n)
-    except PolynomialSyntaxError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    if f.is_zero() or not f.is_homogeneous() or (f.degree or 0) < 3 or f.n < 2:
-        sys.stderr.write(
-            "error: need a nonzero homogeneous polynomial of degree >= 3 "
-            "in at least three variables\n"
-        )
-        return 1
+    # syntax and validation errors are ValueErrors, reported by main
+    n = args.n if args.n is not None else infer_variable_count(text)
+    f = parse(text, n)
+    _validate(f)
 
-    digest = digest_of(f"{f.n}:{f}")
-    seed = int(digest[:16], 16)
-    squarefree = squarefree_check(f, trials=args.sqfree_trials, seed=seed)
+    digest = _input_digest(f)
+    squarefree = squarefree_check(f, trials=args.sqfree_trials)
 
     cross = cross_check(
         f, window=args.window, max_degree=args.max_degree, primes=args.prime

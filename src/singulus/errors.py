@@ -14,7 +14,14 @@ class NonHomogeneousError(ValueError):
 
 
 class BadPrimeError(ArithmeticError):
-    """A denominator is divisible by the working prime; retry with another."""
+    """A denominator is divisible by the working prime; retry with another.
+
+    ``prime`` names that prime when a single one is to blame.
+    """
+
+    def __init__(self, message: str, prime=None):
+        super().__init__(message)
+        self.prime = prime
 
 
 class ConeError(ValueError):

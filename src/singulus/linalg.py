@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .errors import BadPrimeError
 
@@ -21,53 +22,56 @@ from .errors import BadPrimeError
 class RankCertificate:
     rank: int
     modulus: object  # prime int or the string "rational"
-    pivot_cols: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.rank != len(self.pivot_cols):
-            raise ValueError("rank must equal the pivot-column count")
 
 
 class SparseMatrix:
-    """Immutable sparse matrix; entries is a dict (row, col) -> value.
+    """Immutable sparse matrix stored as rows: ``data[r]`` is a dict
+    column -> nonzero value, the format the elimination kernel works on.
 
     Untagged matrices hold exact rationals (or ints); a matrix tagged with a
     prime modulus holds ints in [0, p).  Zero entries are never stored.
     """
 
-    __slots__ = ("rows", "cols", "entries", "modulus")
+    __slots__ = ("rows", "cols", "data", "modulus")
 
     def __init__(self, rows: int, cols: int, entries=(), modulus=None):
+        """Checked construction from a dict (row, col) -> value or from
+        (row, col, value) triples."""
         if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
-        self.rows = rows
-        self.cols = cols
-        self.modulus = modulus
-        data = {}
+        data = [{} for _ in range(rows)]
         items = entries.items() if isinstance(entries, dict) else (
             ((r, c), v) for r, c, v in entries
         )
         for (r, c), v in items:
             if not (0 <= r < rows and 0 <= c < cols):
                 raise ValueError(f"entry ({r},{c}) out of range")
-            if (r, c) in data:
+            if c in data[r]:
                 raise ValueError(f"duplicate entry at ({r},{c})")
             if modulus is not None:
                 v = int(v)
                 if not 0 <= v < modulus:
                     raise ValueError("tagged entries must lie in [0, p)")
             if v:
-                data[(r, c)] = v
-        self.entries = data
+                data[r][c] = v
+        self.rows = rows
+        self.cols = cols
+        self.data = data
+        self.modulus = modulus
+
+    @classmethod
+    def _from_rows(cls, cols: int, data: list, modulus=None) -> SparseMatrix:
+        """Wrap rows the package built itself, unchecked: every column lies
+        in range, no value is zero and tagged values lie in [0, p)."""
+        m = cls.__new__(cls)
+        m.rows = len(data)
+        m.cols = cols
+        m.data = data
+        m.modulus = modulus
+        return m
 
     def nnz(self) -> int:
-        return len(self.entries)
-
-    def row_dicts(self) -> list[dict]:
-        out = [dict() for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            out[r][c] = v
-        return out
+        return sum(map(len, self.data))
 
     def __repr__(self):
         tag = f", mod {self.modulus}" if self.modulus else ""
@@ -75,32 +79,31 @@ class SparseMatrix:
 
 
 def reduce_mod(m: SparseMatrix, p: int) -> SparseMatrix:
-    """Entrywise image in the field with p elements.
+    """Entrywise image in the field with p elements, row by row.
 
     A matrix holds a handful of distinct values, so each one is converted
     once; the entries of ``m`` are already validated and are not checked
-    again.
+    again.  When every value is an int in [0, p), its own image, the result
+    shares the rows of ``m``.
     """
     if m.modulus is not None:
         if m.modulus == p:
             return m
         raise ValueError("matrix already reduced mod a different prime")
-    images = {}
-    entries = {}
-    for (r, c), v in m.entries.items():
-        x = images.get(v)
-        if x is None:
-            q = Fraction(v)
-            if q.denominator % p == 0:
-                raise BadPrimeError(
-                    f"denominator of entry ({r},{c}) divisible by {p}"
-                )
-            x = images[v] = q.numerator * pow(q.denominator, -1, p) % p
-        if x:
-            entries[(r, c)] = x
-    out = SparseMatrix(m.rows, m.cols, modulus=p)
-    out.entries = entries
-    return out
+    values = list(chain.from_iterable(map(dict.values, m.data)))
+    distinct = set(values)
+    if set(map(type, values)) == {int} and 0 <= min(distinct) and max(distinct) < p:
+        return SparseMatrix._from_rows(m.cols, m.data, p)
+    images = {v: Fraction(v) for v in distinct}
+    bad = {v for v, q in images.items() if q.denominator % p == 0}
+    if bad:
+        r, c = next(
+            (r, c) for r, row in enumerate(m.data) for c, v in row.items() if v in bad
+        )
+        raise BadPrimeError(f"denominator of entry ({r},{c}) divisible by {p}", prime=p)
+    images = {v: q.numerator * pow(q.denominator, -1, p) % p for v, q in images.items()}
+    data = [{c: x for c, v in row.items() if (x := images[v])} for row in m.data]
+    return SparseMatrix._from_rows(m.cols, data, p)
 
 
 # -- the elimination kernel --------------------------------------------
@@ -155,16 +158,14 @@ def _echelon(rows, p):
 
 def rank_mod_p(m: SparseMatrix, p: int) -> RankCertificate:
     """Rank over F_p."""
-    pivots = _echelon(reduce_mod(m, p).row_dicts(), p)
-    return RankCertificate(len(pivots), p, tuple(sorted(pivots)))
+    return RankCertificate(len(_echelon(reduce_mod(m, p).data, p)), p)
 
 
 def rank_rational(m: SparseMatrix) -> RankCertificate:
     """Exact rank over the rationals; settles prime-field disagreements."""
     if m.modulus is not None:
         raise ValueError("rational rank needs an unreduced matrix")
-    pivots = _echelon(m.row_dicts(), None)
-    return RankCertificate(len(pivots), "rational", tuple(sorted(pivots)))
+    return RankCertificate(len(_echelon(m.data, None)), "rational")
 
 
 def rref(rows, field):
@@ -235,18 +236,12 @@ def deterministic_primes(seed: int, count: int = 2, lo: int = 1 << 30, hi: int =
 
 
 class PrimeField:
-    """F_p: checked conversion of rationals, and negation."""
+    """F_p: its modulus, and negation."""
 
     __slots__ = ("modulus",)
 
     def __init__(self, p: int):
         self.modulus = p
-
-    def of(self, x):
-        x = Fraction(x)
-        if x.denominator % self.modulus == 0:
-            raise BadPrimeError(f"denominator divisible by {self.modulus}")
-        return x.numerator * pow(x.denominator, -1, self.modulus) % self.modulus
 
     def neg(self, a):
         return -a % self.modulus
@@ -255,9 +250,6 @@ class PrimeField:
 class RationalField:
     __slots__ = ()
     modulus = None
-
-    def of(self, x):
-        return Fraction(x)
 
     def neg(self, a):
         return -a

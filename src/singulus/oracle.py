@@ -16,7 +16,6 @@ over the rationals.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -42,7 +41,7 @@ from .linalg import (
     reduce_mod,
     rref,
 )
-from .polynomials import Polynomial, dim_degree_piece, grevlex_exponents
+from .polynomials import Polynomial, _seed_of, dim_degree_piece, grevlex_exponents
 from .rules import (
     evaluate_polynomial,
     full_report,
@@ -82,11 +81,6 @@ def default_primes(f: Polynomial, count: int = 2) -> list[int]:
     return deterministic_primes(_seed_of(f), count)
 
 
-def _seed_of(f: Polynomial) -> int:
-    digest = hashlib.sha256(f"{f.n}:{f}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
 def _validate(f: Polynomial):
     if f.is_zero():
         raise ValueError("the zero polynomial has no Jacobian algebra here")
@@ -105,21 +99,32 @@ def _basis(n: int, k: int):
     return tuple(grevlex_exponents(n, k))
 
 
-def _prime_plan(f: Polynomial, primes):
-    """(primes to use, whether more may be drawn on a bad-prime failure)."""
+def _over_primes(f: Polynomial, primes, compute):
+    """Run compute on the working primes; returns (its result, the primes).
+
+    Pinned primes are used as given, and a bad one raises.  Primes derived
+    from the input digest are not: one that compute reports bad
+    (``BadPrimeError.prime``) is replaced by a fresh prime drawn from the
+    digest, and compute runs again.  Both pipelines draw replacements here.
+    """
     if primes:
         plist = list(primes)
         for p in plist:
             if not is_probable_prime(p):
                 raise ValueError(f"{p} is not prime")
-        return plist, False
-    return default_primes(f, 2), True
-
-
-def _replacement_primes(f: Polynomial, exclude, count=1):
-    stream = deterministic_primes(_seed_of(f), len(exclude) + count + 8)
-    fresh = [p for p in stream if p not in exclude]
-    return fresh[:count]
+        return compute(plist), plist
+    plist = default_primes(f, 2)
+    drawn = list(plist)
+    while True:
+        try:
+            return compute(plist), plist
+        except BadPrimeError as exc:
+            if exc.prime not in plist:
+                raise
+            stream = deterministic_primes(_seed_of(f), len(drawn) + 9)
+            fresh = next(p for p in stream if p not in drawn)
+            drawn.append(fresh)
+            plist = [fresh if p == exc.prime else p for p in plist]
 
 
 # -- Jacobian graded pieces ---------------------------------------------
@@ -148,20 +153,21 @@ def _kills_a_partial(f: Polynomial, p: int) -> bool:
 
 def _jacobian_matrix(f: Polynomial, k: int) -> SparseMatrix:
     """Degree-k piece of the gradient map, rows = generators m*f_i over the
-    degree-k monomial columns (decreasing order)."""
+    degree-k monomial columns (decreasing order).  The Hilbert side ranks
+    these rows; the Betti side echelons them into the quotient piece."""
     n, d = f.n, f.degree
     monos = _basis(n, k)
     ncols = len(monos)
     col_of = {e: ncols - 1 - i for i, e in enumerate(monos)}
-    entries = []
-    row = 0
+    data = []
     if k - (d - 1) >= 0:
         for terms in _partial_terms(f):
             for m in _basis(n, k - d + 1):
+                row = {}
                 for e, c in terms:
-                    entries.append((row, col_of[tuple(map(add, e, m))], c))
-                row += 1
-    return SparseMatrix(row, ncols, entries)
+                    row[col_of[tuple(map(add, e, m))]] = c
+                data.append(row)
+    return SparseMatrix._from_rows(ncols, data)
 
 
 def milnor_dimension(f: Polynomial, k: int, primes=None) -> int:
@@ -172,19 +178,9 @@ def milnor_dimension(f: Polynomial, k: int, primes=None) -> int:
     matrix = _jacobian_matrix(f, k)
     if matrix.rows == 0:
         return dim_degree_piece(n, k)
-    plist, auto = _prime_plan(f, primes)
-    ranks = {}
-    used = list(plist)
-    for p in plist:
-        while True:
-            try:
-                ranks[p] = rank_mod_p(reduce_mod(matrix, p), p).rank
-                break
-            except BadPrimeError:
-                if not auto:
-                    raise
-                p = _replacement_primes(f, used)[0]
-                used.append(p)
+    ranks, _ = _over_primes(
+        f, primes, lambda plist: {p: rank_mod_p(reduce_mod(matrix, p), p).rank for p in plist}
+    )
     # trust the modular ranks when they agree and no prime wiped out a partial
     agreed = set(ranks.values())
     if len(agreed) == 1 and not any(_kills_a_partial(f, p) for p in ranks):
@@ -213,8 +209,9 @@ def hilbert_fit(f: Polynomial, window=None, primes=None) -> HilbertData:
     w = window if window is not None else (n + 1) * (d - 2) + n + 2
     if w < d + 1:
         raise ValueError("window upper bound is too small to say anything")
-    plist, _ = _prime_plan(f, primes)
-    vals = [milnor_dimension(f, k, primes=plist) for k in range(w + 1)]
+    vals, _ = _over_primes(
+        f, primes, lambda plist: [milnor_dimension(f, k, primes=plist) for k in range(w + 1)]
+    )
     values = dict(enumerate(vals))
 
     if vals[-1] == 0 and vals[-2] == 0:
@@ -306,20 +303,15 @@ class _Piece:
         self.normal = normal
 
 
-def _quotient_piece(f, partials, k, field) -> _Piece:
-    n, d = f.n, f.degree
-    monos = _basis(n, k)
+def _quotient_piece(f, k, field) -> _Piece:
+    """Echelon the rows of the degree-k Jacobian block: reduced mod p, or
+    as they are over Q."""
+    matrix = _jacobian_matrix(f, k)
+    if field.modulus is not None:
+        matrix = reduce_mod(matrix, field.modulus)
+    pivots = rref(matrix.data, field)
+    monos = _basis(f.n, k)
     ncols = len(monos)
-    col_of = {e: ncols - 1 - i for i, e in enumerate(monos)}
-    rows = []
-    if k - (d - 1) >= 0:
-        for fi in partials:
-            # the elimination kernel takes no zero values: drop coefficients
-            # whose image vanishes in the field
-            items = [(m.exponents, v) for m, c in fi.terms.items() if (v := field.of(c))]
-            for m in _basis(n, k - d + 1):
-                rows.append({col_of[tuple(map(add, e, m))]: v for e, v in items})
-    pivots = rref(rows, field)
     basis = []
     index = {}
     for ci in range(ncols - 1, -1, -1):  # descending column = increasing grevlex
@@ -340,17 +332,16 @@ def _quotient_piece(f, partials, k, field) -> _Piece:
 def _mult_matrix(pieces, i, k, field) -> SparseMatrix:
     """Multiplication by x_i from the degree-k piece to the next one."""
     src, dst = pieces[k], pieces[k + 1]
-    entries = []
-    one = field.of(1)
+    data = [{} for _ in dst.basis]
     for j, mu in enumerate(src.basis):
         nu = mu[:i] + (mu[i] + 1,) + mu[i + 1 :]
         pos = dst.index.get(nu)
         if pos is not None:
-            entries.append((pos, j, one))
+            data[pos][j] = 1
         else:
             for r, v in dst.normal[nu].items():
-                entries.append((r, j, v))
-    return SparseMatrix(len(dst.basis), len(src.basis), entries, modulus=field.modulus)
+                data[r][j] = v
+    return SparseMatrix._from_rows(len(src.basis), data, field.modulus)
 
 
 def _betti_over_field(f: Polynomial, q_max: int, field) -> dict:
@@ -361,8 +352,7 @@ def _betti_over_field(f: Polynomial, q_max: int, field) -> dict:
     the internal degree q; beta_{p,q} = dim K_{p,q} - rank d_{p,q}
     - rank d_{p+1,q}."""
     n = f.n
-    partials = [f.partial(i) for i in range(n + 1)]
-    pieces = [_quotient_piece(f, partials, k, field) for k in range(q_max + 1)]
+    pieces = [_quotient_piece(f, k, field) for k in range(q_max + 1)]
     mult = {}
     for k in range(q_max):
         if pieces[k].basis:
@@ -383,20 +373,18 @@ def _betti_over_field(f: Polynomial, q_max: int, field) -> dict:
             return 0
         subsets = subset_cache[p]
         t_index = {t: i for i, t in enumerate(subset_cache[p - 1])}
-        entries = []
+        data = [{} for _ in range(len(t_index) * cod)]
         for si, s_set in enumerate(subsets):
+            shift = si * dom
             for j, s in enumerate(s_set):
                 ti = t_index[s_set[:j] + s_set[j + 1 :]]
-                block = mult[(s, k)]
-                if j % 2 == 0:
-                    for (r, c), v in block.entries.items():
-                        entries.append((ti * cod + r, si * dom + c, v))
-                else:
-                    for (r, c), v in block.entries.items():
-                        entries.append((ti * cod + r, si * dom + c, field.neg(v)))
-        matrix = SparseMatrix(
-            len(t_index) * cod, len(subsets) * dom, entries, modulus=field.modulus
-        )
+                odd = j % 2
+                for r, row in enumerate(mult[(s, k)].data, start=ti * cod):
+                    if row:
+                        out = data[r]
+                        for c, v in row.items():
+                            out[shift + c] = field.neg(v) if odd else v
+        matrix = SparseMatrix._from_rows(len(subsets) * dom, data, field.modulus)
         if field.modulus is None:
             return rank_rational(matrix).rank
         return rank_mod_p(matrix, field.modulus).rank
@@ -430,10 +418,8 @@ def cone_check(f: Polynomial):
     n, d = f.n, f.degree
     monos = _basis(n, d - 1)
     col_of = {e: i for i, e in enumerate(monos)}
-    entries = [
-        (i, col_of[e], c) for i, terms in enumerate(_partial_terms(f)) for e, c in terms
-    ]
-    matrix = SparseMatrix(n + 1, len(monos), entries)
+    data = [{col_of[e]: c for e, c in terms} for terms in _partial_terms(f)]
+    matrix = SparseMatrix._from_rows(len(monos), data)
     rank = rank_rational(matrix).rank
     if rank < n + 1:
         raise ConeError(
@@ -457,19 +443,9 @@ def graded_betti(f: Polynomial, max_degree=None, primes=None) -> BettiTable:
         raise ValueError("max_degree must be at least d")
     cone_check(f)
 
-    plist, auto = _prime_plan(f, primes)
-    results = []
-    used = list(plist)
-    for p in plist:
-        while True:
-            try:
-                results.append(_betti_over_field(f, q_max, PrimeField(p)))
-                break
-            except BadPrimeError:
-                if not auto:
-                    raise
-                p = _replacement_primes(f, used)[0]
-                used.append(p)
+    results, plist = _over_primes(
+        f, primes, lambda plist: [_betti_over_field(f, q_max, PrimeField(p)) for p in plist]
+    )
     if all(r == results[0] for r in results[1:]):
         betas = results[0]
     else:
@@ -480,13 +456,13 @@ def graded_betti(f: Polynomial, max_degree=None, primes=None) -> BettiTable:
     if betas.get((0, 0)) != 1 or any(p == 0 and q != 0 for p, q in betas):
         raise BadPrimeError(
             "position 0 must be exactly the ground field in degree 0; "
-            f"the working primes {used} are bad for this polynomial"
+            f"the working primes {plist} are bad for this polynomial"
         )
     beta1 = {q: b for (p, q), b in betas.items() if p == 1}
     if beta1 != {d - 1: n + 1}:
         raise BadPrimeError(
             f"position 1 must be {n + 1} generators in degree {d - 1}, got {beta1}; "
-            f"the working primes {used} are bad for this polynomial"
+            f"the working primes {plist} are bad for this polynomial"
         )
 
     boundary = {p: betas[(p, q_max)] for p in range(0, n + 1) if (p, q_max) in betas}

@@ -408,7 +408,17 @@ def infer_variable_count(text: str) -> int:
     return max(indices)
 
 
-# -- squarefreeness ----------------------------------------------------
+# -- input digest and squarefreeness ------------------------------------
+
+
+def _input_digest(f: Polynomial) -> str:
+    """SHA-256 hex digest of the canonical input ``f"{n}:{f}"``; reports
+    carry it, and every seed derived from the input is its first 64 bits."""
+    return hashlib.sha256(f"{f.n}:{f}".encode()).hexdigest()
+
+
+def _seed_of(f: Polynomial) -> int:
+    return int(_input_digest(f)[:16], 16)
 
 
 def squarefree_check(f: Polynomial, trials: int = 3, seed=None) -> bool:
@@ -425,9 +435,7 @@ def squarefree_check(f: Polynomial, trials: int = 3, seed=None) -> bool:
     if f.is_zero() or not f.is_homogeneous() or f.degree < 1:
         raise ValueError("squarefree check needs a nonzero homogeneous f of degree >= 1")
     if seed is None:
-        seed = int.from_bytes(
-            hashlib.sha256(f"{f.n}:{f}".encode()).digest()[:8], "big"
-        )
+        seed = _seed_of(f)
     rng = random.Random(seed)
     span = 10**6
     for _ in range(trials):

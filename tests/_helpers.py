@@ -71,9 +71,23 @@ def from_dense(array, modulus=None) -> SparseMatrix:
 
 def to_dense(m: SparseMatrix):
     out = [[0] * m.cols for _ in range(m.rows)]
-    for (r, c), v in m.entries.items():
+    for (r, c), v in entries(m).items():
         out[r][c] = v
     return out
+
+
+def entries(m: SparseMatrix) -> dict:
+    """Every stored entry of m as a dict (row, col) -> value."""
+    return {(r, c): v for r, row in enumerate(m.data) for c, v in row.items()}
+
+
+def residue(x, p: int) -> int:
+    """Image of the rational x in F_p by plain Fraction arithmetic; the
+    independent reference for ``linalg.reduce_mod``."""
+    x = Fraction(x)
+    if x.denominator % p == 0:
+        raise ZeroDivisionError(f"denominator divisible by {p}")
+    return x.numerator * pow(x.denominator, -1, p) % p
 
 
 def kernel_dim(m: SparseMatrix, p: int) -> int:
@@ -88,25 +102,23 @@ def sorted_monomials(n: int, k: int) -> list[Monomial]:
 
 
 def matmul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
-    """Sparse product a @ b."""
+    """Sparse product a @ b, row by row."""
     if a.cols != b.rows:
         raise ValueError("shape mismatch")
     if a.modulus != b.modulus:
         raise ValueError("modulus mismatch")
-    rows_b: dict[int, list] = {}
-    for (r, c), v in b.entries.items():
-        rows_b.setdefault(r, []).append((c, v))
-    acc: dict[tuple[int, int], object] = {}
-    for (r, k), v in a.entries.items():
-        for c, w in rows_b.get(k, ()):
-            acc[(r, c)] = acc.get((r, c), 0) + v * w
     p = a.modulus
-    entries = []
-    for (r, c), v in acc.items():
-        v = v % p if p else v
-        if v:
-            entries.append((r, c, v))
-    return SparseMatrix(a.rows, b.cols, entries, modulus=p)
+    out = {}
+    for r, arow in enumerate(a.data):
+        acc = {}
+        for k, v in arow.items():
+            for c, w in b.data[k].items():
+                acc[c] = acc.get(c, 0) + v * w
+        for c, v in acc.items():
+            v = v % p if p else v
+            if v:
+                out[(r, c)] = v
+    return SparseMatrix(a.rows, b.cols, out, modulus=p)
 
 
 def repaired_table(rng: random.Random, n: int, d: int, t: int):

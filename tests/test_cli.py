@@ -143,6 +143,20 @@ def test_inspect_poly_non_homogeneous_exits_1():
     assert res.returncode == 1
 
 
+@pytest.mark.parametrize(
+    "expr, message",
+    [
+        ("x0^2 + x1^2 + x2^2", "need degree d >= 3"),
+        ("x0^3 + x1^3", "need at least three variables (n >= 2)"),
+    ],
+)
+def test_inspect_poly_rejects_what_the_oracle_rejects(expr, message):
+    res = run_cli("inspect-poly", "--expr", expr)
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr == f"error: {message}\n"
+
+
 def test_inspect_poly_reads_fixture_file():
     res = run_cli(
         "inspect-poly", str(FIXTURES / "triangle_cusp_threefold.poly"), "--format", "json"

@@ -1,0 +1,93 @@
+"""Byte-for-byte golden reports: the CLI's stdout, stderr and exit code on
+the benchmark corpus and the fixtures must not change by accident.
+
+Each case runs ``singulus.cli.main`` in-process.  The expected stdout of
+case NAME is ``fixtures/golden/NAME.json``; the expected exit code and
+stderr are listed in ``fixtures/golden/cases.json``.  After a change that
+alters a report on purpose, rewrite the files with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and review the diff.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from singulus.cli import main
+
+REPO = Path(__file__).resolve().parent.parent
+GOLDEN = REPO / "fixtures" / "golden"
+
+
+def _inspect(expr, *primes):
+    argv = ["inspect-poly", "--expr", expr, "--format", "json"]
+    for p in primes:
+        argv += ["--prime", str(p)]
+    return argv
+
+
+def _fermat(n, d):
+    return _inspect(" + ".join(f"x{i}^{d}" for i in range(n + 1)))
+
+
+# name -> argv; fixture paths are relative to the repository root
+CASES = {
+    "fermat_3_4": _fermat(3, 4),
+    "fermat_4_4": _fermat(4, 4),
+    "fermat_5_3": _fermat(5, 3),
+    # the singular-pinned corpus, in its order
+    "singular_1": _inspect("x0*x1*x2 + x3^3"),
+    "singular_2": _inspect("x0*x1*x2 + x0^3 + x1^3"),
+    "singular_3": _inspect("x0^2*x2 + x1^2*x3"),
+    "singular_4": _inspect("x0*x1*x2*x3 + x4^4"),
+    "singular_5": _inspect("x0*x1*x2 + x3^3 + x4^3 + x5^3"),
+    "pinned_1": _inspect("x0^3+x1^3+x2^3+7*x0*x1*x2", 37, 41),
+    "pinned_2": _inspect("x0^3+x1^3+x2^3+x3^3+7*x0*x1*x2", 37, 41),
+    "cusp_fixture": ["inspect-poly", "fixtures/triangle_cusp_threefold.poly", "--format", "json"],
+    "table_negative_degree": ["analyze-betti", "fixtures/betti_p4_d3_negative_degree.json", "--format", "json"],
+    "table_bound_violation": ["analyze-betti", "fixtures/betti_p4_d3_bound_violation.json", "--format", "json"],
+    "table_smooth_3_3": ["analyze-betti", "fixtures/betti_smooth_3_3.json", "--format", "json"],
+}
+
+
+def run(argv):
+    argv = [str(REPO / a) if a.startswith("fixtures/") else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def expected():
+    return json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_is_byte_identical(name, expected):
+    code, out, err = run(CASES[name])
+    assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    assert {"exit": code, "stderr": err} == expected[name]
+
+
+def regenerate():
+    GOLDEN.mkdir(parents=True, exist_ok=True)
+    cases = {}
+    for name, argv in sorted(CASES.items()):
+        code, out, err = run(argv)
+        (GOLDEN / f"{name}.json").write_text(out, encoding="utf-8")
+        cases[name] = {"exit": code, "stderr": err}
+    text = json.dumps(cases, indent=2, sort_keys=True) + "\n"
+    (GOLDEN / "cases.json").write_text(text, encoding="utf-8")
+
+
+if __name__ == "__main__":
+    sys.exit(regenerate())

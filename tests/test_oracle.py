@@ -27,7 +27,13 @@ from singulus.rules import (
     hilbert_function_from_table,
     koszul_smooth_table,
 )
-from _helpers import cusp_threefold_table, dense_rational_rank, matmul, sorted_monomials
+from _helpers import (
+    cusp_threefold_table,
+    dense_rational_rank,
+    entries,
+    matmul,
+    sorted_monomials,
+)
 
 CUSP_POLY = parse("x0*x1*x2 + x3^3", 3)
 FERMAT = {(n, d): parse("+".join(f"x{i}^{d}" for i in range(n + 1)), n) for n, d in
@@ -168,8 +174,7 @@ def test_multiplication_matrices_commute():
     # x_i x_j = x_j x_i on the quotient catches bad normal forms
     f = parse("x0*x1*x2 + x0^3 + x1^3", 2)
     field = PrimeField(1073741831)
-    partials = [f.partial(i) for i in range(f.n + 1)]
-    pieces = [_quotient_piece(f, partials, k, field) for k in range(5)]
+    pieces = [_quotient_piece(f, k, field) for k in range(5)]
     for k in range(3):
         for i in range(f.n + 1):
             for j in range(i + 1, f.n + 1):
@@ -177,7 +182,7 @@ def test_multiplication_matrices_commute():
                 xj_k = _mult_matrix(pieces, j, k, field)
                 xi_k1 = _mult_matrix(pieces, i, k + 1, field)
                 xj_k1 = _mult_matrix(pieces, j, k + 1, field)
-                assert matmul(xj_k1, xi_k).entries == matmul(xi_k1, xj_k).entries
+                assert entries(matmul(xj_k1, xi_k)) == entries(matmul(xi_k1, xj_k))
 
 
 def test_betti_low_positions():
@@ -222,9 +227,9 @@ def literal_jacobian_entries(f, k):
 def test_jacobian_matrix_matches_monomial_products(f):
     for k in range(f.degree + 3):
         m = _jacobian_matrix(f, k)
-        assert (m.rows, m.cols, m.entries) == literal_jacobian_entries(f, k)
+        assert (m.rows, m.cols, entries(m)) == literal_jacobian_entries(f, k)
         # integral coefficients enter as plain ints
-        assert all(type(v) is int or v.denominator != 1 for v in m.entries.values())
+        assert all(type(v) is int or v.denominator != 1 for v in entries(m).values())
 
 
 def test_prime_killing_the_partials_is_not_trusted():
@@ -259,6 +264,18 @@ def test_prime_disagreement_runs_the_rational_fallback(monkeypatch):
     fallbacks.clear()
     assert graded_betti(f, primes=[37, 41]) == koszul_smooth_table(2, 3)
     assert "rref" in fallbacks
+
+
+def test_bad_derived_prime_is_replaced_in_both_pipelines(monkeypatch):
+    # 3 divides the denominator 9: a derived prime that bad must be redrawn
+    f = parse("1/9*x0^3+x1^3+x2^3", 2)
+    expected = hilbert_fit(f)
+    assert expected.delta is None
+    real = oracle.default_primes
+    monkeypatch.setattr(oracle, "default_primes", lambda f, count=2: [3, *real(f, count)[1:]])
+    assert oracle.default_primes(f)[0] == 3
+    assert hilbert_fit(f) == expected
+    assert graded_betti(f) == koszul_smooth_table(2, 3)
 
 
 def test_cross_check_consistent_cases():
