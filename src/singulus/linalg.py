@@ -83,18 +83,13 @@ def reduce_mod(m: SparseMatrix, p: int) -> SparseMatrix:
 
     A matrix holds a handful of distinct values, so each one is converted
     once; the entries of ``m`` are already validated and are not checked
-    again.  When every value is an int in [0, p), its own image, the result
-    shares the rows of ``m``.
+    again.
     """
     if m.modulus is not None:
         if m.modulus == p:
             return m
         raise ValueError("matrix already reduced mod a different prime")
-    values = list(chain.from_iterable(map(dict.values, m.data)))
-    distinct = set(values)
-    if set(map(type, values)) == {int} and 0 <= min(distinct) and max(distinct) < p:
-        return SparseMatrix._from_rows(m.cols, m.data, p)
-    images = {v: Fraction(v) for v in distinct}
+    images = {v: Fraction(v) for v in set(chain.from_iterable(map(dict.values, m.data)))}
     bad = {v for v, q in images.items() if q.denominator % p == 0}
     if bad:
         r, c = next(

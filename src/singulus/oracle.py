@@ -130,9 +130,11 @@ def _over_primes(f: Polynomial, primes, compute):
 # -- Jacobian graded pieces ---------------------------------------------
 
 
+@lru_cache(maxsize=64)
 def _partial_terms(f: Polynomial):
     """Each partial derivative as (exponents, coefficient) pairs; integral
-    coefficients become plain ints."""
+    coefficients become plain ints.  Every degree of both pipelines asks
+    for them, so they are cached; callers must not change the lists."""
     return [
         [
             (m.exponents, c.numerator if c.denominator == 1 else c)
@@ -140,6 +142,16 @@ def _partial_terms(f: Polynomial):
         ]
         for i in range(f.n + 1)
     ]
+
+
+def _partial_terms_mod(f: Polynomial, p: int):
+    """The partials' terms over F_p, leaving out terms that vanish mod p.
+    The images come from reduce_mod on the degree-(d-1) block, whose rows
+    are the partials themselves."""
+    monos = _basis(f.n, f.degree - 1)
+    top = len(monos) - 1
+    block = reduce_mod(_jacobian_matrix(f, f.degree - 1), p)
+    return [[(monos[top - c], v) for c, v in row.items()] for row in block.data]
 
 
 def _kills_a_partial(f: Polynomial, p: int) -> bool:
@@ -151,42 +163,45 @@ def _kills_a_partial(f: Polynomial, p: int) -> bool:
     )
 
 
-def _jacobian_matrix(f: Polynomial, k: int) -> SparseMatrix:
+def _jacobian_matrix(f: Polynomial, k: int, p=None) -> SparseMatrix:
     """Degree-k piece of the gradient map, rows = generators m*f_i over the
-    degree-k monomial columns (decreasing order).  The Hilbert side ranks
-    these rows; the Betti side echelons them into the quotient piece."""
+    degree-k monomial columns (decreasing order), over F_p when a prime p
+    is given.  The Hilbert side ranks these rows; the Betti side echelons
+    them into the quotient piece."""
     n, d = f.n, f.degree
     monos = _basis(n, k)
     ncols = len(monos)
     col_of = {e: ncols - 1 - i for i, e in enumerate(monos)}
     data = []
     if k - (d - 1) >= 0:
-        for terms in _partial_terms(f):
+        for terms in _partial_terms(f) if p is None else _partial_terms_mod(f, p):
             for m in _basis(n, k - d + 1):
                 row = {}
                 for e, c in terms:
                     row[col_of[tuple(map(add, e, m))]] = c
                 data.append(row)
-    return SparseMatrix._from_rows(ncols, data)
+    return SparseMatrix._from_rows(ncols, data, p)
 
 
 def milnor_dimension(f: Polynomial, k: int, primes=None) -> int:
-    """dim of the degree-k piece of the Jacobian algebra S/J_f."""
+    """dim of the degree-k piece of the Jacobian algebra S/J_f.
+
+    Pinned primes are used as given; primes derived from the input are
+    replaced when bad (see _over_primes)."""
     n, d = _validate(f)
     if k < 0:
         raise ValueError("degree must be non-negative")
-    matrix = _jacobian_matrix(f, k)
-    if matrix.rows == 0:
+    if k < d - 1:
         return dim_degree_piece(n, k)
     ranks, _ = _over_primes(
-        f, primes, lambda plist: {p: rank_mod_p(reduce_mod(matrix, p), p).rank for p in plist}
+        f, primes, lambda plist: {p: rank_mod_p(_jacobian_matrix(f, k, p), p).rank for p in plist}
     )
     # trust the modular ranks when they agree and no prime wiped out a partial
     agreed = set(ranks.values())
     if len(agreed) == 1 and not any(_kills_a_partial(f, p) for p in ranks):
         rank = agreed.pop()
     else:
-        rank = rank_rational(matrix).rank
+        rank = rank_rational(_jacobian_matrix(f, k)).rank
     return dim_degree_piece(n, k) - rank
 
 
@@ -209,9 +224,7 @@ def hilbert_fit(f: Polynomial, window=None, primes=None) -> HilbertData:
     w = window if window is not None else (n + 1) * (d - 2) + n + 2
     if w < d + 1:
         raise ValueError("window upper bound is too small to say anything")
-    vals, _ = _over_primes(
-        f, primes, lambda plist: [milnor_dimension(f, k, primes=plist) for k in range(w + 1)]
-    )
+    vals = [milnor_dimension(f, k, primes=primes) for k in range(w + 1)]
     values = dict(enumerate(vals))
 
     if vals[-1] == 0 and vals[-2] == 0:
@@ -304,12 +317,8 @@ class _Piece:
 
 
 def _quotient_piece(f, k, field) -> _Piece:
-    """Echelon the rows of the degree-k Jacobian block: reduced mod p, or
-    as they are over Q."""
-    matrix = _jacobian_matrix(f, k)
-    if field.modulus is not None:
-        matrix = reduce_mod(matrix, field.modulus)
-    pivots = rref(matrix.data, field)
+    """Echelon the rows of the degree-k Jacobian block over the field."""
+    pivots = rref(_jacobian_matrix(f, k, field.modulus).data, field)
     monos = _basis(f.n, k)
     ncols = len(monos)
     basis = []
@@ -415,12 +424,9 @@ def cone_check(f: Polynomial):
     generators; a dependent family (a cone, up to coordinates) has a
     strictly smaller minimal first step, which this pipeline does not
     reconcile."""
-    n, d = f.n, f.degree
-    monos = _basis(n, d - 1)
-    col_of = {e: i for i, e in enumerate(monos)}
-    data = [{col_of[e]: c for e, c in terms} for terms in _partial_terms(f)]
-    matrix = SparseMatrix._from_rows(len(monos), data)
-    rank = rank_rational(matrix).rank
+    n = f.n
+    # the degree-(d-1) Jacobian block has the partials as its rows
+    rank = rank_rational(_jacobian_matrix(f, f.degree - 1)).rank
     if rank < n + 1:
         raise ConeError(
             f"the {n + 1} partial derivatives span only a {rank}-dimensional "

@@ -8,12 +8,12 @@ anywhere.
 
 from __future__ import annotations
 
-import hashlib
 import random
 import re
 from fractions import Fraction
 from math import comb
 
+from .documents import digest_of
 from .errors import PolynomialSyntaxError
 
 
@@ -414,7 +414,7 @@ def infer_variable_count(text: str) -> int:
 def _input_digest(f: Polynomial) -> str:
     """SHA-256 hex digest of the canonical input ``f"{n}:{f}"``; reports
     carry it, and every seed derived from the input is its first 64 bits."""
-    return hashlib.sha256(f"{f.n}:{f}".encode()).hexdigest()
+    return digest_of(f"{f.n}:{f}")
 
 
 def _seed_of(f: Polynomial) -> int:

@@ -45,12 +45,11 @@ def test_reduce_mod_drops_zero_entries():
     assert (r.rows, r.cols) == (1, 1)
 
 
-def test_reduce_mod_keeps_values_already_reduced():
+def test_reduce_mod_residues_are_ints():
     m = SparseMatrix(2, 3, [(0, 0, 1), (0, 2, 5), (1, 1, 6)])
     r = reduce_mod(m, 7)
     assert (r.rows, r.cols, r.modulus) == (2, 3, 7)
     assert entries(r) == entries(m)
-    # one value outside [0, p) sends every row through the conversion
     m = SparseMatrix(2, 3, [(0, 0, 1), (0, 2, -1), (1, 1, 7)])
     assert entries(reduce_mod(m, 7)) == {(0, 0): 1, (0, 2): 6}
     # residues are ints even where a value equals an int in [0, p)

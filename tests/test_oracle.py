@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from singulus.errors import (
+    BadPrimeError,
     ConeError,
     IncompleteTableError,
     NonHomogeneousError,
@@ -32,6 +33,7 @@ from _helpers import (
     dense_rational_rank,
     entries,
     matmul,
+    residue,
     sorted_monomials,
 )
 
@@ -222,14 +224,28 @@ def literal_jacobian_entries(f, k):
         CUSP_POLY,
         parse("x0^3+x1^3+x2^3+7*x0*x1*x2", 2),
         parse("1/3*x0^4+2/5*x1^4+x2^4-x0*x1*x2^2", 2),
+        FERMAT[(2, 3)],
+        parse("x0^4-x1^4+x2^4-x3^4", 3),
     ],
 )
 def test_jacobian_matrix_matches_monomial_products(f):
     for k in range(f.degree + 3):
         m = _jacobian_matrix(f, k)
-        assert (m.rows, m.cols, entries(m)) == literal_jacobian_entries(f, k)
+        rows, cols, literal = literal_jacobian_entries(f, k)
+        assert (m.rows, m.cols, entries(m)) == (rows, cols, literal)
         # integral coefficients enter as plain ints
         assert all(type(v) is int or v.denominator != 1 for v in entries(m).values())
+        # over F_p: every value mapped by the reference, zeros dropped
+        for p in (3, 5, 2147483647):
+            try:
+                expected = {rc: x for rc, v in literal.items() if (x := residue(v, p))}
+            except ZeroDivisionError:
+                with pytest.raises(BadPrimeError) as err:
+                    _jacobian_matrix(f, k, p)
+                assert err.value.prime == p
+                continue
+            m = _jacobian_matrix(f, k, p)
+            assert (m.rows, m.cols, m.modulus, entries(m)) == (rows, cols, p, expected)
 
 
 def test_prime_killing_the_partials_is_not_trusted():
