@@ -10,14 +10,7 @@ cross-validate each other.
 
 __version__ = "0.1.0"
 
-from .polynomials import (
-    Monomial,
-    Polynomial,
-    monomial_basis,
-    parse,
-    partial,
-    squarefree_check,
-)
+from .polynomials import Polynomial, parse, squarefree_check
 from .linalg import (
     RankCertificate,
     SparseMatrix,
@@ -56,11 +49,8 @@ from .oracle import (
 
 __all__ = [
     "__version__",
-    "Monomial",
     "Polynomial",
-    "monomial_basis",
     "parse",
-    "partial",
     "squarefree_check",
     "RankCertificate",
     "SparseMatrix",

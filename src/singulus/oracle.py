@@ -8,7 +8,7 @@ homology of the quotient tensored with the Koszul complex on the variables,
 which needs nothing beyond exact kernel/rank computations on
 multiplication-by-variable block matrices.
 
-Everything is computed modulo two independent word-size primes; ranks over a
+Each pipeline computes modulo its own two word-size primes; ranks over a
 prime field can only drop, so agreement certifies the answer for practical
 purposes and any disagreement reruns the same sparse elimination kernel
 over the rationals.
@@ -76,9 +76,15 @@ class HilbertData:
         return max(self.values)
 
 
-def default_primes(f: Polynomial, count: int = 2) -> list[int]:
-    """Working primes derived deterministically from the input digest."""
-    return deterministic_primes(_seed_of(f), count)
+@lru_cache(maxsize=64)
+def default_primes(f: Polynomial, count: int = 2, part: int = 0) -> tuple[int, ...]:
+    """Working primes derived deterministically from the input digest.
+
+    ``part`` picks the 64 bits of the digest that seed them: the Betti side
+    uses part 0 and the Hilbert side part 1, so the two sides compare four
+    primes, not one pair twice.  Every degree asks again, so the primes are
+    cached per polynomial; the tuple is shared by every caller."""
+    return tuple(deterministic_primes(_seed_of(f, part), count))
 
 
 def _validate(f: Polynomial):
@@ -93,19 +99,14 @@ def _validate(f: Polynomial):
     return f.n, f.degree
 
 
-@lru_cache(maxsize=None)
-def _basis(n: int, k: int):
-    """Degree-k exponent vectors, increasing in grevlex."""
-    return tuple(grevlex_exponents(n, k))
-
-
-def _over_primes(f: Polynomial, primes, compute):
+def _over_primes(f: Polynomial, primes, compute, part: int = 0):
     """Run compute on the working primes; returns (its result, the primes).
 
     Pinned primes are used as given, and a bad one raises.  Primes derived
-    from the input digest are not: one that compute reports bad
-    (``BadPrimeError.prime``) is replaced by a fresh prime drawn from the
-    digest, and compute runs again.  Both pipelines draw replacements here.
+    from the input digest (its ``part``, see default_primes) are not: one
+    that compute reports bad (``BadPrimeError.prime``) is replaced by a
+    fresh prime drawn from the same part, and compute runs again.  Both
+    pipelines draw replacements here.
     """
     if primes:
         plist = list(primes)
@@ -113,7 +114,7 @@ def _over_primes(f: Polynomial, primes, compute):
             if not is_probable_prime(p):
                 raise ValueError(f"{p} is not prime")
         return compute(plist), plist
-    plist = default_primes(f, 2)
+    plist = list(default_primes(f, 2, part))
     drawn = list(plist)
     while True:
         try:
@@ -121,7 +122,7 @@ def _over_primes(f: Polynomial, primes, compute):
         except BadPrimeError as exc:
             if exc.prime not in plist:
                 raise
-            stream = deterministic_primes(_seed_of(f), len(drawn) + 9)
+            stream = default_primes(f, len(drawn) + 9, part)
             fresh = next(p for p in stream if p not in drawn)
             drawn.append(fresh)
             plist = [fresh if p == exc.prime else p for p in plist]
@@ -136,10 +137,7 @@ def _partial_terms(f: Polynomial):
     coefficients become plain ints.  Every degree of both pipelines asks
     for them, so they are cached; callers must not change the lists."""
     return [
-        [
-            (m.exponents, c.numerator if c.denominator == 1 else c)
-            for m, c in f.partial(i).terms.items()
-        ]
+        [(e, c.numerator if c.denominator == 1 else c) for e, c in f.partial(i).terms.items()]
         for i in range(f.n + 1)
     ]
 
@@ -148,7 +146,7 @@ def _partial_terms_mod(f: Polynomial, p: int):
     """The partials' terms over F_p, leaving out terms that vanish mod p.
     The images come from reduce_mod on the degree-(d-1) block, whose rows
     are the partials themselves."""
-    monos = _basis(f.n, f.degree - 1)
+    monos = grevlex_exponents(f.n, f.degree - 1)
     top = len(monos) - 1
     block = reduce_mod(_jacobian_matrix(f, f.degree - 1), p)
     return [[(monos[top - c], v) for c, v in row.items()] for row in block.data]
@@ -169,13 +167,13 @@ def _jacobian_matrix(f: Polynomial, k: int, p=None) -> SparseMatrix:
     is given.  The Hilbert side ranks these rows; the Betti side echelons
     them into the quotient piece."""
     n, d = f.n, f.degree
-    monos = _basis(n, k)
+    monos = grevlex_exponents(n, k)
     ncols = len(monos)
     col_of = {e: ncols - 1 - i for i, e in enumerate(monos)}
     data = []
     if k - (d - 1) >= 0:
         for terms in _partial_terms(f) if p is None else _partial_terms_mod(f, p):
-            for m in _basis(n, k - d + 1):
+            for m in grevlex_exponents(n, k - d + 1):
                 row = {}
                 for e, c in terms:
                     row[col_of[tuple(map(add, e, m))]] = c
@@ -187,15 +185,18 @@ def milnor_dimension(f: Polynomial, k: int, primes=None) -> int:
     """dim of the degree-k piece of the Jacobian algebra S/J_f.
 
     Pinned primes are used as given; primes derived from the input are
-    replaced when bad (see _over_primes)."""
+    the Hilbert side's own (part 1 of the digest), replaced when bad (see
+    _over_primes)."""
     n, d = _validate(f)
     if k < 0:
         raise ValueError("degree must be non-negative")
     if k < d - 1:
         return dim_degree_piece(n, k)
-    ranks, _ = _over_primes(
-        f, primes, lambda plist: {p: rank_mod_p(_jacobian_matrix(f, k, p), p).rank for p in plist}
-    )
+
+    def ranks_mod(plist):
+        return {p: rank_mod_p(_jacobian_matrix(f, k, p), p).rank for p in plist}
+
+    ranks, _ = _over_primes(f, primes, ranks_mod, part=1)
     # trust the modular ranks when they agree and no prime wiped out a partial
     agreed = set(ranks.values())
     if len(agreed) == 1 and not any(_kills_a_partial(f, p) for p in ranks):
@@ -319,7 +320,7 @@ class _Piece:
 def _quotient_piece(f, k, field) -> _Piece:
     """Echelon the rows of the degree-k Jacobian block over the field."""
     pivots = rref(_jacobian_matrix(f, k, field.modulus).data, field)
-    monos = _basis(f.n, k)
+    monos = grevlex_exponents(f.n, k)
     ncols = len(monos)
     basis = []
     index = {}
@@ -505,10 +506,6 @@ class CrossCheckReport:
     table: BettiTable | None
     rule_report: object
     deviations: list[str]
-
-    @property
-    def consistent(self) -> bool:
-        return not self.deviations
 
 
 def cross_check(f: Polynomial, window=None, max_degree=None, primes=None) -> CrossCheckReport:

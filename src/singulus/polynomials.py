@@ -1,9 +1,9 @@
 """Exact multivariate polynomials in x0..xn with rational coefficients.
 
-Everything here is immutable and pure: monomials are exponent vectors under
-a fixed graded reverse-lexicographic order, polynomials are sparse maps from
-monomials to nonzero ``Fraction`` coefficients.  No floating point is used
-anywhere.
+Everything here is immutable and pure: a polynomial is a sparse map from
+exponent tuples (one non-negative int per variable) to nonzero ``Fraction``
+coefficients, printed in decreasing graded reverse-lexicographic order.  No
+floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -11,66 +11,21 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
+from operator import add, index
 
 from .documents import digest_of
 from .errors import PolynomialSyntaxError
 
 
-class Monomial:
-    """Exponent vector of one monomial in the variables x0..xn."""
-
-    __slots__ = ("exponents", "degree")
-
-    def __init__(self, exponents):
-        exps = tuple(int(e) for e in exponents)
-        if any(e < 0 for e in exps):
-            raise ValueError("monomial exponents must be non-negative")
-        self.exponents = exps
-        self.degree = sum(exps)
-
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and self.exponents == other.exponents
-
-    def __hash__(self):
-        return hash(self.exponents)
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(a + b for a, b in zip(self.exponents, other.exponents))
-
-    # Rich comparison follows grevlex so that sorted() gives the fixed order.
-    def __lt__(self, other):
-        return grevlex_key(self) < grevlex_key(other)
-
-    def __le__(self, other):
-        return grevlex_key(self) <= grevlex_key(other)
-
-    def __str__(self):
-        parts = [
-            f"x{i}^{e}" if e > 1 else f"x{i}"
-            for i, e in enumerate(self.exponents)
-            if e
-        ]
-        return "*".join(parts) if parts else "1"
-
-    def __repr__(self):
-        return f"Monomial({self.exponents})"
-
-
-def grevlex_key(m: Monomial):
-    """Sort key realizing graded reverse-lexicographic order, increasing.
-
-    Ties in total degree are broken by the rightmost differing exponent:
-    the monomial with the larger one is the smaller.
-    """
-    return (m.degree, tuple(-e for e in reversed(m.exponents)))
-
-
 class Polynomial:
     """Sparse polynomial with exact rational coefficients.
 
-    ``n`` is the top variable index, so there are n+1 variables.  The zero
-    polynomial has ``degree is None``, distinct from degree-0 constants.
+    ``n`` is the top variable index, so there are n+1 variables.  ``terms``
+    maps exponent tuples to coefficients: ``f.terms[(2, 0, 0)]`` is the
+    coefficient of x0^2.  The zero polynomial is ``Polynomial(n)``; it has
+    ``degree is None``, distinct from degree-0 constants.
     """
 
     __slots__ = ("n", "terms")
@@ -79,28 +34,28 @@ class Polynomial:
         if n < 0:
             raise ValueError("need at least one variable")
         self.n = n
-        clean: dict[Monomial, Fraction] = {}
-        for m, c in (terms or {}).items():
-            if not isinstance(m, Monomial):
-                m = Monomial(m)
-            if len(m.exponents) != n + 1:
+        clean: dict[tuple[int, ...], Fraction] = {}
+        for e, c in (terms or {}).items():
+            try:
+                e = tuple(map(index, e))
+            except TypeError:
+                raise ValueError(f"monomial exponents must be ints, got {e!r}") from None
+            if len(e) != n + 1:
                 raise ValueError("monomial arity does not match variable count")
+            if min(e) < 0:
+                raise ValueError("monomial exponents must be non-negative")
             c = Fraction(c)
             if c:
-                clean[m] = clean.get(m, Fraction(0)) + c
-                if not clean[m]:
-                    del clean[m]
+                clean[e] = clean.get(e, Fraction(0)) + c
+                if not clean[e]:
+                    del clean[e]
         self.terms = clean
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, n: int) -> "Polynomial":
-        return cls(n)
-
-    @classmethod
     def constant(cls, n: int, c) -> "Polynomial":
-        return cls(n, {Monomial((0,) * (n + 1)): Fraction(c)})
+        return cls(n, {(0,) * (n + 1): Fraction(c)})
 
     @classmethod
     def variable(cls, n: int, i: int) -> "Polynomial":
@@ -108,7 +63,7 @@ class Polynomial:
             raise ValueError(f"variable index {i} out of range 0..{n}")
         e = [0] * (n + 1)
         e[i] = 1
-        return cls(n, {Monomial(e): Fraction(1)})
+        return cls(n, {tuple(e): Fraction(1)})
 
     # -- basic queries ------------------------------------------------
 
@@ -116,17 +71,13 @@ class Polynomial:
     def degree(self):
         if not self.terms:
             return None
-        return max(m.degree for m in self.terms)
+        return max(map(sum, self.terms))
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_homogeneous(self) -> bool:
-        degs = {m.degree for m in self.terms}
-        return len(degs) <= 1
-
-    def coefficient(self, m: Monomial) -> Fraction:
-        return self.terms.get(m, Fraction(0))
+        return len(set(map(sum, self.terms))) <= 1
 
     def __eq__(self, other):
         return (
@@ -156,11 +107,11 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             self._check_arity(other)
-            out: dict[Monomial, Fraction] = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    m = m1 * m2
-                    out[m] = out.get(m, Fraction(0)) + c1 * c2
+            out: dict[tuple[int, ...], Fraction] = {}
+            for e1, c1 in self.terms.items():
+                for e2, c2 in other.terms.items():
+                    e = tuple(map(add, e1, e2))
+                    out[e] = out.get(e, Fraction(0)) + c1 * c2
             return Polynomial(self.n, out)
         return self.scale(other)
 
@@ -182,13 +133,10 @@ class Polynomial:
         """Partial derivative with respect to x_i."""
         if not 0 <= i <= self.n:
             raise ValueError(f"variable index {i} out of range 0..{self.n}")
-        out: dict[Monomial, Fraction] = {}
-        for m, c in self.terms.items():
-            e = m.exponents[i]
-            if e:
-                ee = list(m.exponents)
-                ee[i] -= 1
-                out[Monomial(ee)] = c * e
+        out: dict[tuple[int, ...], Fraction] = {}
+        for e, c in self.terms.items():
+            if e[i]:
+                out[e[:i] + (e[i] - 1,) + e[i + 1 :]] = c * e[i]
         return Polynomial(self.n, out)
 
     def evaluate(self, point):
@@ -196,11 +144,11 @@ class Polynomial:
         if len(point) != self.n + 1:
             raise ValueError("point arity does not match variable count")
         total = Fraction(0)
-        for m, c in self.terms.items():
+        for e, c in self.terms.items():
             v = c
-            for x, e in zip(point, m.exponents):
-                if e:
-                    v *= Fraction(x) ** e
+            for x, k in zip(point, e):
+                if k:
+                    v *= Fraction(x) ** k
             total += v
         return total
 
@@ -210,9 +158,9 @@ class Polynomial:
         if not self.terms:
             return "0"
         parts = []
-        for m in sorted(self.terms, key=grevlex_key, reverse=True):
-            c = self.terms[m]
-            body = _format_term(m, c)
+        for e in sorted(self.terms, key=_grevlex_key, reverse=True):
+            c = self.terms[e]
+            body = _format_term(e, c)
             if not parts:
                 parts.append(("-" if c < 0 else "") + body)
             else:
@@ -227,19 +175,23 @@ class Polynomial:
             raise ValueError("mixed variable counts")
 
 
-def _format_term(m: Monomial, c: Fraction) -> str:
+def _grevlex_key(e: tuple[int, ...]):
+    """Sort key of graded reverse-lexicographic order, increasing: ties in
+    total degree go to the rightmost differing exponent, and the larger one
+    is the smaller monomial."""
+    return (sum(e), tuple(-k for k in reversed(e)))
+
+
+def _format_term(e: tuple[int, ...], c: Fraction) -> str:
     a = abs(c)
-    if m.degree == 0:
+    mono = "*".join(f"x{i}^{k}" if k > 1 else f"x{i}" for i, k in enumerate(e) if k)
+    if not mono:
         return str(a)
-    mono = str(m)
     return mono if a == 1 else f"{a}*{mono}"
 
 
-def partial(f: Polynomial, i: int) -> Polynomial:
-    return f.partial(i)
-
-
-def grevlex_exponents(n: int, k: int) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=None)
+def grevlex_exponents(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     """Exponent vectors of all degree-k monomials in x0..xn, strictly
     increasing in grevlex.
 
@@ -247,7 +199,8 @@ def grevlex_exponents(n: int, k: int) -> list[tuple[int, ...]]:
     reversed vector (e_n, ..., e_0).  So the vectors are built one variable
     at a time: the new last exponent runs downwards, and in front of each
     value come the vectors of the remaining degree in the earlier
-    variables, already in order.
+    variables, already in order.  Both oracle pipelines ask for every basis
+    at every degree, so the result is cached.
     """
     if k < 0:
         raise ValueError("degree must be non-negative")
@@ -258,12 +211,7 @@ def grevlex_exponents(n: int, k: int) -> list[tuple[int, ...]]:
             [h + (e,) for e in range(j, -1, -1) for h in heads[j - e]]
             for j in range(k + 1)
         ]
-    return heads[k]
-
-
-def monomial_basis(n: int, k: int) -> list[Monomial]:
-    """All degree-k monomials in x0..xn, strictly increasing in grevlex."""
-    return [Monomial(e) for e in grevlex_exponents(n, k)]
+    return tuple(heads[k])
 
 
 def dim_degree_piece(n: int, k: int) -> int:
@@ -413,12 +361,13 @@ def infer_variable_count(text: str) -> int:
 
 def _input_digest(f: Polynomial) -> str:
     """SHA-256 hex digest of the canonical input ``f"{n}:{f}"``; reports
-    carry it, and every seed derived from the input is its first 64 bits."""
+    carry it, and every seed derived from the input is 64 bits of it."""
     return digest_of(f"{f.n}:{f}")
 
 
-def _seed_of(f: Polynomial) -> int:
-    return int(_input_digest(f)[:16], 16)
+def _seed_of(f: Polynomial, part: int = 0) -> int:
+    """The part-th 64 bits of the input digest, as an int seed."""
+    return int(_input_digest(f)[16 * part : 16 * part + 16], 16)
 
 
 def squarefree_check(f: Polynomial, trials: int = 3, seed=None) -> bool:
@@ -456,10 +405,10 @@ def _restrict_to_line(f: Polynomial, a, b) -> list[Fraction]:
     """Coefficients of t -> f(t*a + b), lowest degree first."""
     d = f.degree
     coeffs = [Fraction(0)] * (d + 1)
-    for m, c in f.terms.items():
+    for e, c in f.terms.items():
         t = [1]
-        for i, e in enumerate(m.exponents):
-            for _ in range(e):
+        for i, k in enumerate(e):
+            for _ in range(k):
                 # multiply by (a_i * t + b_i)
                 nt = [0] * (len(t) + 1)
                 for j, v in enumerate(t):

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import product
 
 from singulus.linalg import SparseMatrix, rank_mod_p
-from singulus.polynomials import Monomial, grevlex_key
 from singulus.tables import BettiTable
 
 
@@ -94,11 +94,22 @@ def kernel_dim(m: SparseMatrix, p: int) -> int:
     return m.cols - rank_mod_p(m, p).rank
 
 
-def sorted_monomials(n: int, k: int) -> list[Monomial]:
-    """Degree-k monomials by brute enumeration of exponent vectors, sorted
-    with ``grevlex_key``."""
-    exps = (e for e in product(range(k + 1), repeat=n + 1) if sum(e) == k)
-    return sorted(map(Monomial, exps), key=grevlex_key)
+def grevlex_less(a, b) -> bool:
+    """a < b in graded reverse-lexicographic order, by the definition: a
+    has the lower total degree, or the same one and the rightmost nonzero
+    entry of a - b is positive."""
+    if sum(a) != sum(b):
+        return sum(a) < sum(b)
+    diff = [x - y for x, y in zip(a, b) if x != y]
+    return bool(diff) and diff[-1] > 0
+
+
+def sorted_monomials(n: int, k: int) -> list[tuple[int, ...]]:
+    """Exponent tuples of the degree-k monomials by brute enumeration,
+    sorted increasing with ``grevlex_less``."""
+    exps = [e for e in product(range(k + 1), repeat=n + 1) if sum(e) == k]
+    # the tuples are distinct, so one of a < b and b < a holds
+    return sorted(exps, key=cmp_to_key(lambda a, b: -1 if grevlex_less(a, b) else 1))
 
 
 def matmul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:

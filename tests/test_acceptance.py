@@ -115,7 +115,7 @@ def test_criterion_04_oracle_cross_check():
     )
     elapsed = time.perf_counter() - start
     ok = (
-        report.consistent
+        not report.deviations
         and report.hilbert.delta == 0
         and report.hilbert.tjurina == 6
         and table.column(1) == (1, 1, 2, 2, 2)

@@ -22,12 +22,13 @@ from singulus.oracle import (
     hilbert_fit,
     milnor_dimension,
 )
-from singulus.polynomials import monomial_basis, parse
+from singulus.polynomials import grevlex_exponents, infer_variable_count, parse
 from singulus.rules import (
     evaluate_polynomial,
     hilbert_function_from_table,
     koszul_smooth_table,
 )
+from test_golden import CASES, REPO
 from _helpers import (
     cusp_threefold_table,
     dense_rational_rank,
@@ -45,16 +46,16 @@ FERMAT = {(n, d): parse("+".join(f"x{i}^{d}" for i in range(n + 1)), n) for n, d
 def brute_milnor_dimension(f, k):
     """Independent computation: dense rational rank of the literal span."""
     n, d = f.n, f.degree
-    monos = monomial_basis(n, k)
+    monos = sorted_monomials(n, k)
     index = {m: i for i, m in enumerate(monos)}
     rows = []
     if k - d + 1 >= 0:
         for i in range(n + 1):
             fi = f.partial(i)
-            for m in monomial_basis(n, k - d + 1):
+            for m in sorted_monomials(n, k - d + 1):
                 row = [Fraction(0)] * len(monos)
                 for mm, c in fi.terms.items():
-                    row[index[mm * m]] = c
+                    row[index[tuple(a + b for a, b in zip(mm, m))]] = c
                 rows.append(row)
     return len(monos) - dense_rational_rank(rows)
 
@@ -162,6 +163,44 @@ def test_default_primes_are_input_derived_and_stable():
     a = default_primes(CUSP_POLY)
     assert a == default_primes(CUSP_POLY)
     assert a != default_primes(FERMAT[(2, 3)])
+    # pinned values: the derivation must not drift from one release to the next
+    assert a == (2039014667, 1179365717)
+    assert default_primes(CUSP_POLY, 2, 1) == (1484718533, 2073177401)
+
+
+def golden_polynomials():
+    for argv in CASES.values():
+        if argv[0] == "inspect-poly":
+            if "--expr" in argv:
+                text = argv[argv.index("--expr") + 1]
+            else:
+                text = (REPO / argv[1]).read_text(encoding="utf-8").strip()
+            yield parse(text, infer_variable_count(text))
+
+
+def test_each_pipeline_derives_its_own_stable_primes():
+    for f in golden_polynomials():
+        betti, hilbert = default_primes(f), default_primes(f, 2, 1)
+        assert len(set(betti + hilbert)) == 4
+        # a fresh derivation from a fresh parse gives the same primes
+        g = parse(str(f), f.n)
+        assert default_primes.__wrapped__(g) == betti
+        assert default_primes.__wrapped__(g, 2, 1) == hilbert
+
+
+def test_hilbert_side_catches_a_bad_derived_betti_pair(monkeypatch):
+    # singular mod 5 and mod 37 (7^3 + 27 = 2*5*37), smooth over Q: a Betti
+    # pair of these two primes agrees on a wrong table, which only primes
+    # of the Hilbert side's own can expose
+    f = parse("x0^3+x1^3+x2^3+7*x0*x1*x2", 2)
+    real = oracle.default_primes
+    monkeypatch.setattr(
+        oracle, "default_primes", lambda f, count=2, part=0: real(f, count, part) if part else (5, 37)
+    )
+    report = cross_check(f)
+    assert report.hilbert.delta is None
+    assert report.table != koszul_smooth_table(2, 3)
+    assert any(dev.startswith("smoothness disagrees") for dev in report.deviations)
 
 
 def test_resolution_predicts_hilbert_function_in_every_degree():
@@ -197,12 +236,13 @@ def test_betti_low_positions():
 
 def test_jacobian_matrix_shape():
     m = _jacobian_matrix(CUSP_POLY, 3)
-    assert m.cols == len(monomial_basis(3, 3))
-    assert m.rows == 4 * len(monomial_basis(3, 1))
+    assert m.cols == len(grevlex_exponents(3, 3))
+    assert m.rows == 4 * len(grevlex_exponents(3, 1))
 
 
 def literal_jacobian_entries(f, k):
-    """The degree-k gradient block built from Monomial products."""
+    """The degree-k gradient block built from monomial products, each a
+    sum of exponent tuples."""
     n, d = f.n, f.degree
     monos = sorted_monomials(n, k)
     col_of = {m: len(monos) - 1 - i for i, m in enumerate(monos)}
@@ -212,7 +252,7 @@ def literal_jacobian_entries(f, k):
         for i in range(n + 1):
             for m in sorted_monomials(n, k - d + 1):
                 for mm, c in f.partial(i).terms.items():
-                    entries[(row, col_of[mm * m])] = c
+                    entries[(row, col_of[tuple(a + b for a, b in zip(mm, m))])] = c
                 row += 1
     return row, len(monos), entries
 
@@ -288,7 +328,9 @@ def test_bad_derived_prime_is_replaced_in_both_pipelines(monkeypatch):
     expected = hilbert_fit(f)
     assert expected.delta is None
     real = oracle.default_primes
-    monkeypatch.setattr(oracle, "default_primes", lambda f, count=2: [3, *real(f, count)[1:]])
+    monkeypatch.setattr(
+        oracle, "default_primes", lambda f, count=2, part=0: (3, *real(f, count, part)[1:])
+    )
     assert oracle.default_primes(f)[0] == 3
     assert hilbert_fit(f) == expected
     assert graded_betti(f) == koszul_smooth_table(2, 3)
@@ -296,19 +338,19 @@ def test_bad_derived_prime_is_replaced_in_both_pipelines(monkeypatch):
 
 def test_cross_check_consistent_cases():
     report = cross_check(CUSP_POLY)
-    assert report.consistent
+    assert not report.deviations
     assert report.hilbert.tjurina == 6
     assert report.rule_report.tau == 6
 
     smooth = cross_check(parse("x0^3+x1^3+x2^3+x3^3", 3))
-    assert smooth.consistent
+    assert not smooth.deviations
     assert smooth.rule_report.verdict.kind == "smooth"
     assert smooth.hilbert.delta is None
 
 
 def test_cross_check_surfaces_incomplete_bound_as_deviation():
     report = cross_check(CUSP_POLY, max_degree=3)
-    assert not report.consistent
+    assert report.deviations
     assert any("graded_betti failed" in dev for dev in report.deviations)
     assert report.hilbert is not None  # the other side still ran
 
