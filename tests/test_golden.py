@@ -2,8 +2,9 @@
 the benchmark corpus and the fixtures must not change by accident.
 
 Each case runs ``singulus.cli.main`` in-process.  The expected stdout of
-case NAME is ``fixtures/golden/NAME.json``; the expected exit code and
-stderr are listed in ``fixtures/golden/cases.json``.  After a change that
+case NAME is ``fixtures/golden/NAME.json``, or ``NAME.txt`` for a case in
+the text format; the expected exit code and stderr are listed in
+``fixtures/golden/cases.json``.  After a change that
 alters a report on purpose, rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -55,7 +56,17 @@ CASES = {
     "table_negative_degree": ["analyze-betti", "fixtures/betti_p4_d3_negative_degree.json", "--format", "json"],
     "table_bound_violation": ["analyze-betti", "fixtures/betti_p4_d3_bound_violation.json", "--format", "json"],
     "table_smooth_3_3": ["analyze-betti", "fixtures/betti_smooth_3_3.json", "--format", "json"],
+    # a cone: the Betti side refuses it, so the report has no rule-engine part
+    "cone": ["inspect-poly", "--expr", "x0*x1*x2", "--n", "3", "--format", "json"],
+    # the text format
+    "text_table_bound_violation": ["analyze-betti", "fixtures/betti_p4_d3_bound_violation.json"],
+    "text_singular_1": ["inspect-poly", "--expr", "x0*x1*x2 + x3^3"],
+    "text_cone": ["inspect-poly", "--expr", "x0*x1*x2", "--n", "3"],
 }
+
+
+def golden_file(name):
+    return GOLDEN / (f"{name}.json" if "json" in CASES[name] else f"{name}.txt")
 
 
 def run(argv):
@@ -74,7 +85,7 @@ def expected():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_is_byte_identical(name, expected):
     code, out, err = run(CASES[name])
-    assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    assert out == golden_file(name).read_text(encoding="utf-8")
     assert {"exit": code, "stderr": err} == expected[name]
 
 
@@ -83,7 +94,7 @@ def regenerate():
     cases = {}
     for name, argv in sorted(CASES.items()):
         code, out, err = run(argv)
-        (GOLDEN / f"{name}.json").write_text(out, encoding="utf-8")
+        golden_file(name).write_text(out, encoding="utf-8")
         cases[name] = {"exit": code, "stderr": err}
     text = json.dumps(cases, indent=2, sort_keys=True) + "\n"
     (GOLDEN / "cases.json").write_text(text, encoding="utf-8")
