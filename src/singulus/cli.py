@@ -102,10 +102,7 @@ def cmd_analyze_betti(args) -> int:
     if metadata.get("label"):
         info["label"] = metadata["label"]
     doc = report_to_document(
-        report,
-        info,
-        __version__,
-        extra={"betti_columns": table_to_document(table)["columns"]},
+        report, info, extra={"betti_columns": table_to_document(table)["columns"]}
     )
     _emit(doc, args.format)
     return 0 if not report.obstructions else 2
@@ -160,17 +157,7 @@ def cmd_inspect_poly(args) -> int:
     if cross.table is not None:
         extra["betti_columns"] = table_to_document(cross.table)["columns"]
 
-    if cross.rule_report is not None:
-        doc = report_to_document(cross.rule_report, info, __version__, extra=extra)
-    else:
-        # no table: report what we have, deterministically
-        doc = {
-            "tool": {"name": "singulus", "version": __version__},
-            "kind": info["kind"],
-            "input": info,
-            **extra,
-        }
-    _emit(doc, args.format)
+    _emit(report_to_document(cross.rule_report, info, extra=extra), args.format)
 
     if hard_failures:
         for dev in hard_failures:

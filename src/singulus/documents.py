@@ -2,34 +2,24 @@
 
 The machine format is canonical JSON (UTF-8, sorted keys, two-space indent,
 trailing newline) so identical inputs always serialize to identical bytes;
-the text format is a plain rendering of the same data for humans.
+the text format is a plain rendering of the same data for humans.  Report
+documents are built from JSON values only, so nothing converts them on the
+way out.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from fractions import Fraction
 
+from . import __version__
 from .errors import DocumentError
 from .tables import BettiTable
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(jsonable(obj), sort_keys=True, indent=2) + "\n"
-
-
-def jsonable(obj):
-    """Recursively convert to JSON-serializable data; fractions become strings."""
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    if isinstance(obj, (str, int, float, bool)) or obj is None:
-        return obj
-    return str(obj)
+    """Raises TypeError on anything that is not a JSON value."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def digest_of(text: str) -> str:
@@ -108,33 +98,42 @@ def load_table_file(path: str) -> tuple[BettiTable, dict, str]:
 # -- report documents -----------------------------------------------------
 
 
-def report_to_document(report, input_info: dict, tool_version: str, extra=None) -> dict:
+def report_to_document(report, input_info: dict, extra=None) -> dict:
+    """The report document of either command.
+
+    ``report`` is the rule-engine report, or None for a polynomial
+    inspection whose Betti side failed; that document holds only the
+    header and ``extra``.
+    """
     doc = {
-        "tool": {"name": "singulus", "version": tool_version},
-        "kind": input_info.get("kind", "report"),
+        "tool": {"name": "singulus", "version": __version__},
+        "kind": input_info["kind"],
         "input": input_info,
-        "n": report.n,
-        "d": report.d,
-        "sigma": list(report.sigma_profile.sigma),
-        "sigma_expected": list(report.sigma_profile.expected),
-        "first_mismatch": report.sigma_profile.first_mismatch,
-        "verdict": {"kind": report.verdict.kind, "reason": report.verdict.reason},
-        "delta": report.delta,
-        "degree_sigma": report.deg_sigma,
-        "tau": report.tau,
-        "pd": report.pd,
-        "reg": report.reg,
-        "n_values": report.n_values,
-        "checks": [
-            {"name": c.name, "status": c.status, "witness": jsonable(c.witness)}
-            for c in report.checks
-        ],
-        "obstructions": report.obstructions,
-        "flags": report.flags,
     }
+    if report is not None:
+        doc.update({
+            "n": report.n,
+            "d": report.d,
+            "sigma": list(report.sigma_profile.sigma),
+            "sigma_expected": list(report.sigma_profile.expected),
+            "first_mismatch": report.sigma_profile.first_mismatch,
+            "verdict": {"kind": report.verdict.kind, "reason": report.verdict.reason},
+            "delta": report.delta,
+            "degree_sigma": report.deg_sigma,
+            "tau": report.tau,
+            "pd": report.pd,
+            "reg": report.reg,
+            "n_values": report.n_values,
+            "checks": [
+                {"name": c.name, "status": c.status, "witness": c.witness}
+                for c in report.checks
+            ],
+            "obstructions": report.obstructions,
+            "flags": report.flags,
+        })
     if extra:
         doc.update(extra)
-    return jsonable(doc)
+    return doc
 
 
 def hilbert_to_document(hilbert) -> dict:

@@ -71,10 +71,6 @@ class HilbertData:
     degree_sigma: int | None
     tjurina: int | None
 
-    @property
-    def window(self) -> int:
-        return max(self.values)
-
 
 @lru_cache(maxsize=64)
 def default_primes(f: Polynomial, count: int = 2, part: int = 0) -> tuple[int, ...]:
@@ -252,18 +248,20 @@ def hilbert_fit(f: Polynomial, window=None, primes=None) -> HilbertData:
         k0 = start
         while k0 > 0 and evaluate_polynomial(coeffs, k0 - 1) == vals[k0 - 1]:
             k0 -= 1
-        delta = len(coeffs) - 1 if coeffs else None
-        if delta is None:
-            # all fitted values zero with a nonzero tail cannot happen
-            raise AssertionError("empty fit for a nonzero tail")
+        delta = len(coeffs) - 1
         if delta > n - 2:
             raise ValueError(
                 f"Hilbert polynomial has degree {delta} > n-2 = {n - 2}; "
                 "the input is not a reduced hypersurface"
             )
+        # the delta-th forward difference of integers: an integer, and
+        # positive unless the working primes agreed on a wrong rank
         lead = coeffs[-1] * factorial(delta)
-        if lead.denominator != 1 or lead <= 0:
-            raise AssertionError(f"degree of the singular subscheme must be a positive integer, got {lead}")
+        if lead <= 0:
+            raise BadPrimeError(
+                f"degree of the singular subscheme must be positive, got {lead}; "
+                "the working primes are bad for this polynomial"
+            )
         tjurina = int(coeffs[0]) if delta == 0 else None
         return HilbertData(
             n, d, values, tuple(coeffs), k0, delta, int(lead), tjurina
@@ -486,7 +484,10 @@ def graded_betti(f: Polynomial, max_degree=None, primes=None) -> BettiTable:
             continue
         shift = q - (d - 1)
         if shift < 0:
-            raise AssertionError("shift below the generator degree in a minimal resolution")
+            raise BadPrimeError(
+                f"position {p} has a Betti number in degree {q}, below the generators; "
+                f"the working primes {plist} are bad for this polynomial"
+            )
         columns[p - 1].extend([shift] * b)
     table = BettiTable.of(n, d, columns)
     if table.m(1) < n:

@@ -28,7 +28,7 @@ class Polynomial:
     ``degree is None``, distinct from degree-0 constants.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "terms", "_hash")
 
     def __init__(self, n: int, terms=None):
         if n < 0:
@@ -50,6 +50,7 @@ class Polynomial:
                 if not clean[e]:
                     del clean[e]
         self.terms = clean
+        self._hash = None
 
     # -- constructors -------------------------------------------------
 
@@ -87,7 +88,10 @@ class Polynomial:
         )
 
     def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
+        # lru_cache keys on f at every degree of both pipelines
+        if self._hash is None:
+            self._hash = hash((self.n, frozenset(self.terms.items())))
+        return self._hash
 
     # -- arithmetic ---------------------------------------------------
 

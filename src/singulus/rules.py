@@ -437,10 +437,6 @@ class SingularReport:
     obstructions: list
     flags: list
 
-    @property
-    def realizable(self) -> bool:
-        return not self.obstructions
-
 
 def full_report(table: BettiTable) -> SingularReport:
     """Run every check in dependency order and aggregate the outcome.

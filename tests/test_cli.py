@@ -2,10 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from singulus import cli, oracle
 from singulus.documents import (
     canonical_json,
     table_from_document,
@@ -46,6 +48,11 @@ def test_table_document_roundtrip():
     # canonicalization is idempotent byte-for-byte
     again = canonical_json(table_to_document(loaded, metadata))
     assert again == canonical_json(doc)
+
+
+def test_canonical_json_rejects_what_is_not_json():
+    with pytest.raises(TypeError, match="Fraction"):
+        canonical_json({"x": Fraction(1, 2)})
 
 
 def test_table_document_accepts_unsorted_and_missing_columns():
@@ -286,6 +293,44 @@ def test_inspect_poly_window_too_small_exits_1():
     res = run_cli("inspect-poly", "--expr", "x0*x1*x2 + x3^3", "--window", "4")
     assert res.returncode == 1
     assert "stabilization" in res.stderr
+
+
+# Exact ranks cannot trip the pipelines' invariant checks; only primes that
+# agree on a wrong rank can.  Fake such ranks to force each check.
+
+
+def _inspect_in_process(capsys, expr):
+    code = cli.main(["inspect-poly", "--expr", expr, "--format", "json"])
+    out, err = capsys.readouterr()
+    return code, json.loads(out), err
+
+
+def test_inspect_poly_decreasing_hilbert_tail_is_a_bad_prime_error(monkeypatch, capsys):
+    monkeypatch.setattr(oracle, "milnor_dimension", lambda f, k, primes=None: 100 - k)
+    code, doc, err = _inspect_in_process(capsys, "x0*x1*x2 + x3^3")
+    assert code == 1
+    assert "hilbert" not in doc and doc["verdict"]["kind"] == "singular"
+    message = (
+        "hilbert_fit failed: degree of the singular subscheme must be positive, "
+        "got -1; the working primes are bad for this polynomial"
+    )
+    assert doc["deviations"] == [message]
+    assert err == f"error: {message}\n"
+
+
+def test_inspect_poly_betti_number_below_the_generators_is_a_bad_prime_error(
+    monkeypatch, capsys
+):
+    # n=3, d=3: the fake keeps positions 0 and 1 right and puts a beta at (2, d-2)
+    fake = {(0, 0): 1, (1, 2): 4, (2, 1): 1}
+    monkeypatch.setattr(oracle, "_betti_over_field", lambda f, q_max, field: dict(fake))
+    code, doc, err = _inspect_in_process(capsys, "x0*x1*x2 + x3^3")
+    assert code == 1
+    assert "verdict" not in doc and doc["hilbert"]["tjurina"] == 6
+    [dev] = doc["deviations"]
+    assert dev.startswith("graded_betti failed: position 2 has a Betti number in degree 1")
+    assert dev.endswith("are bad for this polynomial")
+    assert err == f"error: {dev}\n" and "Traceback" not in err
 
 
 # -- smooth-table and hspog -------------------------------------------------

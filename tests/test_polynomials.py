@@ -98,6 +98,19 @@ def test_polynomial_rejects_bad_exponents():
     assert f.terms == {(1, 0, 2): 3} and type(next(iter(f.terms))[0]) is int
 
 
+def test_equal_polynomials_hash_equal_and_stably():
+    parsed = parse("x0^3 + 7*x0*x1*x2 - 1/2*x2^3", 2)
+    built = Polynomial(2, {(0, 0, 3): Fraction(-1, 2), (1, 1, 1): 7, (3, 0, 0): 1})
+    summed = Polynomial.variable(2, 0) ** 3 + Polynomial(
+        2, {(1, 1, 1): 7, (0, 0, 3): Fraction(-1, 2)}
+    )
+    assert parsed == built == summed
+    assert len({hash(parsed), hash(built), hash(summed)}) == 1
+    assert [hash(built) for _ in range(3)] == [hash(parsed)] * 3
+    # the same terms in another variable count are another polynomial
+    assert hash(parse("x0^3 + 7*x0*x1*x2 - 1/2*x2^3", 3)) != hash(parsed)
+
+
 def test_monomial_basis_counts():
     assert len(grevlex_exponents(2, 2)) == 6
     basis = grevlex_exponents(3, 0)
