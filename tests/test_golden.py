@@ -4,7 +4,9 @@ the benchmark corpus and the fixtures must not change by accident.
 Each case runs ``singulus.cli.main`` in-process.  The expected stdout of
 case NAME is ``fixtures/golden/NAME.json``, or ``NAME.txt`` for a case in
 the text format; the expected exit code and stderr are listed in
-``fixtures/golden/cases.json``.  After a change that
+``fixtures/golden/cases.json``.  The rule engine has a golden of its own:
+``fixtures/golden/rule_engine.json`` holds the SHA-256 of the report
+document of each of a few hundred tables.  After a change that
 alters a report on purpose, rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -23,6 +25,15 @@ from pathlib import Path
 import pytest
 
 from singulus.cli import main
+from singulus.documents import canonical_json, digest_of, report_to_document
+from singulus.rules import full_report, koszul_smooth_table
+
+from _helpers import (
+    cusp_threefold_table,
+    generate_repaired_tables,
+    threefold_table_bound_violation,
+    threefold_table_negative_degree,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = REPO / "fixtures" / "golden"
@@ -65,6 +76,33 @@ CASES = {
 }
 
 
+RULE_ENGINE_GOLDEN = GOLDEN / "rule_engine.json"
+RULE_ENGINE_SEED = 2026
+RULE_ENGINE_INFO = {"kind": "betti-analysis", "digest": "rule-engine-golden"}
+
+
+def rule_engine_tables():
+    """(label, table) pairs in a fixed order: the reference tables, the
+    smooth Koszul tables, then seeded repaired tables."""
+    yield "cusp_threefold", cusp_threefold_table()
+    yield "threefold_negative_degree", threefold_table_negative_degree()
+    yield "threefold_bound_violation", threefold_table_bound_violation()
+    for n in range(2, 6):
+        for d in range(3, 7):
+            yield f"koszul_smooth_{n}_{d}", koszul_smooth_table(n, d)
+    repaired = generate_repaired_tables(RULE_ENGINE_SEED, 300, t_choices=(2, 3, 4, 5))
+    for i, (t, table) in enumerate(repaired):
+        yield f"repaired_{i}_t{t}", table
+
+
+def rule_engine_digests() -> dict:
+    """Table label -> SHA-256 of its report document, in table order."""
+    return {
+        label: digest_of(canonical_json(report_to_document(full_report(table), RULE_ENGINE_INFO)))
+        for label, table in rule_engine_tables()
+    }
+
+
 def golden_file(name):
     return GOLDEN / (f"{name}.json" if "json" in CASES[name] else f"{name}.txt")
 
@@ -89,6 +127,14 @@ def test_report_is_byte_identical(name, expected):
     assert {"exit": code, "stderr": err} == expected[name]
 
 
+def test_rule_engine_documents_are_byte_identical():
+    expected = json.loads(RULE_ENGINE_GOLDEN.read_text(encoding="utf-8"))
+    actual = rule_engine_digests()
+    assert list(actual) == list(expected)
+    changed = next((label for label in actual if actual[label] != expected[label]), None)
+    assert changed is None, f"the report document of table {changed} changed"
+
+
 def regenerate():
     GOLDEN.mkdir(parents=True, exist_ok=True)
     cases = {}
@@ -98,6 +144,8 @@ def regenerate():
         cases[name] = {"exit": code, "stderr": err}
     text = json.dumps(cases, indent=2, sort_keys=True) + "\n"
     (GOLDEN / "cases.json").write_text(text, encoding="utf-8")
+    text = json.dumps(rule_engine_digests(), indent=2) + "\n"
+    RULE_ENGINE_GOLDEN.write_text(text, encoding="utf-8")
 
 
 if __name__ == "__main__":
