@@ -216,7 +216,7 @@ def _rule_report_lines(doc: dict) -> list[str]:
         lines.append(f"divisibility: {nts}")
     lines.append("checks:")
     for c in doc["checks"]:
-        lines.append(f"  {c['name']:<15} {c['status']:<15} {_witness_text(c)}")
+        lines.append(f"  {c['name']:<15} {c['status']:<15} {_witness_text(c)}".rstrip())
     lines.append(f"flags: {doc['flags']}")
     lines.append(f"obstructions: {doc['obstructions']}")
     return lines

@@ -127,6 +127,12 @@ def test_report_is_byte_identical(name, expected):
     assert {"exit": code, "stderr": err} == expected[name]
 
 
+@pytest.mark.parametrize("name", sorted(n for n in CASES if "json" not in CASES[n]))
+def test_text_report_has_no_trailing_whitespace(name):
+    _, out, _ = run(CASES[name])
+    assert [line for line in out.splitlines() if line != line.rstrip()] == []
+
+
 def test_rule_engine_documents_are_byte_identical():
     expected = json.loads(RULE_ENGINE_GOLDEN.read_text(encoding="utf-8"))
     actual = rule_engine_digests()
