@@ -72,11 +72,12 @@ def sigma(table: BettiTable, j: int) -> int:
     """Alternating j-th power sum of the shifts; 0**0 == 1 covers j = 0."""
     if not 0 <= j <= table.n:
         raise ValueError(f"j={j} out of range 0..{table.n}")
-    total = 0
-    for k in range(1, table.n + 1):
-        s = sum(e**j for e in table.column(k))
-        total += s if k % 2 == 1 else -s
-    return total
+    return table.power_sums[j]
+
+
+def _n_t(table: BettiTable, t: int) -> int:
+    """N_t = (d-1)^t + (-1)^t sigma_t, t! times the degree read off at t."""
+    return (table.d - 1) ** t + (-1) ** t * sigma(table, t)
 
 
 def euler_consistency(table: BettiTable) -> CheckResult:
@@ -120,9 +121,8 @@ def degree_of_sigma(table: BettiTable, delta: int) -> DegreeOfSigma:
     division cannot happen when the lower power sums match (divisibility
     property) and is flagged as an internal error if it ever does.
     """
-    n, d = table.n, table.d
-    t = n - delta
-    num = (d - 1) ** t + (-1) ** t * sigma(table, t)
+    t = table.n - delta
+    num = _n_t(table, t)
     q, rem = divmod(num, factorial(t))
     flags = []
     if rem:
@@ -288,15 +288,15 @@ def divisibility_N_t(table: BettiTable, t: int):
     """N_t = (d-1)^t + (-1)^t sigma_t and whether t! divides it.
 
     Meaningful only when the power sums match for 1 <= j < t; returns
-    (None, None) in that case.  Non-divisibility marks the table as
-    arithmetically impossible."""
+    (None, None) when they do not.  Once they match, t! divides N_t
+    (e^t is an integer combination of m! C(e, m), m <= t), so
+    non-divisibility marks an internal error, not a table."""
     if not 1 <= t <= table.n:
         raise ValueError(f"t={t} out of range 1..{table.n}")
-    d = table.d
-    for j in range(1, t):
-        if sigma(table, j) != (-1) ** (j + 1) * (d - 1) ** j:
-            return None, None
-    n_t = (d - 1) ** t + (-1) ** t * sigma(table, t)
+    mismatch = SigmaProfile.from_table(table).first_mismatch
+    if mismatch is not None and mismatch < t:
+        return None, None
+    n_t = _n_t(table, t)
     return n_t, n_t % factorial(t) == 0
 
 
@@ -441,94 +441,60 @@ class SingularReport:
 def full_report(table: BettiTable) -> SingularReport:
     """Run every check in dependency order and aggregate the outcome.
 
-    A table is declared not realizable when any of these fire: the Euler
-    sums fail, the derived degree is non-positive, a divisibility check
-    fails, the Tjurina bounds or the shift bounds fail under an
-    isolated-singularities claim, a structural constraint fails, or the
-    resolution is shorter than the codimension demands.
+    A table is declared not realizable when any check but hspog fails (the
+    Euler sums, the shift bounds or the Tjurina bounds under an
+    isolated-singularities claim, divisibility, a structural constraint, or
+    a resolution shorter than the codimension demands) or when the derived
+    degree is non-positive.
     """
     n, d = table.n, table.d
     profile = SigmaProfile.from_table(table)
-    obstructions: list[str] = []
     flags: list[str] = []
-    checks: list[CheckResult] = []
-
     euler = euler_consistency(table)
-    checks.append(euler)
-    if not euler.passed:
-        obstructions.append("euler")
-
     scan = singular_dimension(table)
     delta = scan.delta
-    deg = None
-    tau = None
+    deg = tau = None
+    nonpositive = False
     if scan.kind == "singular":
         deg_result = degree_of_sigma(table, delta)
         deg = deg_result.value
         if delta == 0:
             tau = deg
-        if "OBSTRUCTION_NEGATIVE" in deg_result.flags:
-            obstructions.append("degree_nonpositive")
-        if "INTERNAL_ERROR" in deg_result.flags:
-            obstructions.append("divisibility")
+        nonpositive = "OBSTRUCTION_NEGATIVE" in deg_result.flags
 
     reg, inequalities = regularity_and_Ik(table)
     failed_k = [e["k"] for e in inequalities if not e["ok"]]
+    reg_status = "not-applicable"
     if scan.kind == "singular" and delta == 0:
-        reg_status = "pass" if not failed_k else "fail"
-        if failed_k:
-            obstructions.append("regularity")
-    else:
-        reg_status = "not-applicable"
-    checks.append(
-        CheckResult(
-            "regularity",
-            reg_status,
-            {
-                "reg": reg,
-                "reg_bound": (n + 1) * (d - 2) - 1,
-                "inequalities": inequalities,
-                "failed_k": failed_k,
-            },
-        )
+        reg_status = "fail" if failed_k else "pass"
+    regularity = CheckResult(
+        "regularity",
+        reg_status,
+        {
+            "reg": reg,
+            "reg_bound": (n + 1) * (d - 2) - 1,
+            "inequalities": inequalities,
+            "failed_k": failed_k,
+        },
     )
 
     dw = duplessis_wall_check(table, delta)
-    checks.append(dw)
-    if dw.status == "fail":
-        obstructions.append("duplessis_wall")
 
-    # Divisibility applies for every t whose lower power sums all match.
-    t_max = profile.first_mismatch if profile.first_mismatch is not None else n
+    # Divisibility applies for every t whose lower power sums all match,
+    # that is every t up to the first mismatch (never 0), or n without one.
     n_values = []
-    div_ok = True
-    for t in range(1, t_max + 1):
+    for t in range(1, (profile.first_mismatch or n) + 1):
         n_t, divisible = divisibility_N_t(table, t)
-        if n_t is None:
-            continue
         n_values.append({"t": t, "N": n_t, "divisible": divisible})
-        div_ok = div_ok and divisible
-    div_applicable = bool(n_values) and euler.passed
-    checks.append(
-        CheckResult(
-            "divisibility",
-            ("pass" if div_ok else "fail") if div_applicable else "not-applicable",
-            {"values": n_values},
-        )
+    div_ok = all(e["divisible"] for e in n_values)
+    divisibility = CheckResult(
+        "divisibility",
+        ("pass" if div_ok else "fail") if euler.passed else "not-applicable",
+        {"values": n_values},
     )
-    if div_applicable and not div_ok:
-        obstructions.append("divisibility")
 
     structural = structural_checks(table)
-    checks.append(structural)
     flags.extend(structural.witness["flags"])
-    if not structural.passed:
-        obstructions.append("structural")
-
-    pdc = pd_codim_check(table, delta)
-    checks.append(pdc)
-    if pdc.status == "fail":
-        obstructions.append("pd_codim")
 
     is_hspog, hspog_witness = hspog_detect(table)
     hspog_status = "not-applicable"
@@ -549,7 +515,6 @@ def full_report(table: BettiTable) -> SingularReport:
                 )
         if not hspog_witness.get("others_sum_equals_d", True):
             hspog_status = "fail"
-    checks.append(CheckResult("hspog", hspog_status, hspog_witness))
 
     if scan.kind == "smooth":
         if table == koszul_smooth_table(n, d):
@@ -557,18 +522,27 @@ def full_report(table: BettiTable) -> SingularReport:
         else:
             flags.append("NON_KOSZUL_SMOOTH_PROFILE")
 
-    obstructions = sorted(set(obstructions))
-    if scan.kind == "inconsistent":
-        verdict = scan
-    elif obstructions:
+    checks = [
+        euler,
+        regularity,
+        dw,
+        divisibility,
+        structural,
+        pd_codim_check(table, delta),
+        CheckResult("hspog", hspog_status, hspog_witness),
+    ]
+    obstructions = sorted(
+        {c.name for c in checks if c.status == "fail" and c.name != "hspog"}
+        | ({"degree_nonpositive"} if nonpositive else set())
+    )
+    verdict = scan
+    if obstructions and scan.kind != "inconsistent":
         verdict = ScanVerdict(
             "inconsistent",
             delta=delta,
             mismatch_j=scan.mismatch_j,
             reason=", ".join(obstructions),
         )
-    else:
-        verdict = scan
 
     return SingularReport(
         n=n,

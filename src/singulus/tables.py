@@ -12,7 +12,9 @@ tables can still be loaded and reported as obstructed.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -64,6 +66,16 @@ class BettiTable:
         """Largest k with m_k > 0, or None when every column is empty."""
         nonempty = [k for k in range(1, self.n + 1) if self.m(k)]
         return max(nonempty) if nonempty else None
+
+    @cached_property
+    def power_sums(self) -> tuple[int, ...]:
+        """sigma_0..sigma_n, where sigma_j = sum_k (-1)^(k+1) sum_i d_{k,i}^j
+        (0**0 == 1), summed once per table over the distinct shifts, each
+        with its signed multiplicity."""
+        counts = Counter()
+        for k, col in enumerate(self.columns, start=1):
+            counts.update({e: m if k % 2 else -m for e, m in Counter(col).items()})
+        return tuple(sum(m * e**j for e, m in counts.items()) for j in range(self.n + 1))
 
     def __str__(self):
         cols = ", ".join(

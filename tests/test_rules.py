@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from singulus import rules
 from singulus.rules import (
     SigmaProfile,
     _symmetric_shift_values,
@@ -51,6 +52,25 @@ def test_sigma_reference_values():
     assert sigma(EX2, 4) == 392
     assert sigma(EX1, 4) == alternating_power_sum(EX1, 4) == -208
     assert sigma(EX1, 0) == 4
+
+
+@st.composite
+def random_tables(draw):
+    n = draw(st.integers(2, 5))
+    columns = draw(
+        st.lists(st.lists(st.integers(0, 20), max_size=12), min_size=n, max_size=n)
+    )
+    return BettiTable.of(n, draw(st.integers(3, 6)), columns)
+
+
+@settings(max_examples=100)
+@given(random_tables())
+def test_sigma_matches_resummation_on_random_tables(table):
+    expected = [alternating_power_sum(table, j) for j in range(table.n + 1)]
+    assert [sigma(table, j) for j in range(table.n + 1)] == expected
+    # the cached sums do not take part in equality or hashing
+    twin = BettiTable(table.n, table.d, table.columns)
+    assert twin == table and hash(twin) == hash(table)
 
 
 def test_sigma_range_check():
@@ -180,6 +200,41 @@ def test_divisibility_N_t():
     assert divisibility_N_t(skewed, 2) == (None, None)
 
 
+def test_divisibility_premise_is_exactly_the_lower_power_sums():
+    skewed = BettiTable.of(3, 4, {1: [1, 2, 5], 2: [4]})
+    repaired = [table for _, table in generate_repaired_tables(55, 120, t_choices=(2, 3, 4, 5))]
+    outcomes = set()
+    for table in repaired + [skewed, EX1, EX2, CUSP]:
+        d = table.d
+        for t in range(1, table.n + 1):
+            premise = all(
+                alternating_power_sum(table, j) == (-1) ** (j + 1) * (d - 1) ** j
+                for j in range(1, t)
+            )
+            n_t, divisible = divisibility_N_t(table, t)
+            if premise:
+                assert n_t == (d - 1) ** t + (-1) ** t * alternating_power_sum(table, t)
+                assert divisible is True
+            else:
+                assert (n_t, divisible) == (None, None), (t, table)
+            outcomes.add(premise)
+    assert outcomes == {True, False}
+
+
+def test_full_report_lists_divisibility_when_N_t_is_not_divisible(monkeypatch):
+    # t! always divides N_t at the first mismatch; force it not to by
+    # shifting sigma_n of the cusp table (first mismatch 3) by one
+    real = rules.sigma
+    monkeypatch.setattr(rules, "sigma", lambda table, j: real(table, j) - (j == table.n))
+    report = full_report(CUSP)
+    assert report.sigma_profile.first_mismatch == 3
+    assert report.n_values[-1] == {"t": 3, "N": 37, "divisible": False}
+    check = next(c for c in report.checks if c.name == "divisibility")
+    assert check.status == "fail"
+    assert "divisibility" in report.obstructions
+    assert report.verdict.kind == "inconsistent"
+
+
 def test_structural_checks():
     assert structural_checks(EX1).passed
     assert structural_checks(CUSP).passed
@@ -271,6 +326,12 @@ def test_full_report_on_plus_one_generated_table():
     assert hspog.status == "pass"
     assert hspog.witness["dim_guaranteed"] is True
     assert report.obstructions == []
+    # the shape forces dim n-2 = 2 at n=4, d=6, but the sums give dim 1:
+    # the hspog check fails, and that alone is not an obstruction
+    clash = full_report(BettiTable.of(4, 6, {1: [1, 1, 2, 2, 17], 2: [18]}))
+    hspog = next(c for c in clash.checks if c.name == "hspog")
+    assert hspog.status == "fail" and clash.delta == 1
+    assert clash.obstructions == [] and clash.verdict.kind == "singular"
 
 
 def test_divisibility_check_is_a_theorem_not_an_accident():
