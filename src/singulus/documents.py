@@ -50,9 +50,9 @@ def table_from_document(doc) -> tuple[BettiTable, dict]:
         if key not in doc:
             raise DocumentError("required field is missing", key)
     n, d = doc["n"], doc["d"]
-    if not isinstance(n, int) or n < 2:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise DocumentError("must be an integer >= 2", "n")
-    if not isinstance(d, int) or d < 3:
+    if not isinstance(d, int) or isinstance(d, bool) or d < 3:
         raise DocumentError("must be an integer >= 3", "d")
     if not isinstance(doc["columns"], list):
         raise DocumentError("must be an array", "columns")
@@ -62,7 +62,7 @@ def table_from_document(doc) -> tuple[BettiTable, dict]:
         if not isinstance(entry, dict):
             raise DocumentError("must be an object", where)
         k = entry.get("k")
-        if not isinstance(k, int) or not 1 <= k <= n:
+        if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= n:
             raise DocumentError(f"k must be an integer in 1..{n}", f"{where}.k")
         if k in columns:
             raise DocumentError(f"column k={k} appears twice", f"{where}.k")

@@ -68,6 +68,9 @@ def test_table_document_accepts_unsorted_and_missing_columns():
         (lambda d: d.pop("d"), "d"),
         (lambda d: d.update(n=1), "n"),
         (lambda d: d["columns"][0].update(k=9), "columns[0].k"),
+        pytest.param(lambda d: d["columns"][0].update(k=True), "columns[0].k", id="boolean-k"),
+        pytest.param(lambda d: d.update(n=True), "n", id="boolean-n"),
+        pytest.param(lambda d: d.update(d=True), "d", id="boolean-d"),
         (lambda d: d["columns"][0]["degrees"].append(-1), "columns[0].degrees[3]"),
         (lambda d: d.update(columns="nope"), "columns"),
     ],
@@ -109,6 +112,17 @@ def test_analyze_betti_missing_field_exits_1(tmp_path):
     res = run_cli("analyze-betti", str(bad))
     assert res.returncode == 1
     assert "d" in res.stderr
+
+
+def test_analyze_betti_boolean_column_index_exits_1(tmp_path):
+    bad = tmp_path / "bool_k.json"
+    bad.write_text(
+        '{"n": 2, "d": 3, "columns": [{"k": true, "degrees": [2, 2, 2]}, {"k": 2, "degrees": [4]}]}'
+    )
+    res = run_cli("analyze-betti", str(bad))
+    assert res.returncode == 1
+    assert res.stderr == "error: columns[0].k: k must be an integer in 1..2\n"
+    assert res.stdout == ""
 
 
 def test_analyze_betti_missing_file_exits_1():
