@@ -50,9 +50,9 @@ def table_from_document(doc) -> tuple[BettiTable, dict]:
         if key not in doc:
             raise DocumentError("required field is missing", key)
     n, d = doc["n"], doc["d"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
+    if not isinstance(n, int) or n < 2:
         raise DocumentError("must be an integer >= 2", "n")
-    if not isinstance(d, int) or isinstance(d, bool) or d < 3:
+    if not isinstance(d, int) or d < 3:
         raise DocumentError("must be an integer >= 3", "d")
     if not isinstance(doc["columns"], list):
         raise DocumentError("must be an array", "columns")
