@@ -20,13 +20,7 @@ from .documents import (
     report_to_document,
     table_to_document,
 )
-from .errors import (
-    ConeError,
-    DocumentError,
-    IncompleteTableError,
-    NonHomogeneousError,
-    WindowTooSmallError,
-)
+from .errors import DocumentError, IncompleteTableError, WindowTooSmallError
 from .oracle import _validate, cross_check
 from .polynomials import _input_digest, infer_variable_count, parse, squarefree_check
 from .rules import full_report, hspog_dim_guarantee, koszul_smooth_table
@@ -169,18 +163,12 @@ def cmd_inspect_poly(args) -> int:
 
 
 def cmd_smooth_table(args) -> int:
-    if args.n < 2 or args.d < 3:
-        sys.stderr.write("error: need n >= 2 and d >= 3\n")
-        return 1
     table = koszul_smooth_table(args.n, args.d)
     sys.stdout.write(canonical_json(table_to_document(table)))
     return 0
 
 
 def cmd_hspog(args) -> int:
-    if args.n < 3 or args.d < 3:
-        sys.stderr.write("error: need n >= 3 and d >= 3\n")
-        return 1
     guaranteed, g, threshold = hspog_dim_guarantee(args.n, args.d)
     verdict = "guaranteed" if guaranteed else "not guaranteed"
     sys.stdout.write(
@@ -211,7 +199,7 @@ def main(argv=None) -> int:
             return cmd_smooth_table(args)
         if args.command == "hspog":
             return cmd_hspog(args)
-    except (ConeError, IncompleteTableError, WindowTooSmallError, NonHomogeneousError, ValueError) as exc:
+    except (IncompleteTableError, WindowTooSmallError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     raise AssertionError("unreachable")

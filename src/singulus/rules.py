@@ -217,13 +217,6 @@ def hilbert_polynomial_from_table(table: BettiTable) -> list[Fraction]:
     return coeffs
 
 
-def evaluate_polynomial(coeffs: list[Fraction], k: int) -> Fraction:
-    total = Fraction(0)
-    for c in reversed(coeffs):
-        total = total * k + c
-    return total
-
-
 def regularity_and_Ik(table: BettiTable):
     """Castelnuovo-Mumford regularity of the table and the shift bounds I_k.
 

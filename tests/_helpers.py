@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import product
+from math import factorial
 
 from singulus.linalg import SparseMatrix, rank_mod_p
 from singulus.tables import BettiTable
@@ -92,6 +93,85 @@ def residue(x, p: int) -> int:
 
 def kernel_dim(m: SparseMatrix, p: int) -> int:
     return m.cols - rank_mod_p(m, p).rank
+
+
+def evaluate_polynomial(coeffs, k):
+    """Value at k of the polynomial with these coefficients, low first."""
+    total = Fraction(0)
+    for c in reversed(coeffs):
+        total = total * k + c
+    return total
+
+
+def _lagrange(points) -> list[Fraction]:
+    """Coefficients (low first, zeros trimmed) of the polynomial of degree
+    < len(points) through the (x, y) points, by Lagrange's formula."""
+    coeffs = [Fraction(0)] * len(points)
+    for j, (xj, yj) in enumerate(points):
+        basis = [Fraction(yj)]
+        for m, (xm, _) in enumerate(points):
+            if m != j:
+                # multiply by (k - xm) / (xj - xm)
+                shifted = [Fraction(0)] + basis
+                for i, c in enumerate(basis):
+                    shifted[i] -= xm * c
+                basis = [c / (xj - xm) for c in shifted]
+        coeffs = [a + b for a, b in zip(coeffs, basis)]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def reference_hilbert_fit(n: int, vals):
+    """What ``oracle.hilbert_fit`` must return for the values vals[0..w],
+    from the definition.
+
+    Two trailing zeros: smooth, with k0 where the zero tail starts.
+    Otherwise P is the polynomial of degree <= r through the last r+4
+    values, for the smallest r < n for which one exists, and k0 is the
+    smallest index from which every value agrees with P.  Returns
+    (poly, k0, delta, degree_sigma, tjurina), or (error type name, message,
+    tail) for an error; tail is None except on a too-small window.
+    """
+    w = len(vals) - 1
+    if vals[-1] == 0 and vals[-2] == 0:
+        k0 = w
+        while k0 > 0 and vals[k0 - 1] == 0:
+            k0 -= 1
+        return (), k0, None, None, None
+    poly = None
+    for r in range(min(n, len(vals) - 3)):
+        fit = _lagrange([(k, vals[k]) for k in range(w - r - 3, w + 1)])
+        if len(fit) <= r + 1:  # degree <= r
+            poly = fit
+            break
+    if poly is None:
+        tail = vals[-6:]
+        return (
+            "WindowTooSmallError",
+            f"no stabilization detected up to degree {w}; tail {tail}",
+            tail,
+        )
+    k0 = w + 1
+    while k0 > 0 and evaluate_polynomial(poly, k0 - 1) == vals[k0 - 1]:
+        k0 -= 1
+    delta = len(poly) - 1
+    if delta > n - 2:
+        return (
+            "ValueError",
+            f"Hilbert polynomial has degree {delta} > n-2 = {n - 2}; "
+            "the input is not a reduced hypersurface",
+            None,
+        )
+    lead = poly[-1] * factorial(delta)
+    if lead <= 0:
+        return (
+            "BadPrimeError",
+            f"degree of the singular subscheme must be positive, got {lead}; "
+            "the working primes are bad for this polynomial",
+            None,
+        )
+    return tuple(poly), k0, delta, int(lead), int(poly[0]) if delta == 0 else None
 
 
 def grevlex_less(a, b) -> bool:

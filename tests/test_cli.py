@@ -86,7 +86,7 @@ def test_table_document_validation_names_fields(mutate, field):
 # -- analyze-betti --------------------------------------------------------
 
 
-def test_analyze_betti_obstructed_table_exits_2():
+def test_analyze_betti_obstructed_table_exits_2(tmp_path):
     res = run_cli(
         "analyze-betti", str(FIXTURES / "betti_p4_d3_negative_degree.json"), "--format", "json"
     )
@@ -98,6 +98,16 @@ def test_analyze_betti_obstructed_table_exits_2():
     reg = next(c for c in doc["checks"] if c["name"] == "regularity")
     assert reg["witness"]["failed_k"] == [3, 4]
     assert "degree_nonpositive" in doc["obstructions"]
+
+    # plus-one generated, but sigma_1 = 8 - 4 = 4 is not d - 1 = 3
+    table = BettiTable.of(3, 4, {1: [1, 2, 2, 3], 2: [4]})
+    path = tmp_path / "euler.json"
+    path.write_text(canonical_json(table_to_document(table)))
+    res = run_cli("analyze-betti", str(path), "--format", "json")
+    assert res.returncode == 2
+    doc = json.loads(res.stdout)
+    assert doc["obstructions"] == ["euler"]
+    assert doc["verdict"] == {"kind": "inconsistent", "reason": "euler"}
 
 
 def test_analyze_betti_smooth_table_exits_0():
@@ -366,8 +376,10 @@ def test_smooth_table_33():
 
 
 def test_smooth_table_usage_error():
-    res = run_cli("smooth-table", "1", "3")
-    assert res.returncode == 1
+    for args in [("1", "3"), ("2", "2")]:
+        res = run_cli("smooth-table", *args)
+        assert (res.returncode, res.stdout) == (1, "")
+        assert res.stderr == "error: need n >= 2 and d >= 3\n"
 
 
 def test_hspog_outputs():
@@ -386,7 +398,10 @@ def test_hspog_outputs():
 
 
 def test_hspog_usage_error():
-    assert run_cli("hspog", "2", "4").returncode == 1
+    for args in [("2", "4"), ("3", "2")]:
+        res = run_cli("hspog", *args)
+        assert (res.returncode, res.stdout) == (1, "")
+        assert res.stderr == "error: need n >= 3 and d >= 3\n"
 
 
 def test_exit_code_contract_on_usage():

@@ -1,6 +1,9 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from singulus.errors import (
     BadPrimeError,
@@ -23,17 +26,15 @@ from singulus.oracle import (
     milnor_dimension,
 )
 from singulus.polynomials import grevlex_exponents, infer_variable_count, parse
-from singulus.rules import (
-    evaluate_polynomial,
-    hilbert_function_from_table,
-    koszul_smooth_table,
-)
+from singulus.rules import hilbert_function_from_table, koszul_smooth_table
 from test_golden import CASES, REPO
 from _helpers import (
     cusp_threefold_table,
     dense_rational_rank,
     entries,
+    evaluate_polynomial,
     matmul,
+    reference_hilbert_fit,
     residue,
     sorted_monomials,
 )
@@ -41,6 +42,7 @@ from _helpers import (
 CUSP_POLY = parse("x0*x1*x2 + x3^3", 3)
 FERMAT = {(n, d): parse("+".join(f"x{i}^{d}" for i in range(n + 1)), n) for n, d in
           [(2, 3), (2, 4), (3, 3)]}
+FERMAT_CUBICS = {n: parse("+".join(f"x{i}^3" for i in range(n + 1)), n) for n in range(2, 6)}
 
 
 def brute_milnor_dimension(f, k):
@@ -126,6 +128,45 @@ def test_hilbert_fit_flags_non_reduced_input():
         hilbert_fit(parse("x0^2*x1^2*x2^2", 2), window=16)
 
 
+@st.composite
+def hilbert_values(draw):
+    """(n, values) with the values a polynomial from some k0 on, arbitrary
+    before it, and up to two values then moved by one."""
+    n = draw(st.integers(2, 5))
+    w = draw(st.integers(4, 18))
+    k0 = draw(st.integers(0, w))
+    heads = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=5))
+    vals = draw(st.lists(st.integers(-3, 40), min_size=k0, max_size=k0)) + [
+        sum(h * comb(k - k0, i) for i, h in enumerate(heads)) for k in range(k0, w + 1)
+    ]
+    for k in draw(st.lists(st.integers(0, w), max_size=2)):
+        vals[k] += draw(st.sampled_from([-1, 1]))
+    return n, vals
+
+
+@settings(max_examples=300)
+@given(hilbert_values())
+@example((2, [1, 3, 3, 1, 0, 0]))  # smooth
+@example((3, [1, 4, 6, 6, 6, 6, 6]))  # delta 0, tau 6
+@example((2, [1, 2, 3, 4, 5, 6]))  # degree 1 > n-2
+@example((3, [10, 9, 8, 7, 6, 5]))  # negative degree
+@example((2, [0, 1, 4, 9, 16, 25]))  # no stabilization
+def test_hilbert_fit_matches_the_reference_fit(case):
+    n, vals = case
+    f = FERMAT_CUBICS[n]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "milnor_dimension", lambda f, k, primes=None: vals[k])
+        try:
+            hd = hilbert_fit(f, window=len(vals) - 1)
+        except (ValueError, BadPrimeError, WindowTooSmallError) as exc:
+            got = (type(exc).__name__, str(exc), getattr(exc, "tail", None))
+        else:
+            assert hd.values == dict(enumerate(vals)) and (hd.n, hd.d) == (n, 3)
+            assert all(type(c) is Fraction for c in hd.poly)
+            got = (hd.poly, hd.k0, hd.delta, hd.degree_sigma, hd.tjurina)
+    assert got == reference_hilbert_fit(n, vals)
+
+
 def test_graded_betti_cusp_threefold():
     table = graded_betti(CUSP_POLY)
     assert table == cusp_threefold_table()
@@ -145,6 +186,14 @@ def test_graded_betti_incomplete_at_tight_bound():
     with pytest.raises(IncompleteTableError) as err:
         graded_betti(CUSP_POLY, max_degree=3)
     assert 2 in err.value.boundary
+    # nothing sits on the bound, but the n first syzygies are missing
+    with pytest.raises(IncompleteTableError) as err:
+        graded_betti(FERMAT[(2, 3)], max_degree=3)
+    assert str(err.value) == (
+        "only 0 first syzygies found below the degree bound 3, "
+        "but at least 2 must exist; raise max_degree and retry"
+    )
+    assert err.value.boundary == {}
 
 
 def test_graded_betti_deterministic_across_prime_choices():

@@ -13,7 +13,6 @@ from singulus.rules import (
     divisibility_N_t,
     duplessis_wall_check,
     euler_consistency,
-    evaluate_polynomial,
     full_report,
     hilbert_function_from_table,
     hilbert_polynomial_from_table,
@@ -30,6 +29,7 @@ from singulus.tables import BettiTable
 
 from _helpers import (
     cusp_threefold_table,
+    evaluate_polynomial,
     generate_repaired_tables,
     threefold_table_bound_violation,
     threefold_table_negative_degree,
@@ -38,6 +38,8 @@ from _helpers import (
 EX1 = threefold_table_negative_degree()
 EX2 = threefold_table_bound_violation()
 CUSP = cusp_threefold_table()
+# plus-one generated, but sigma_1 = 8 - 4 = 4 is not d - 1 = 3
+EULER_FAIL = BettiTable.of(3, 4, {1: [1, 2, 2, 3], 2: [4]})
 
 
 def alternating_power_sum(table, j):
@@ -85,6 +87,8 @@ def test_singular_dimension_scan():
     assert sigma(k33, 3) == 48 - 256 + 216 == 8
     assert singular_dimension(CUSP).delta == 0
     assert sigma(CUSP, 3) == 26 - 54 == -28
+    verdict = singular_dimension(EULER_FAIL)
+    assert (verdict.kind, verdict.reason, verdict.delta) == ("inconsistent", "euler", None)
 
 
 def test_degree_of_sigma_values():
@@ -272,6 +276,15 @@ def test_full_report_reference_tables():
     assert (r4.delta, r4.tau) == (0, 6)
     assert r4.obstructions == []
 
+    r5 = full_report(EULER_FAIL)
+    assert (r5.verdict.kind, r5.verdict.reason) == ("inconsistent", "euler")
+    assert r5.obstructions == ["euler"]
+    status = {c.name: c.status for c in r5.checks}
+    assert status["euler"] == "fail" and status["divisibility"] == "not-applicable"
+    hspog = next(c for c in r5.checks if c.name == "hspog")
+    assert hspog.status == "fail" and "HSPOG" in r5.flags
+    assert hspog.witness["others_sum"] == 5 and not hspog.witness["others_sum_equals_d"]
+
 
 def test_full_report_on_plus_one_generated_table():
     # HSPOG shape at n=3, d=4: the shape guarantee kicks in (d >= 4) and the
@@ -292,6 +305,20 @@ def test_full_report_on_plus_one_generated_table():
     hspog = next(c for c in clash.checks if c.name == "hspog")
     assert hspog.status == "fail" and clash.delta == 1
     assert clash.obstructions == [] and clash.verdict.kind == "singular"
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_hspog_others_sum_check_restates_the_euler_check(data):
+    # on the plus-one shape sigma_0 = (n+1) - 1 = n, and
+    # sigma_1 = sum(d_1) - (d_{1,i} + 1) = others_sum - 1
+    n = data.draw(st.integers(2, 5))
+    d = data.draw(st.integers(3, 8))
+    col1 = data.draw(st.lists(st.integers(0, 3 * d), min_size=n + 1, max_size=n + 1))
+    table = BettiTable.of(n, d, {1: col1, 2: [data.draw(st.sampled_from(col1)) + 1]})
+    found, witness = hspog_detect(table)
+    assert found
+    assert witness["others_sum_equals_d"] == euler_consistency(table).passed
 
 
 def test_divisibility_check_is_a_theorem_not_an_accident():
