@@ -20,7 +20,7 @@ from .documents import (
     report_to_document,
     table_to_document,
 )
-from .errors import DocumentError, IncompleteTableError, WindowTooSmallError
+from .errors import DocumentError
 from .oracle import _validate, cross_check
 from .polynomials import _input_digest, infer_variable_count, parse, squarefree_check
 from .rules import full_report, hspog_dim_guarantee, koszul_smooth_table
@@ -199,7 +199,7 @@ def main(argv=None) -> int:
             return cmd_smooth_table(args)
         if args.command == "hspog":
             return cmd_hspog(args)
-    except (IncompleteTableError, WindowTooSmallError, ValueError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     raise AssertionError("unreachable")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 
 from .errors import BadPrimeError
@@ -186,8 +187,10 @@ def rref(rows, field):
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+@lru_cache(maxsize=64)
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin; deterministic for n < 3.3e24 with the fixed bases."""
+    """Miller-Rabin; deterministic for n < 3.3e24 with the fixed bases.
+    Cached: a pinned prime is checked again at every degree."""
     if n < 2:
         return False
     for q in _MR_BASES:

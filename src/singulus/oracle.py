@@ -218,12 +218,21 @@ def hilbert_fit(f: Polynomial, window=None, primes=None) -> HilbertData:
     The default window exceeds the isolated-singularity regularity bound by
     enough to leave three zeros even when stabilization happens at the
     bound itself.
+
+    The first zero value ends the computation: if S_k lies in J_f, so does
+    S_{k+1} = S_1 S_k, and every later value is 0.  A zero needs no
+    rational check, because a rank mod p is at most the rank over Q.
     """
     n, d = _validate(f)
     w = window if window is not None else (n + 1) * (d - 2) + n + 2
     if w < d + 1:
         raise ValueError("window upper bound is too small to say anything")
-    vals = [milnor_dimension(f, k, primes=primes) for k in range(w + 1)]
+    vals = []
+    for k in range(w + 1):
+        vals.append(milnor_dimension(f, k, primes=primes))
+        if vals[-1] == 0:
+            vals += [0] * (w - k)
+            break
     values = dict(enumerate(vals))
 
     if vals[-1] == 0 and vals[-2] == 0:
@@ -336,12 +345,20 @@ def _betti_over_field(f: Polynomial, q_max: int, field) -> dict:
     K_p = Lambda^p(C^{n+1}) tensor M shifted so the differential
     d(e_S tensor m) = sum_j (-1)^j e_{S \\ s_j} tensor x_{s_j} m preserves
     the internal degree q; beta_{p,q} = dim K_{p,q} - rank d_{p,q}
-    - rank d_{p+1,q}."""
+    - rank d_{p+1,q}.
+
+    Once a piece is empty every later one is (S_{k+1} = S_1 S_k), so the
+    first empty piece stands in for all of them; nothing reads its normal
+    forms, because no multiplication map into an empty piece is built:
+    rank_of is 0 there without one."""
     n = f.n
-    pieces = [_quotient_piece(f, k, field) for k in range(q_max + 1)]
+    pieces = []
+    for k in range(q_max + 1):
+        empty = pieces and not pieces[-1].basis
+        pieces.append(pieces[-1] if empty else _quotient_piece(f, k, field))
     mult = {}
     for k in range(q_max):
-        if pieces[k].basis:
+        if pieces[k + 1].basis:
             for i in range(n + 1):
                 mult[(i, k)] = _mult_matrix(pieces, i, k, field)
 

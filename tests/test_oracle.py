@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -13,7 +14,14 @@ from singulus.errors import (
     WindowTooSmallError,
 )
 from singulus import oracle
-from singulus.linalg import PrimeField
+from singulus.linalg import (
+    QQ,
+    PrimeField,
+    SparseMatrix,
+    is_probable_prime,
+    rank_mod_p,
+    rank_rational,
+)
 from singulus.oracle import (
     _betti_over_field,
     _jacobian_matrix,
@@ -150,21 +158,32 @@ def hilbert_values(draw):
 @example((3, [1, 4, 6, 6, 6, 6, 6]))  # delta 0, tau 6
 @example((2, [1, 2, 3, 4, 5, 6]))  # degree 1 > n-2
 @example((3, [10, 9, 8, 7, 6, 5]))  # negative degree
-@example((2, [0, 1, 4, 9, 16, 25]))  # no stabilization
+@example((2, [1, 1, 4, 9, 16, 25]))  # no stabilization
 def test_hilbert_fit_matches_the_reference_fit(case):
     n, vals = case
     f = FERMAT_CUBICS[n]
+    # a Jacobian algebra that is 0 in some degree is 0 in every later one,
+    # so hilbert_fit asks for nothing past the first zero
+    last = vals.index(0) if 0 in vals else len(vals) - 1
+    expected = vals[: last + 1] + [0] * (len(vals) - 1 - last)
+    asked = []
+
+    def fake_milnor_dimension(f, k, primes=None):
+        asked.append(k)
+        return vals[k]
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "milnor_dimension", lambda f, k, primes=None: vals[k])
+        mp.setattr(oracle, "milnor_dimension", fake_milnor_dimension)
         try:
             hd = hilbert_fit(f, window=len(vals) - 1)
         except (ValueError, BadPrimeError, WindowTooSmallError) as exc:
             got = (type(exc).__name__, str(exc), getattr(exc, "tail", None))
         else:
-            assert hd.values == dict(enumerate(vals)) and (hd.n, hd.d) == (n, 3)
+            assert hd.values == dict(enumerate(expected)) and (hd.n, hd.d) == (n, 3)
             assert all(type(c) is Fraction for c in hd.poly)
             got = (hd.poly, hd.k0, hd.delta, hd.degree_sigma, hd.tjurina)
-    assert got == reference_hilbert_fit(n, vals)
+    assert asked == list(range(last + 1))
+    assert got == reference_hilbert_fit(n, expected)
 
 
 def test_graded_betti_cusp_threefold():
@@ -208,6 +227,17 @@ def test_graded_betti_rejects_non_prime_override():
         graded_betti(CUSP_POLY, primes=[1073741831, 1073741832])
 
 
+def test_pinned_primes_are_tested_once_and_a_composite_fails_everywhere():
+    for call in (hilbert_fit, graded_betti, lambda f, primes: milnor_dimension(f, 3, primes)):
+        with pytest.raises(ValueError, match="^1073741832 is not prime$"):
+            call(CUSP_POLY, primes=[1073741831, 1073741832])
+    # one Miller-Rabin test per pinned prime, not one per degree
+    is_probable_prime.cache_clear()
+    hilbert_fit(CUSP_POLY, primes=[1073741831, 1073741833])
+    graded_betti(CUSP_POLY, primes=[1073741831, 1073741833])
+    assert is_probable_prime.cache_info().misses == 2
+
+
 def test_default_primes_are_input_derived_and_stable():
     a = default_primes(CUSP_POLY)
     assert a == default_primes(CUSP_POLY)
@@ -217,18 +247,21 @@ def test_default_primes_are_input_derived_and_stable():
     assert default_primes(CUSP_POLY, 2, 1) == (1484718533, 2073177401)
 
 
-def golden_polynomials():
+def golden_inputs():
+    """(polynomial, pinned primes or None) of each inspect-poly golden case."""
     for argv in CASES.values():
         if argv[0] == "inspect-poly":
             if "--expr" in argv:
                 text = argv[argv.index("--expr") + 1]
             else:
                 text = (REPO / argv[1]).read_text(encoding="utf-8").strip()
-            yield parse(text, infer_variable_count(text))
+            n = int(argv[argv.index("--n") + 1]) if "--n" in argv else infer_variable_count(text)
+            primes = tuple(int(v) for flag, v in zip(argv, argv[1:]) if flag == "--prime")
+            yield parse(text, n), primes or None
 
 
 def test_each_pipeline_derives_its_own_stable_primes():
-    for f in golden_polynomials():
+    for f, _ in golden_inputs():
         betti, hilbert = default_primes(f), default_primes(f, 2, 1)
         assert len(set(betti + hilbert)) == 4
         # a fresh derivation from a fresh parse gives the same primes
@@ -273,6 +306,75 @@ def test_multiplication_matrices_commute():
                 xi_k1 = _mult_matrix(pieces, i, k + 1, field)
                 xj_k1 = _mult_matrix(pieces, j, k + 1, field)
                 assert entries(matmul(xj_k1, xi_k)) == entries(matmul(xi_k1, xj_k))
+
+
+STOP_RULE_INPUTS = list(
+    dict.fromkeys([*golden_inputs(), (parse("x0^3+x1^3+x2^3+7*x0*x1*x2", 2), (37, 41))])
+)
+
+
+def betti_echeloning_every_piece(f, q_max, field):
+    """_betti_over_field without the stop rule: every piece up to q_max is
+    echeloned and every Koszul differential built from the multiplication
+    maps, empty pieces included."""
+    n = f.n
+    pieces = [_quotient_piece(f, k, field) for k in range(q_max + 1)]
+    size = [len(piece.basis) for piece in pieces]
+
+    def rank(p, q):
+        k = q - p
+        if not 1 <= p <= n + 1 or k < 0:
+            return 0
+        faces = {t: i for i, t in enumerate(combinations(range(n + 1), p - 1))}
+        subsets = list(combinations(range(n + 1), p))
+        block = {}
+        for si, s_set in enumerate(subsets):
+            for j, x in enumerate(s_set):
+                ti = faces[s_set[:j] + s_set[j + 1 :]]
+                for r, row in enumerate(_mult_matrix(pieces, x, k, field).data):
+                    for c, v in row.items():
+                        block[(ti * size[k + 1] + r, si * size[k] + c)] = field.neg(v) if j % 2 else v
+        m = SparseMatrix(len(faces) * size[k + 1], len(subsets) * size[k], block, field.modulus)
+        return rank_rational(m).rank if field.modulus is None else rank_mod_p(m, field.modulus).rank
+
+    betas = {}
+    for q in range(q_max + 1):
+        for p in range(min(q, n + 1) + 1):
+            b = comb(n + 1, p) * size[q - p] - rank(p, q) - rank(p + 1, q)
+            if b:
+                betas[(p, q)] = b
+    return betas
+
+
+@pytest.mark.parametrize("f, primes", STOP_RULE_INPUTS, ids=str)
+def test_stopping_at_the_first_empty_piece_is_exact(f, primes):
+    hd = hilbert_fit(f, primes=primes)
+    assert hd.values == {k: milnor_dimension(f, k, primes=primes) for k in range(max(hd.values) + 1)}
+    fields = [PrimeField(p) for p in primes or default_primes(f)]
+    if f.n == 2:
+        fields.append(QQ)
+    q_max = (f.n + 1) * (f.degree - 1)
+    for field in fields:
+        assert _betti_over_field(f, q_max, field) == betti_echeloning_every_piece(f, q_max, field)
+
+
+def test_pipelines_stop_at_the_first_empty_piece(monkeypatch):
+    f = FERMAT[(2, 3)]
+    asked = {"milnor_dimension": [], "_quotient_piece": []}
+    for name in asked:
+        real = getattr(oracle, name)
+
+        def record(*args, name=name, real=real, **kwargs):
+            asked[name].append(args[1])  # the degree k
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, name, record)
+    hd = hilbert_fit(f)
+    assert hd.k0 == 4 and max(hd.values) == 7
+    assert asked["milnor_dimension"] == [0, 1, 2, 3, 4]
+    assert graded_betti(f) == koszul_smooth_table(2, 3)
+    # one pass over degrees 0..k0 per Betti prime
+    assert asked["_quotient_piece"] == [0, 1, 2, 3, 4] * 2
 
 
 def test_betti_low_positions():
