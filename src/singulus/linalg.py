@@ -11,10 +11,10 @@ Fraction rows, so no silent rank loss can survive.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, repeat
 
 from .errors import BadPrimeError
 
@@ -23,6 +23,21 @@ from .errors import BadPrimeError
 class RankCertificate:
     rank: int
     modulus: object  # prime int or the string "rational"
+    # pivot column -> owner of the row that created it, when owners were given
+    lead: dict | None = field(default=None, compare=False, repr=False)
+
+
+class Pivots(dict):
+    """Pivot column -> pivot row, as the elimination kernel leaves them.
+
+    ``lead`` maps each pivot column to the owner of the row that created
+    it, or is None when no row owners were given.  Rows fed in owner
+    order make the columns owned by owners below i the leading columns of
+    the span of those owners' rows: the criterion the oracle prunes its
+    Jacobian blocks with.
+    """
+
+    __slots__ = ("lead",)
 
 
 class SparseMatrix:
@@ -123,18 +138,24 @@ def _subtract(row, f, prow, p):
                 del row[c]
 
 
-def _echelon(rows, p):
+def _echelon(rows, p, owners=None):
     """Semi-echelon form of sparse rows over F_p, or over Q when p is None.
 
     Each row is reduced at its leading (smallest) column against the pivots
     found so far.  A row that survives is scaled to a leading 1 and stored
     under that column; stored rows are never touched again.  Returns the
-    dict pivot column -> row.  The pivot columns are canonical: column c is
-    a pivot iff it lies outside the span of the columns before it.  Input
-    rows must hold no zero values.
+    Pivots, pivot column -> row, with ``lead`` recording each new pivot's
+    owner when ``owners`` (one per row) is given.  The pivot columns are
+    canonical: column c is a pivot iff it lies outside the span of the
+    columns before it.  So after the rows of owners below i, the pivot
+    columns are the leading columns of their span.  Input rows must hold
+    no zero values.
     """
-    pivots: dict[int, dict] = {}
-    for row in rows:
+    pivots = Pivots()
+    lead = pivots.lead = None if owners is None else {}
+    # strict: an owner list of the wrong length raises instead of cutting rows
+    pairs = zip(rows, repeat(None)) if owners is None else zip(rows, owners, strict=True)
+    for row, owner in pairs:
         row = dict(row)
         while row:
             c = min(row)
@@ -148,13 +169,18 @@ def _echelon(rows, p):
             else:
                 inv = pow(row[c], -1, p)
                 pivots[c] = {cc: v * inv % p for cc, v in row.items()}
+            if lead is not None:
+                lead[c] = owner
             break
     return pivots
 
 
-def rank_mod_p(m: SparseMatrix, p: int) -> RankCertificate:
-    """Rank over F_p."""
-    return RankCertificate(len(_echelon(reduce_mod(m, p).data, p)), p)
+def rank_mod_p(m: SparseMatrix, p: int, *, owners=None) -> RankCertificate:
+    """Rank over F_p.  With ``owners`` (one per row of m) the certificate's
+    ``lead`` maps each pivot column to the owner of the row that created it
+    (see Pivots)."""
+    pivots = _echelon(reduce_mod(m, p).data, p, owners)
+    return RankCertificate(len(pivots), p, pivots.lead)
 
 
 def rank_rational(m: SparseMatrix) -> RankCertificate:
@@ -164,15 +190,17 @@ def rank_rational(m: SparseMatrix) -> RankCertificate:
     return RankCertificate(len(_echelon(m.data, None)), "rational")
 
 
-def rref(rows, field):
+def rref(rows, field, *, owners=None):
     """Reduced row echelon form of sparse rows (dicts col -> nonzero value).
 
-    Returns a dict mapping pivot column to its fully reduced, normalized
-    row.  The result depends only on the row space and the column order,
-    so pivot columns and normal forms are canonical.
+    Returns the Pivots, mapping each pivot column to its fully reduced,
+    normalized row; with ``owners`` (one per row) their ``lead`` maps each
+    pivot column to the owner of the row that created it.  The rows depend
+    only on the row space and the column order, so pivot columns and
+    normal forms are canonical.
     """
     p = field.modulus
-    pivots = _echelon(rows, p)
+    pivots = _echelon(rows, p, owners)
     # descending order: every pivot row used to clear column cc > c is
     # already reduced, so it brings in free columns only
     for c in sorted(pivots, reverse=True):

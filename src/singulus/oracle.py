@@ -42,7 +42,13 @@ from .linalg import (
     reduce_mod,
     rref,
 )
-from .polynomials import Polynomial, _seed_of, dim_degree_piece, grevlex_exponents
+from .polynomials import (
+    Polynomial,
+    _seed_of,
+    dim_degree_piece,
+    grevlex_columns,
+    grevlex_exponents,
+)
 from .rules import (
     full_report,
     hilbert_function_from_table,
@@ -157,42 +163,73 @@ def _kills_a_partial(f: Polynomial, p: int) -> bool:
     )
 
 
-def _jacobian_matrix(f: Polynomial, k: int, p=None) -> SparseMatrix:
+def _jacobian_block(f: Polynomial, k: int, p=None, lead=None):
     """Degree-k piece of the gradient map, rows = generators m*f_i over the
     degree-k monomial columns (decreasing order), over F_p when a prime p
-    is given.  The Hilbert side ranks these rows; the Betti side echelons
-    them into the quotient piece."""
+    is given; returns the matrix and the index i of each row's partial.
+    The Hilbert side ranks these rows; the Betti side echelons them into
+    the quotient piece.
+
+    ``lead`` is the Pivots.lead of the degree-(k-d+1) block over the same
+    field, its rows fed in this order.  The row m*f_i is left out when the
+    pivot at m's column came from a row of a partial before f_i, the F5
+    criterion: then m is the leading monomial of some g = m + lower in
+    <f_0, ..., f_(i-1)>, and m*f_i = g*f_i - lower*f_i
+    lies in the span of the rows of earlier partials and of rows t*f_i
+    with t < m.  By induction the row space, and so every rank and every
+    reduced echelon form, is that of the full block.
+    """
     n, d = f.n, f.degree
-    monos = grevlex_exponents(n, k)
-    ncols = len(monos)
-    col_of = {e: ncols - 1 - i for i, e in enumerate(monos)}
+    col_of = grevlex_columns(n, k)
     data = []
+    owners = []
     if k - (d - 1) >= 0:
-        for terms in _partial_terms(f) if p is None else _partial_terms_mod(f, p):
-            for m in grevlex_exponents(n, k - d + 1):
+        mults = grevlex_exponents(n, k - d + 1)
+        mcol = grevlex_columns(n, k - d + 1)
+        for i, terms in enumerate(_partial_terms(f) if p is None else _partial_terms_mod(f, p)):
+            for m in mults:
+                if lead is not None and lead.get(mcol[m], i) < i:
+                    continue
                 row = {}
                 for e, c in terms:
                     row[col_of[tuple(map(add, e, m))]] = c
                 data.append(row)
-    return SparseMatrix._from_rows(ncols, data, p)
+                owners.append(i)
+    return SparseMatrix._from_rows(len(col_of), data, p), owners
 
 
-def milnor_dimension(f: Polynomial, k: int, primes=None) -> int:
+def _jacobian_matrix(f: Polynomial, k: int, p=None) -> SparseMatrix:
+    """The full degree-k block, every generator m*f_i: the reference the
+    pruned blocks are tested against."""
+    return _jacobian_block(f, k, p)[0]
+
+
+def milnor_dimension(f: Polynomial, k: int, primes=None, *, leads=None) -> int:
     """dim of the degree-k piece of the Jacobian algebra S/J_f.
 
     Pinned primes are used as given; primes derived from the input are
     the Hilbert side's own (part 1 of the digest), replaced when bad (see
-    _over_primes)."""
+    _over_primes).
+
+    ``leads`` maps each prime to the lead maps (Pivots.lead) of the blocks
+    of earlier degrees over it, keyed by degree.  When it is given, the
+    degree-(k-d+1) map prunes the block mod that prime (see
+    _jacobian_block), and this degree's map is added; a prime without that
+    map ranks its full block.  Without ``leads`` every block is full."""
     n, d = _validate(f)
     if k < 0:
         raise ValueError("degree must be non-negative")
     if k < d - 1:
         return dim_degree_piece(n, k)
 
-    def ranks_mod(plist):
-        return {p: rank_mod_p(_jacobian_matrix(f, k, p), p).rank for p in plist}
+    def rank_mod(p):
+        maps = {} if leads is None else leads.setdefault(p, {})
+        block, owners = _jacobian_block(f, k, p, maps.get(k - d + 1))
+        cert = rank_mod_p(block, p, owners=owners)
+        maps[k] = cert.lead
+        return cert.rank
 
-    ranks, _ = _over_primes(f, primes, ranks_mod, part=1)
+    ranks, _ = _over_primes(f, primes, lambda plist: {p: rank_mod(p) for p in plist}, part=1)
     # trust the modular ranks when they agree and no prime wiped out a partial
     agreed = set(ranks.values())
     if len(agreed) == 1 and not any(_kills_a_partial(f, p) for p in ranks):
@@ -228,8 +265,11 @@ def hilbert_fit(f: Polynomial, window=None, primes=None) -> HilbertData:
     if w < d + 1:
         raise ValueError("window upper bound is too small to say anything")
     vals = []
+    leads = {}  # prime -> degree -> lead map; degree k reads degree k-d+1
     for k in range(w + 1):
-        vals.append(milnor_dimension(f, k, primes=primes))
+        vals.append(milnor_dimension(f, k, primes=primes, leads=leads))
+        for maps in leads.values():
+            maps.pop(k - d + 1, None)
         if vals[-1] == 0:
             vals += [0] * (w - k)
             break
@@ -295,16 +335,21 @@ def _newton_fit(heads, base) -> tuple[Fraction, ...]:
 class _Piece(NamedTuple):
     """Monomial basis of one graded piece of the quotient plus the normal
     forms of the pivot monomials, over one field; monomials are exponent
-    vectors."""
+    vectors.  ``lead`` is the Pivots.lead of the piece's block, which
+    prunes the block d-1 degrees up."""
 
     basis: list
     index: dict
     normal: dict
+    lead: dict
 
 
-def _quotient_piece(f, k, field) -> _Piece:
-    """Echelon the rows of the degree-k Jacobian block over the field."""
-    pivots = rref(_jacobian_matrix(f, k, field.modulus).data, field)
+def _quotient_piece(f, k, field, *, lead=None) -> _Piece:
+    """Echelon the rows of the degree-k Jacobian block over the field,
+    pruned by ``lead``, the degree-(k-d+1) piece's map over the same field
+    (see _jacobian_block); without it the block is full."""
+    block, owners = _jacobian_block(f, k, field.modulus, lead)
+    pivots = rref(block.data, field, owners=owners)
     monos = grevlex_exponents(f.n, k)
     ncols = len(monos)
     basis = []
@@ -321,7 +366,7 @@ def _quotient_piece(f, k, field) -> _Piece:
             for cc, v in row.items()
             if cc != ci
         }
-    return _Piece(basis, index, normal)
+    return _Piece(basis, index, normal, pivots.lead)
 
 
 def _mult_matrix(pieces, i, k, field) -> SparseMatrix:
@@ -350,12 +395,16 @@ def _betti_over_field(f: Polynomial, q_max: int, field) -> dict:
     Once a piece is empty every later one is (S_{k+1} = S_1 S_k), so the
     first empty piece stands in for all of them; nothing reads its normal
     forms, because no multiplication map into an empty piece is built:
-    rank_of is 0 there without one."""
-    n = f.n
+    rank_of is 0 there without one.  Each piece's block is pruned by the
+    lead map of the piece d-1 degrees down (see _jacobian_block)."""
+    n, d = f.n, f.degree
     pieces = []
     for k in range(q_max + 1):
-        empty = pieces and not pieces[-1].basis
-        pieces.append(pieces[-1] if empty else _quotient_piece(f, k, field))
+        if pieces and not pieces[-1].basis:
+            pieces.append(pieces[-1])
+        else:
+            lead = pieces[k - d + 1].lead if k >= d - 1 else None
+            pieces.append(_quotient_piece(f, k, field, lead=lead))
     mult = {}
     for k in range(q_max):
         if pieces[k + 1].basis:

@@ -218,6 +218,18 @@ def grevlex_exponents(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(heads[k])
 
 
+@lru_cache(maxsize=None)
+def grevlex_columns(n: int, k: int) -> dict[tuple[int, ...], int]:
+    """Column of each degree-k exponent vector in a matrix whose columns
+    run in decreasing grevlex: the largest monomial is column 0, so a row's
+    smallest column is its leading monomial.  The oracle's blocks use this
+    layout at every degree, so the index is cached with the basis; callers
+    must not change it."""
+    monos = grevlex_exponents(n, k)
+    top = len(monos) - 1
+    return {e: top - i for i, e in enumerate(monos)}
+
+
 def dim_degree_piece(n: int, k: int) -> int:
     """Dimension of the degree-k piece of the polynomial ring; 0 for k < 0."""
     return comb(k + n, n) if k >= 0 else 0

@@ -103,8 +103,12 @@ def singular_dimension(table: BettiTable) -> ScanVerdict:
     A deviation first appearing at exponent j corresponds to a singular
     subscheme of dimension n - j; no deviation at all means smooth.
     """
-    profile = SigmaProfile.from_table(table)
-    if not euler_consistency(table).passed:
+    return _scan(table, SigmaProfile.from_table(table), euler_consistency(table))
+
+
+def _scan(table: BettiTable, profile: SigmaProfile, euler: CheckResult) -> ScanVerdict:
+    """singular_dimension from the table's power-sum profile and Euler check."""
+    if not euler.passed:
         return ScanVerdict("inconsistent", reason="euler")
     j = profile.first_mismatch
     if j is None:
@@ -286,8 +290,8 @@ def divisibility_N_t(table: BettiTable, t: int):
     non-divisibility marks an internal error, not a table."""
     if not 1 <= t <= table.n:
         raise ValueError(f"t={t} out of range 1..{table.n}")
-    mismatch = SigmaProfile.from_table(table).first_mismatch
-    if mismatch is not None and mismatch < t:
+    # sigma_j takes its expected value (-1)^(j+1) (d-1)^j exactly when N_j = 0
+    if any(_n_t(table, j) for j in range(1, t)):
         return None, None
     n_t = _n_t(table, t)
     return n_t, n_t % factorial(t) == 0
@@ -444,7 +448,7 @@ def full_report(table: BettiTable) -> SingularReport:
     profile = SigmaProfile.from_table(table)
     flags: list[str] = []
     euler = euler_consistency(table)
-    scan = singular_dimension(table)
+    scan = _scan(table, profile, euler)
     delta = scan.delta
     deg = tau = None
     nonpositive = False

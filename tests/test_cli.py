@@ -330,7 +330,7 @@ def _inspect_in_process(capsys, expr):
 
 
 def test_inspect_poly_decreasing_hilbert_tail_is_a_bad_prime_error(monkeypatch, capsys):
-    monkeypatch.setattr(oracle, "milnor_dimension", lambda f, k, primes=None: 100 - k)
+    monkeypatch.setattr(oracle, "milnor_dimension", lambda f, k, primes=None, **kwargs: 100 - k)
     code, doc, err = _inspect_in_process(capsys, "x0*x1*x2 + x3^3")
     assert code == 1
     assert "hilbert" not in doc and doc["verdict"]["kind"] == "singular"

@@ -248,6 +248,22 @@ def test_rref_matches_dense_reference_mod_97(m):
     assert rref(rows, PrimeField(97)) == dense_rref(to_dense(m), 97)
 
 
+@given(sparse_matrices, st.randoms(use_true_random=False))
+def test_lead_marks_the_leading_columns_of_every_owner_prefix(m, rng):
+    # owners ascend with the rows, as the oracle feeds its generator rows
+    owners = sorted(rng.randrange(3) for _ in range(m.rows))
+    rows = reduce_mod(m, 97).data
+    cert = rank_mod_p(m, 97, owners=owners)
+    pivots = rref(rows, PrimeField(97), owners=owners)
+    assert cert.lead == pivots.lead and cert.rank == len(pivots)
+    for i in range(4):
+        prefix = [row for row, owner in zip(rows, owners) if owner < i]
+        assert {c for c, owner in cert.lead.items() if owner < i} == set(rref(prefix, PrimeField(97)))
+    assert rank_mod_p(m, 97).lead is None and rref(rows, PrimeField(97)).lead is None
+    with pytest.raises(ValueError):
+        rank_mod_p(m, 97, owners=owners + [3])
+
+
 def test_matmul():
     a = from_dense([[1, 2], [0, 1]])
     b = from_dense([[1, 0], [3, 1]])

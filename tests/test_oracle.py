@@ -21,9 +21,11 @@ from singulus.linalg import (
     is_probable_prime,
     rank_mod_p,
     rank_rational,
+    rref,
 )
 from singulus.oracle import (
     _betti_over_field,
+    _jacobian_block,
     _jacobian_matrix,
     _mult_matrix,
     _quotient_piece,
@@ -168,7 +170,7 @@ def test_hilbert_fit_matches_the_reference_fit(case):
     expected = vals[: last + 1] + [0] * (len(vals) - 1 - last)
     asked = []
 
-    def fake_milnor_dimension(f, k, primes=None):
+    def fake_milnor_dimension(f, k, primes=None, **kwargs):
         asked.append(k)
         return vals[k]
 
@@ -308,8 +310,13 @@ def test_multiplication_matrices_commute():
                 assert entries(matmul(xj_k1, xi_k)) == entries(matmul(xi_k1, xj_k))
 
 
+# the golden inputs, the pinned curve and an hspog surface (delta=1, degree 5)
 STOP_RULE_INPUTS = list(
-    dict.fromkeys([*golden_inputs(), (parse("x0^3+x1^3+x2^3+7*x0*x1*x2", 2), (37, 41))])
+    dict.fromkeys([
+        *golden_inputs(),
+        (parse("x0^3+x1^3+x2^3+7*x0*x1*x2", 2), (37, 41)),
+        (parse("x0^2*x1*x2+x2^4+2*x0^3*x3", 3), None),
+    ])
 )
 
 
@@ -356,6 +363,46 @@ def test_stopping_at_the_first_empty_piece_is_exact(f, primes):
     q_max = (f.n + 1) * (f.degree - 1)
     for field in fields:
         assert _betti_over_field(f, q_max, field) == betti_echeloning_every_piece(f, q_max, field)
+
+
+@pytest.mark.parametrize("f, primes", STOP_RULE_INPUTS, ids=str)
+def test_pruned_rows_span_the_full_block(f, primes):
+    # each degree pruned by the pruned echelon d-1 degrees down, as the
+    # pipelines chain them, over every working prime of both sides
+    n, d = f.n, f.degree
+    fields = [PrimeField(p) for p in primes or default_primes(f) + default_primes(f, 2, 1)]
+    if n == 2:
+        fields.append(QQ)
+    for field in fields:
+        leads = {}
+        for k in range((n + 1) * (d - 2) + n + 3):
+            block, owners = _jacobian_block(f, k, field.modulus, leads.get(k - d + 1))
+            pivots = rref(block.data, field, owners=owners)
+            assert pivots == rref(_jacobian_matrix(f, k, field.modulus).data, field), k
+            leads[k] = pivots.lead
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        # the Fermat goldens
+        *(parse("+".join(f"x{i}^{d}" for i in range(n + 1)), n) for n, d in [(3, 4), (4, 4), (5, 3)]),
+        parse("x0^3+x1^3+x2^3+7*x0*x1*x2", 2),
+        parse("x0^3+x1^3+x2^3+x3^3+7*x0*x1*x2", 3),
+    ],
+    ids=str,
+)
+def test_no_kept_row_reduces_to_zero_on_a_regular_sequence(f):
+    # the partials of a hypersurface smooth mod 41 are a regular sequence
+    # there, so every row the F5 criterion keeps is a pivot
+    p = 41
+    n, d = f.n, f.degree
+    leads = {}
+    for k in range((n + 1) * (d - 2) + 1):
+        block, owners = _jacobian_block(f, k, p, leads.get(k - d + 1))
+        cert = rank_mod_p(block, p, owners=owners)
+        assert cert.rank == block.rows, k
+        leads[k] = cert.lead
 
 
 def test_pipelines_stop_at_the_first_empty_piece(monkeypatch):
@@ -457,10 +504,10 @@ def test_prime_disagreement_runs_the_rational_fallback(monkeypatch):
         fallbacks.append("rank")
         return real_rank(m)
 
-    def rref(rows, field):
+    def rref(rows, field, **kwargs):
         if field.modulus is None:
             fallbacks.append("rref")
-        return real_rref(rows, field)
+        return real_rref(rows, field, **kwargs)
 
     monkeypatch.setattr(oracle, "rank_rational", rank_rational)
     monkeypatch.setattr(oracle, "rref", rref)
