@@ -242,16 +242,18 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-def deterministic_primes(seed: int, count: int = 2, lo: int = 1 << 30, hi: int = 1 << 31):
-    """Distinct pseudorandom primes in [lo, hi), reproducible from the seed.
+# the range keeps products of two residues inside a 64-bit accumulator,
+# per the double-word overflow rationale
+_PRIME_LO, _PRIME_HI = 1 << 30, 1 << 31
 
-    The default range keeps products of two residues inside a 64-bit
-    accumulator, per the double-word overflow rationale.
-    """
+
+def deterministic_primes(seed: int, count: int = 2):
+    """Distinct pseudorandom primes in [2^30, 2^31), reproducible from the
+    seed; the first ones do not depend on ``count``."""
     rng = random.Random(seed)
     primes: list[int] = []
     while len(primes) < count:
-        cand = rng.randrange(lo | 1, hi, 2)
+        cand = rng.randrange(_PRIME_LO | 1, _PRIME_HI, 2)
         if cand not in primes and is_probable_prime(cand):
             primes.append(cand)
     return primes

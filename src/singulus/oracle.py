@@ -50,6 +50,7 @@ from .polynomials import (
     grevlex_exponents,
 )
 from .rules import (
+    _newton_fit,
     full_report,
     hilbert_function_from_table,
     hilbert_polynomial_from_table,
@@ -78,17 +79,6 @@ class HilbertData:
     tjurina: int | None
 
 
-@lru_cache(maxsize=64)
-def default_primes(f: Polynomial, count: int = 2, part: int = 0) -> tuple[int, ...]:
-    """Working primes derived deterministically from the input digest.
-
-    ``part`` picks the 64 bits of the digest that seed them: the Betti side
-    uses part 0 and the Hilbert side part 1, so the two sides compare four
-    primes, not one pair twice.  Every degree asks again, so the primes are
-    cached per polynomial; the tuple is shared by every caller."""
-    return tuple(deterministic_primes(_seed_of(f, part), count))
-
-
 def _validate(f: Polynomial):
     if f.is_zero():
         raise ValueError("the zero polynomial has no Jacobian algebra here")
@@ -101,33 +91,17 @@ def _validate(f: Polynomial):
     return f.n, f.degree
 
 
-def _over_primes(f: Polynomial, primes, compute, part: int = 0):
-    """Run compute on the working primes; returns (its result, the primes).
-
-    Pinned primes are used as given, and a bad one raises.  Primes derived
-    from the input digest (its ``part``, see default_primes) are not: one
-    that compute reports bad (``BadPrimeError.prime``) is replaced by a
-    fresh prime drawn from the same part, and compute runs again.  Both
-    pipelines draw replacements here.
-    """
-    if primes:
-        plist = list(primes)
-        for p in plist:
-            if not is_probable_prime(p):
-                raise ValueError(f"{p} is not prime")
-        return compute(plist), plist
-    plist = list(default_primes(f, 2, part))
-    drawn = list(plist)
-    while True:
-        try:
-            return compute(plist), plist
-        except BadPrimeError as exc:
-            if exc.prime not in plist:
-                raise
-            stream = default_primes(f, len(drawn) + 9, part)
-            fresh = next(p for p in stream if p not in drawn)
-            drawn.append(fresh)
-            plist = [fresh if p == exc.prime else p for p in plist]
+def _working_primes(f: Polynomial, primes, part: int) -> list[int]:
+    """The pinned primes, each Miller-Rabin-tested, or else the pair
+    derived from part ``part`` of the input digest (see default_primes).
+    Pinned primes are never replaced: one that divides a denominator of a
+    partial raises BadPrimeError at the first block reduced mod it."""
+    if not primes:
+        return list(default_primes(f, part))
+    for p in primes:
+        if not is_probable_prime(p):
+            raise ValueError(f"{p} is not prime")
+    return list(primes)
 
 
 # -- Jacobian graded pieces ---------------------------------------------
@@ -161,6 +135,28 @@ def _kills_a_partial(f: Polynomial, p: int) -> bool:
         terms and all(c.numerator % p == 0 for _, c in terms)
         for terms in _partial_terms(f)
     )
+
+
+def _divides_a_denominator(f: Polynomial, p: int) -> bool:
+    """Whether p divides the denominator of some coefficient of a partial,
+    the one thing that stops the partials from being reduced mod p."""
+    return any(c.denominator % p == 0 for terms in _partial_terms(f) for _, c in terms)
+
+
+@lru_cache(maxsize=64)
+def default_primes(f: Polynomial, part: int = 0) -> tuple[int, int]:
+    """Working primes derived deterministically from the input digest: the
+    first two of the stream seeded by its ``part`` that divide no
+    denominator of a partial, so a derived prime is never bad.
+
+    The Betti side uses part 0 and the Hilbert side part 1, so the two
+    sides compare four primes, not one pair twice.  Cached per polynomial;
+    the tuple is shared by every caller."""
+    seed, count, good = _seed_of(f, part), 2, []
+    while len(good) < 2:
+        good = [p for p in deterministic_primes(seed, count) if not _divides_a_denominator(f, p)]
+        count += 2 - len(good)
+    return tuple(good)
 
 
 def _jacobian_block(f: Polynomial, k: int, p=None, lead=None):
@@ -208,8 +204,7 @@ def milnor_dimension(f: Polynomial, k: int, primes=None, *, leads=None) -> int:
     """dim of the degree-k piece of the Jacobian algebra S/J_f.
 
     Pinned primes are used as given; primes derived from the input are
-    the Hilbert side's own (part 1 of the digest), replaced when bad (see
-    _over_primes).
+    the Hilbert side's own (part 1 of the digest, see default_primes).
 
     ``leads`` maps each prime to the lead maps (Pivots.lead) of the blocks
     of earlier degrees over it, keyed by degree.  When it is given, the
@@ -229,7 +224,7 @@ def milnor_dimension(f: Polynomial, k: int, primes=None, *, leads=None) -> int:
         maps[k] = cert.lead
         return cert.rank
 
-    ranks, _ = _over_primes(f, primes, lambda plist: {p: rank_mod(p) for p in plist}, part=1)
+    ranks = {p: rank_mod(p) for p in _working_primes(f, primes, 1)}
     # trust the modular ranks when they agree and no prime wiped out a partial
     agreed = set(ranks.values())
     if len(agreed) == 1 and not any(_kills_a_partial(f, p) for p in ranks):
@@ -256,30 +251,26 @@ def hilbert_fit(f: Polynomial, window=None, primes=None) -> HilbertData:
     enough to leave three zeros even when stabilization happens at the
     bound itself.
 
-    The first zero value ends the computation: if S_k lies in J_f, so does
-    S_{k+1} = S_1 S_k, and every later value is 0.  A zero needs no
+    The first zero value ends the computation, even at the last degree of
+    the window: if S_k lies in J_f, so does S_{k+1} = S_1 S_k, and every
+    later value is 0, so f is smooth with k0 = k.  A zero needs no
     rational check, because a rank mod p is at most the rank over Q.
+    The working primes are resolved once, for every degree.
     """
     n, d = _validate(f)
     w = window if window is not None else (n + 1) * (d - 2) + n + 2
     if w < d + 1:
         raise ValueError("window upper bound is too small to say anything")
+    plist = _working_primes(f, primes, 1)
     vals = []
     leads = {}  # prime -> degree -> lead map; degree k reads degree k-d+1
     for k in range(w + 1):
-        vals.append(milnor_dimension(f, k, primes=primes, leads=leads))
+        vals.append(milnor_dimension(f, k, primes=plist, leads=leads))
         for maps in leads.values():
             maps.pop(k - d + 1, None)
         if vals[-1] == 0:
-            vals += [0] * (w - k)
-            break
-    values = dict(enumerate(vals))
-
-    if vals[-1] == 0 and vals[-2] == 0:
-        k0 = w
-        while k0 > 0 and vals[k0 - 1] == 0:
-            k0 -= 1
-        return HilbertData(n, d, values, (), k0, None, None, None)
+            values = dict(enumerate(vals + [0] * (w - k)))
+            return HilbertData(n, d, values, (), k, None, None, None)
 
     rows = [vals]  # rows[i] is the i-th forward difference
     for _ in range(n):
@@ -309,24 +300,10 @@ def hilbert_fit(f: Polynomial, window=None, primes=None) -> HilbertData:
     if lead <= 0:
         raise BadPrimeError(
             f"degree of the singular subscheme must be positive, got {lead}; "
-            "the working primes are bad for this polynomial"
+            f"the working primes {plist} are bad for this polynomial"
         )
     tjurina = int(coeffs[0]) if delta == 0 else None
-    return HilbertData(n, d, values, coeffs, start, delta, int(lead), tjurina)
-
-
-def _newton_fit(heads, base) -> tuple[Fraction, ...]:
-    """sum_i heads[i] * C(k - base, i), the polynomial whose i-th forward
-    difference at base is heads[i], as coefficients in k (low first)."""
-    coeffs = [Fraction(0)] * len(heads)
-    binom = [Fraction(1)]  # C(k - base, i), low coefficient first
-    for i, head in enumerate(heads):
-        coeffs[: i + 1] = [c + head * b for c, b in zip(coeffs, binom)]
-        # C(k - base, i + 1) = C(k - base, i) * (k - base - i) / (i + 1)
-        binom = [(a - (base + i) * b) / (i + 1) for a, b in zip([0] + binom, binom + [0])]
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
+    return HilbertData(n, d, dict(enumerate(vals)), coeffs, start, delta, int(lead), tjurina)
 
 
 # -- graded Betti numbers via Koszul homology ----------------------------
@@ -486,9 +463,8 @@ def graded_betti(f: Polynomial, max_degree=None, primes=None) -> BettiTable:
         raise ValueError("max_degree must be at least d")
     cone_check(f)
 
-    results, plist = _over_primes(
-        f, primes, lambda plist: [_betti_over_field(f, q_max, PrimeField(p)) for p in plist]
-    )
+    plist = _working_primes(f, primes, 0)
+    results = [_betti_over_field(f, q_max, PrimeField(p)) for p in plist]
     if all(r == results[0] for r in results[1:]):
         betas = results[0]
     else:

@@ -171,54 +171,37 @@ def hilbert_function_from_table(table: BettiTable, k: int) -> int:
     return total
 
 
-def _symmetric_shift_values(n: int, a: int) -> list[int]:
-    """A_j(a) for j = 0..n, where A_j(a) is the elementary symmetric sum
-    over (n-j)-subsets I of {1..n} of the products prod_{i in I} (a + i).
-
-    These are the coefficients in k of n! * C(k+a+n, n)."""
-    poly = [1]
-    for i in range(1, n + 1):
-        v = a + i
-        nxt = [0] * (len(poly) + 1)
-        for m, c in enumerate(poly):
-            nxt[m] += c
-            nxt[m + 1] += c * v
-        poly = nxt
-    return [poly[n - j] for j in range(n + 1)]
+def _newton_fit(heads, base) -> tuple[Fraction, ...]:
+    """sum_i heads[i] * C(k - base, i), the polynomial whose i-th forward
+    difference at base is heads[i], as coefficients in k (low first)."""
+    coeffs = [Fraction(0)] * len(heads)
+    binom = [Fraction(1)]  # C(k - base, i), low coefficient first
+    for i, head in enumerate(heads):
+        coeffs[: i + 1] = [c + head * b for c, b in zip(coeffs, binom)]
+        # C(k - base, i + 1) = C(k - base, i) * (k - base - i) / (i + 1)
+        binom = [(a - (base + i) * b) / (i + 1) for a, b in zip([0] + binom, binom + [0])]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
 
 
 def hilbert_polynomial_from_table(table: BettiTable) -> list[Fraction]:
     """Exact Hilbert polynomial determined by the table, low coefficient first.
 
-    n! * P(s + d - 1) = sum_j B_j s^j with
-    B_j = A_j(d-1) - (n+1) A_j(0) + sum_k (-1)^(k-1) sum_i A_j(-d_{k,i});
-    the result is re-expanded in k.  The zero polynomial comes back as [].
+    C(m + n, n) is a polynomial in m that vanishes at m = -1..-n, so from
+    base = d - 1 + (largest shift) - n on every term of
+    hilbert_function_from_table is its own polynomial in k, and the
+    Hilbert polynomial, of degree <= n, is the Newton expansion of the
+    n + 1 values from base.  The zero polynomial comes back as [].
     """
-    n, d = table.n, table.d
-    cache: dict[int, list[int]] = {}
-
-    def avals(a: int) -> list[int]:
-        if a not in cache:
-            cache[a] = _symmetric_shift_values(n, a)
-        return cache[a]
-
-    b = [0] * (n + 1)
-    for j in range(n + 1):
-        b[j] = avals(d - 1)[j] - (n + 1) * avals(0)[j]
-        for kk in range(1, n + 1):
-            s = sum(avals(-e)[j] for e in table.column(kk))
-            b[j] += s if kk % 2 == 1 else -s
-    # substitute s = k - (d - 1) and divide by n!
-    coeffs = [Fraction(0)] * (n + 1)
-    c = d - 1
-    for j in range(n + 1):
-        if not b[j]:
-            continue
-        for m in range(j + 1):
-            coeffs[m] += Fraction(b[j] * comb(j, m) * (-c) ** (j - m), factorial(n))
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
+    n = table.n
+    base = max(0, table.d - 1 + max((c[-1] for c in table.columns if c), default=0) - n)
+    row = [hilbert_function_from_table(table, base + i) for i in range(n + 1)]
+    heads = []
+    while row:
+        heads.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    return list(_newton_fit(heads, base))
 
 
 def regularity_and_Ik(table: BettiTable):

@@ -122,19 +122,21 @@ def _lagrange(points) -> list[Fraction]:
     return coeffs
 
 
-def reference_hilbert_fit(n: int, vals):
+def reference_hilbert_fit(n: int, vals, primes):
     """What ``oracle.hilbert_fit`` must return for the values vals[0..w],
     from the definition.
 
-    Two trailing zeros: smooth, with k0 where the zero tail starts.
+    A trailing zero: smooth, with k0 where the zero tail starts (a
+    Jacobian algebra that is 0 in one degree is 0 in every later one).
     Otherwise P is the polynomial of degree <= r through the last r+4
     values, for the smallest r < n for which one exists, and k0 is the
     smallest index from which every value agrees with P.  Returns
     (poly, k0, delta, degree_sigma, tjurina), or (error type name, message,
-    tail) for an error; tail is None except on a too-small window.
+    tail) for an error; tail is None except on a too-small window.  A
+    bad-prime error names ``primes``, the working primes of the fit.
     """
     w = len(vals) - 1
-    if vals[-1] == 0 and vals[-2] == 0:
+    if vals[-1] == 0:
         k0 = w
         while k0 > 0 and vals[k0 - 1] == 0:
             k0 -= 1
@@ -168,7 +170,7 @@ def reference_hilbert_fit(n: int, vals):
         return (
             "BadPrimeError",
             f"degree of the singular subscheme must be positive, got {lead}; "
-            "the working primes are bad for this polynomial",
+            f"the working primes {list(primes)} are bad for this polynomial",
             None,
         )
     return tuple(poly), k0, delta, int(lead), int(poly[0]) if delta == 0 else None

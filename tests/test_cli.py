@@ -319,6 +319,17 @@ def test_inspect_poly_window_too_small_exits_1():
     assert "stabilization" in res.stderr
 
 
+def test_inspect_poly_first_zero_at_the_last_degree_of_the_window_is_smooth():
+    # the values are [1, 3, 3, 1, 0]: a zero at the window's end already
+    # proves every later value is 0
+    res = run_cli("inspect-poly", "--expr", "x0^3+x1^3+x2^3", "--window", "4", "--format", "json")
+    assert res.returncode == 0, res.stderr
+    doc = json.loads(res.stdout)
+    assert doc["deviations"] == []
+    assert doc["verdict"]["kind"] == "smooth"
+    assert doc["hilbert"]["k0"] == 4 and doc["hilbert"]["delta"] is None
+
+
 # Exact ranks cannot trip the pipelines' invariant checks; only primes that
 # agree on a wrong rank can.  Fake such ranks to force each check.
 
@@ -336,7 +347,7 @@ def test_inspect_poly_decreasing_hilbert_tail_is_a_bad_prime_error(monkeypatch, 
     assert "hilbert" not in doc and doc["verdict"]["kind"] == "singular"
     message = (
         "hilbert_fit failed: degree of the singular subscheme must be positive, "
-        "got -1; the working primes are bad for this polynomial"
+        "got -1; the working primes [1484718533, 2073177401] are bad for this polynomial"
     )
     assert doc["deviations"] == [message]
     assert err == f"error: {message}\n"

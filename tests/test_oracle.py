@@ -157,6 +157,7 @@ def hilbert_values(draw):
 @settings(max_examples=300)
 @given(hilbert_values())
 @example((2, [1, 3, 3, 1, 0, 0]))  # smooth
+@example((2, [1, 3, 3, 1, 0]))  # smooth, the first zero at the last degree
 @example((3, [1, 4, 6, 6, 6, 6, 6]))  # delta 0, tau 6
 @example((2, [1, 2, 3, 4, 5, 6]))  # degree 1 > n-2
 @example((3, [10, 9, 8, 7, 6, 5]))  # negative degree
@@ -185,7 +186,7 @@ def test_hilbert_fit_matches_the_reference_fit(case):
             assert all(type(c) is Fraction for c in hd.poly)
             got = (hd.poly, hd.k0, hd.delta, hd.degree_sigma, hd.tjurina)
     assert asked == list(range(last + 1))
-    assert got == reference_hilbert_fit(n, expected)
+    assert got == reference_hilbert_fit(n, expected, default_primes(f, 1))
 
 
 def test_graded_betti_cusp_threefold():
@@ -246,7 +247,7 @@ def test_default_primes_are_input_derived_and_stable():
     assert a != default_primes(FERMAT[(2, 3)])
     # pinned values: the derivation must not drift from one release to the next
     assert a == (2039014667, 1179365717)
-    assert default_primes(CUSP_POLY, 2, 1) == (1484718533, 2073177401)
+    assert default_primes(CUSP_POLY, 1) == (1484718533, 2073177401)
 
 
 def golden_inputs():
@@ -264,12 +265,12 @@ def golden_inputs():
 
 def test_each_pipeline_derives_its_own_stable_primes():
     for f, _ in golden_inputs():
-        betti, hilbert = default_primes(f), default_primes(f, 2, 1)
+        betti, hilbert = default_primes(f), default_primes(f, 1)
         assert len(set(betti + hilbert)) == 4
         # a fresh derivation from a fresh parse gives the same primes
         g = parse(str(f), f.n)
         assert default_primes.__wrapped__(g) == betti
-        assert default_primes.__wrapped__(g, 2, 1) == hilbert
+        assert default_primes.__wrapped__(g, 1) == hilbert
 
 
 def test_hilbert_side_catches_a_bad_derived_betti_pair(monkeypatch):
@@ -279,7 +280,7 @@ def test_hilbert_side_catches_a_bad_derived_betti_pair(monkeypatch):
     f = parse("x0^3+x1^3+x2^3+7*x0*x1*x2", 2)
     real = oracle.default_primes
     monkeypatch.setattr(
-        oracle, "default_primes", lambda f, count=2, part=0: real(f, count, part) if part else (5, 37)
+        oracle, "default_primes", lambda f, part=0: real(f, part) if part else (5, 37)
     )
     report = cross_check(f)
     assert report.hilbert.delta is None
@@ -370,7 +371,7 @@ def test_pruned_rows_span_the_full_block(f, primes):
     # each degree pruned by the pruned echelon d-1 degrees down, as the
     # pipelines chain them, over every working prime of both sides
     n, d = f.n, f.degree
-    fields = [PrimeField(p) for p in primes or default_primes(f) + default_primes(f, 2, 1)]
+    fields = [PrimeField(p) for p in primes or default_primes(f) + default_primes(f, 1)]
     if n == 2:
         fields.append(QQ)
     for field in fields:
@@ -521,17 +522,22 @@ def test_prime_disagreement_runs_the_rational_fallback(monkeypatch):
 
 
 def test_bad_derived_prime_is_replaced_in_both_pipelines(monkeypatch):
-    # 3 divides the denominator 9: a derived prime that bad must be redrawn
+    # 3 divides the denominator 9: with 3 leading both streams, each pair
+    # skips it and takes the next two primes, and the answers stay exact
     f = parse("1/9*x0^3+x1^3+x2^3", 2)
     expected = hilbert_fit(f)
     assert expected.delta is None
-    real = oracle.default_primes
-    monkeypatch.setattr(
-        oracle, "default_primes", lambda f, count=2, part=0: (3, *real(f, count, part)[1:])
-    )
-    assert oracle.default_primes(f)[0] == 3
-    assert hilbert_fit(f) == expected
-    assert graded_betti(f) == koszul_smooth_table(2, 3)
+    real = oracle.deterministic_primes
+    monkeypatch.setattr(oracle, "deterministic_primes", lambda seed, count=2: [3, *real(seed, count)][:count])
+    oracle.default_primes.cache_clear()
+    try:
+        pairs = [oracle.default_primes(f, part) for part in (0, 1)]
+        assert pairs == [tuple(real(oracle._seed_of(f, part), 2)) for part in (0, 1)]
+        assert all(3 not in pair for pair in pairs)
+        assert hilbert_fit(f) == expected
+        assert graded_betti(f) == koszul_smooth_table(2, 3)
+    finally:
+        oracle.default_primes.cache_clear()
 
 
 def test_cross_check_consistent_cases():

@@ -1,5 +1,4 @@
 from fractions import Fraction
-from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +7,6 @@ from hypothesis import strategies as st
 from singulus import rules
 from singulus.rules import (
     SigmaProfile,
-    _symmetric_shift_values,
     degree_of_sigma,
     divisibility_N_t,
     duplessis_wall_check,
@@ -28,8 +26,8 @@ from singulus.rules import (
 from singulus.tables import BettiTable
 
 from _helpers import (
+    _lagrange,
     cusp_threefold_table,
-    evaluate_polynomial,
     generate_repaired_tables,
     threefold_table_bound_violation,
     threefold_table_negative_degree,
@@ -118,16 +116,6 @@ def test_hilbert_function_from_table():
     assert hilbert_function_from_table(koszul_smooth_table(2, 3), 7) == 0
 
 
-def test_symmetric_shift_values_expand_binomials():
-    # sum_j A_j(a) k^j must equal n! * C(k+a+n, n)
-    for n in (2, 3, 4):
-        for a in (-3, -1, 0, 2, 5):
-            avals = _symmetric_shift_values(n, a)
-            for k in range(max(abs(a) + 1, 1), abs(a) + 6):
-                lhs = sum(avals[j] * k**j for j in range(n + 1))
-                assert lhs == factorial(n) * comb(k + a + n, n)
-
-
 def test_hilbert_polynomial_from_table():
     assert hilbert_polynomial_from_table(CUSP) == [Fraction(6)]
     assert hilbert_polynomial_from_table(koszul_smooth_table(3, 3)) == []
@@ -135,12 +123,33 @@ def test_hilbert_polynomial_from_table():
     assert hilbert_polynomial_from_table(EX1) == [Fraction(-8)]
 
 
+def assert_hilbert_polynomial_fits_the_function(table):
+    # past the largest shift every binomial of the function is its
+    # polynomial in k, so the n+1 values from there fix the polynomial
+    top = table.d + max((c[-1] for c in table.columns if c), default=0)
+    points = [(k, hilbert_function_from_table(table, k)) for k in range(top, top + table.n + 1)]
+    assert hilbert_polynomial_from_table(table) == _lagrange(points)
+
+
 def test_hilbert_polynomial_agrees_with_function_at_large_degrees():
-    for table in (CUSP, EX1, EX2, koszul_smooth_table(4, 4)):
-        coeffs = hilbert_polynomial_from_table(table)
-        top = (table.n + 1) * (table.d - 1) + 5
-        for k in range(top, top + 4):
-            assert evaluate_polynomial(coeffs, k) == hilbert_function_from_table(table, k)
+    tables = [CUSP, EX1, EX2, koszul_smooth_table(4, 4)]
+    tables += [table for _, table in generate_repaired_tables(101, 300)]
+    for table in tables:
+        assert_hilbert_polynomial_fits_the_function(table)
+
+
+@st.composite
+def well_formed_tables(draw):
+    n = draw(st.integers(2, 5))
+    d = draw(st.integers(3, 8))
+    columns = draw(st.lists(st.lists(st.integers(0, 12), max_size=6), min_size=n, max_size=n))
+    return BettiTable.of(n, d, columns)
+
+
+@settings(max_examples=200)
+@given(well_formed_tables())
+def test_hilbert_polynomial_agrees_with_function_on_any_table(table):
+    assert_hilbert_polynomial_fits_the_function(table)
 
 
 def test_regularity_and_Ik():
