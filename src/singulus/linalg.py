@@ -3,9 +3,17 @@
 Every rank and every normal form comes from one sparse elimination kernel
 on rows (dicts column -> nonzero value), run over F_p with ``% p`` on ints
 or over Q with plain Fraction arithmetic.  Ranks over a prime field are
-lower bounds for the rational rank; the calling code computes everything
-mod two independent primes and, on disagreement, runs the same kernel on
-Fraction rows, so no silent rank loss can survive.
+lower bounds for the rational rank; the calling code works mod two
+independent primes and, on disagreement, runs the same kernel on Fraction
+rows, so no silent rank loss can survive.
+
+The kernel also runs mod a product N of distinct primes, which by the
+Chinese remainder theorem is one elimination over each prime field at
+once.  Pivots are picked by column alone, so the pass makes the same
+moves as every per-prime pass until a row's leading entry is nonzero mod
+N but not a unit, that is, zero mod some of the primes only.  There the
+per-prime passes would part ways, and the kernel raises _NonUnitPivot;
+a pass that finishes has left every per-prime result, reduced mod N.
 """
 
 from __future__ import annotations
@@ -25,6 +33,12 @@ class RankCertificate:
     modulus: object  # prime int or the string "rational"
     # pivot column -> owner of the row that created it, when owners were given
     lead: dict | None = field(default=None, compare=False, repr=False)
+
+
+class _NonUnitPivot(Exception):
+    """A new pivot's leading entry is not a unit mod a composite modulus;
+    the caller redoes the work one prime at a time.  Not a ValueError, so
+    no handler for bad input can take it for one."""
 
 
 class Pivots(dict):
@@ -121,7 +135,8 @@ def reduce_mod(m: SparseMatrix, p: int) -> SparseMatrix:
 
 
 def _subtract(row, f, prow, p):
-    """row -= f * prow in place over F_p (Q when p is None), storing no zeros."""
+    """row -= f * prow in place mod p (over Q when p is None), storing no
+    zeros."""
     if p is None:
         for c, v in prow.items():
             x = row.get(c, 0) - f * v
@@ -134,7 +149,7 @@ def _subtract(row, f, prow, p):
             x = (row.get(c, 0) - f * v) % p
             if x:
                 row[c] = x
-            else:
+            elif c in row:  # mod a product of primes, f * v itself can be 0
                 del row[c]
 
 
@@ -150,6 +165,9 @@ def _echelon(rows, p, owners=None):
     columns before it.  So after the rows of owners below i, the pivot
     columns are the leading columns of their span.  Input rows must hold
     no zero values.
+
+    With p a product of distinct primes, a new pivot whose leading entry
+    is not a unit mod p raises _NonUnitPivot (see the module docstring).
     """
     pivots = Pivots()
     lead = pivots.lead = None if owners is None else {}
@@ -167,7 +185,10 @@ def _echelon(rows, p, owners=None):
                 inv = 1 / Fraction(row[c])
                 pivots[c] = {cc: v * inv for cc, v in row.items()}
             else:
-                inv = pow(row[c], -1, p)
+                try:
+                    inv = pow(row[c], -1, p)
+                except ValueError:
+                    raise _NonUnitPivot(f"{row[c]} is not a unit mod {p}") from None
                 pivots[c] = {cc: v * inv % p for cc, v in row.items()}
             if lead is not None:
                 lead[c] = owner
@@ -242,8 +263,8 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-# the range keeps products of two residues inside a 64-bit accumulator,
-# per the double-word overflow rationale
+# two primes from this range multiply to a modulus below 2^62, so a pair
+# is eliminated as one modulus (see the module docstring)
 _PRIME_LO, _PRIME_HI = 1 << 30, 1 << 31
 
 
@@ -264,7 +285,9 @@ def deterministic_primes(seed: int, count: int = 2):
 
 
 class PrimeField:
-    """F_p: its modulus, and negation."""
+    """F_p: its modulus, and negation.  The modulus may also be a product
+    of distinct primes, one pass for each of their fields at once (see the
+    module docstring)."""
 
     __slots__ = ("modulus",)
 

@@ -11,7 +11,9 @@ multiplication-by-variable block matrices.
 Each pipeline computes modulo its own two word-size primes; ranks over a
 prime field can only drop, so agreement certifies the answer for practical
 purposes and any disagreement reruns the same sparse elimination kernel
-over the rationals.
+over the rationals.  The two primes share one elimination mod their
+product, which splits into one pass per prime only where the two fields
+would part ways (see linalg and _for_each_prime).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, prod
 from operator import add
 from typing import NamedTuple
 
@@ -35,6 +37,7 @@ from .linalg import (
     QQ,
     PrimeField,
     SparseMatrix,
+    _NonUnitPivot,
     deterministic_primes,
     is_probable_prime,
     rank_mod_p,
@@ -92,16 +95,35 @@ def _validate(f: Polynomial):
 
 
 def _working_primes(f: Polynomial, primes, part: int) -> list[int]:
-    """The pinned primes, each Miller-Rabin-tested, or else the pair
-    derived from part ``part`` of the input digest (see default_primes).
-    Pinned primes are never replaced: one that divides a denominator of a
-    partial raises BadPrimeError at the first block reduced mod it."""
+    """The distinct pinned primes in first-seen order, each
+    Miller-Rabin-tested, or else the pair derived from part ``part`` of
+    the input digest (see default_primes).  Pinned primes are never
+    replaced: one that divides a denominator of a partial raises
+    BadPrimeError at the first block reduced mod it."""
     if not primes:
         return list(default_primes(f, part))
     for p in primes:
         if not is_probable_prime(p):
             raise ValueError(f"{p} is not prime")
-    return list(primes)
+    return list(dict.fromkeys(primes))
+
+
+def _for_each_prime(f: Polynomial, plist, compute) -> list:
+    """compute(m) for the working primes: [compute(N)] when one pass mod
+    their product N finishes, else one result per prime.
+
+    By the Chinese remainder theorem a finished pass mod N makes the moves
+    of every per-prime pass at once, so its result is each of theirs
+    (reduced mod N); the kernel raises _NonUnitPivot exactly where two of
+    them would part ways.  The product is tried only for two or more
+    primes, none dividing a denominator of a partial, so a bad pinned
+    prime still fails with its own error in its own pass."""
+    if len(plist) > 1 and not any(_divides_a_denominator(f, p) for p in plist):
+        try:
+            return [compute(prod(plist))]
+        except _NonUnitPivot:
+            pass
+    return [compute(p) for p in plist]
 
 
 # -- Jacobian graded pieces ---------------------------------------------
@@ -206,28 +228,29 @@ def milnor_dimension(f: Polynomial, k: int, primes=None, *, leads=None) -> int:
     Pinned primes are used as given; primes derived from the input are
     the Hilbert side's own (part 1 of the digest, see default_primes).
 
-    ``leads`` maps each prime to the lead maps (Pivots.lead) of the blocks
-    of earlier degrees over it, keyed by degree.  When it is given, the
-    degree-(k-d+1) map prunes the block mod that prime (see
-    _jacobian_block), and this degree's map is added; a prime without that
-    map ranks its full block.  Without ``leads`` every block is full."""
+    ``leads`` maps each modulus, a prime or the product of the primes (see
+    _for_each_prime), to the lead maps (Pivots.lead) of the blocks of
+    earlier degrees over it, keyed by degree.  When it is given, the
+    degree-(k-d+1) map prunes the block mod that modulus (see
+    _jacobian_block), and this degree's map is added; a modulus without
+    that map ranks its full block.  Without ``leads`` every block is full."""
     n, d = _validate(f)
     if k < 0:
         raise ValueError("degree must be non-negative")
     if k < d - 1:
         return dim_degree_piece(n, k)
 
-    def rank_mod(p):
-        maps = {} if leads is None else leads.setdefault(p, {})
-        block, owners = _jacobian_block(f, k, p, maps.get(k - d + 1))
-        cert = rank_mod_p(block, p, owners=owners)
+    def rank_mod(m):
+        maps = {} if leads is None else leads.setdefault(m, {})
+        block, owners = _jacobian_block(f, k, m, maps.get(k - d + 1))
+        cert = rank_mod_p(block, m, owners=owners)
         maps[k] = cert.lead
         return cert.rank
 
-    ranks = {p: rank_mod(p) for p in _working_primes(f, primes, 1)}
+    plist = _working_primes(f, primes, 1)
     # trust the modular ranks when they agree and no prime wiped out a partial
-    agreed = set(ranks.values())
-    if len(agreed) == 1 and not any(_kills_a_partial(f, p) for p in ranks):
+    agreed = set(_for_each_prime(f, plist, rank_mod))
+    if len(agreed) == 1 and not any(_kills_a_partial(f, p) for p in plist):
         rank = agreed.pop()
     else:
         rank = rank_rational(_jacobian_matrix(f, k)).rank
@@ -263,7 +286,7 @@ def hilbert_fit(f: Polynomial, window=None, primes=None) -> HilbertData:
         raise ValueError("window upper bound is too small to say anything")
     plist = _working_primes(f, primes, 1)
     vals = []
-    leads = {}  # prime -> degree -> lead map; degree k reads degree k-d+1
+    leads = {}  # modulus -> degree -> lead map; degree k reads degree k-d+1
     for k in range(w + 1):
         vals.append(milnor_dimension(f, k, primes=plist, leads=leads))
         for maps in leads.values():
@@ -464,7 +487,7 @@ def graded_betti(f: Polynomial, max_degree=None, primes=None) -> BettiTable:
     cone_check(f)
 
     plist = _working_primes(f, primes, 0)
-    results = [_betti_over_field(f, q_max, PrimeField(p)) for p in plist]
+    results = _for_each_prime(f, plist, lambda m: _betti_over_field(f, q_max, PrimeField(m)))
     if all(r == results[0] for r in results[1:]):
         betas = results[0]
     else:

@@ -285,6 +285,17 @@ def test_inspect_poly_single_prime_warns():
     assert f"warnings:\n  - {SINGLE_PRIME_WARNING}\ndeviations: none\n" in text.stdout
 
 
+def test_inspect_poly_repeated_pinned_prime_is_used_once():
+    for fmt in ("json", "text"):
+        once = run_cli("inspect-poly", "--expr", CURVE_37, "--prime", "37", "--format", fmt)
+        twice = run_cli(
+            "inspect-poly", "--expr", CURVE_37, "--prime", "37", "--prime", "37", "--format", fmt
+        )
+        assert once.returncode == twice.returncode == 0
+        assert SINGLE_PRIME_WARNING in once.stdout
+        assert (twice.stdout, twice.stderr) == (once.stdout, once.stderr)
+
+
 def test_inspect_poly_prime_disagreement_falls_back_to_rationals():
     res = run_cli(
         "inspect-poly", "--expr", CURVE_37, "--prime", "37", "--prime", "41",

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from singulus.errors import BadPrimeError
@@ -10,6 +10,7 @@ from singulus.linalg import (
     QQ,
     PrimeField,
     SparseMatrix,
+    _NonUnitPivot,
     deterministic_primes,
     is_probable_prime,
     rank_mod_p,
@@ -262,6 +263,40 @@ def test_lead_marks_the_leading_columns_of_every_owner_prefix(m, rng):
     assert rank_mod_p(m, 97).lead is None and rref(rows, PrimeField(97)).lead is None
     with pytest.raises(ValueError):
         rank_mod_p(m, 97, owners=owners + [3])
+
+
+@given(sparse_matrices, st.randoms(use_true_random=False))
+@example(from_dense([[1, 2], [3, 4]]), random.Random(0))  # finishes mod 35
+@example(from_dense([[1, 1], [1, 6]]), random.Random(0))  # 5 is left to pivot on
+@example(from_dense([[1, 7], [5, 0]]), random.Random(0))  # 5 * 7 = 0 where row 1 is empty
+def test_one_pass_mod_35_is_the_passes_mod_5_and_mod_7_or_splits(m, rng):
+    owners = sorted(rng.randrange(3) for _ in range(m.rows))
+    alone = {p: rref(reduce_mod(m, p).data, PrimeField(p), owners=owners) for p in (5, 7)}
+    certs = {p: rank_mod_p(m, p, owners=owners) for p in (5, 7)}
+    try:
+        joint = rref(reduce_mod(m, 35).data, PrimeField(35), owners=owners)
+    except _NonUnitPivot:
+        # rank_mod_p runs the same echelon, so it splits at the same row
+        with pytest.raises(_NonUnitPivot):
+            rank_mod_p(m, 35, owners=owners)
+        return
+    cert = rank_mod_p(m, 35, owners=owners)
+    assert cert.lead == joint.lead and cert.rank == len(joint)
+    for p, pivots in alone.items():
+        assert set(joint) == set(pivots) and joint.lead == pivots.lead
+        assert {c: {cc: v % p for cc, v in row.items() if v % p} for c, row in joint.items()} == pivots
+        assert (certs[p].rank, certs[p].lead) == (cert.rank, cert.lead)
+
+
+def test_a_non_unit_pivot_splits_and_is_no_value_error():
+    m = from_dense([[1, 1], [1, 6]])
+    assert not issubclass(_NonUnitPivot, ValueError)
+    assert [rank_mod_p(m, p).rank for p in (5, 7)] == [1, 2]
+    with pytest.raises(_NonUnitPivot):
+        rank_mod_p(m, 35)
+    with pytest.raises(_NonUnitPivot):
+        rref(m.data, PrimeField(35))
+    assert len(rref(from_dense([[1, 2], [3, 4]]).data, PrimeField(35))) == 2
 
 
 def test_matmul():

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +18,7 @@ from singulus.linalg import (
     QQ,
     PrimeField,
     SparseMatrix,
+    _NonUnitPivot,
     is_probable_prime,
     rank_mod_p,
     rank_rational,
@@ -27,6 +28,7 @@ from singulus.oracle import (
     _betti_over_field,
     _jacobian_block,
     _jacobian_matrix,
+    _kills_a_partial,
     _mult_matrix,
     _quotient_piece,
     cross_check,
@@ -50,6 +52,8 @@ from _helpers import (
 )
 
 CUSP_POLY = parse("x0*x1*x2 + x3^3", 3)
+# singular mod 37 (7^3 + 27 = 10*37), smooth over Q and mod 41
+CURVE_37 = "x0^3+x1^3+x2^3+7*x0*x1*x2"
 FERMAT = {(n, d): parse("+".join(f"x{i}^{d}" for i in range(n + 1)), n) for n, d in
           [(2, 3), (2, 4), (3, 3)]}
 FERMAT_CUBICS = {n: parse("+".join(f"x{i}^3" for i in range(n + 1)), n) for n in range(2, 6)}
@@ -421,8 +425,115 @@ def test_pipelines_stop_at_the_first_empty_piece(monkeypatch):
     assert hd.k0 == 4 and max(hd.values) == 7
     assert asked["milnor_dimension"] == [0, 1, 2, 3, 4]
     assert graded_betti(f) == koszul_smooth_table(2, 3)
-    # one pass over degrees 0..k0 per Betti prime
-    assert asked["_quotient_piece"] == [0, 1, 2, 3, 4] * 2
+    # one pass over degrees 0..k0, shared by both Betti primes
+    assert asked["_quotient_piece"] == [0, 1, 2, 3, 4]
+
+
+def test_a_repeated_pinned_prime_is_one_pass(monkeypatch):
+    f = parse(CURVE_37, 2)
+    asked = []
+    real = oracle._quotient_piece
+
+    def record(f, k, field, **kwargs):
+        asked.append((k, field.modulus))
+        return real(f, k, field, **kwargs)
+
+    monkeypatch.setattr(oracle, "_quotient_piece", record)
+    assert graded_betti(f, primes=[37, 37]) == graded_betti(f, primes=[37])
+    # each call is one pass over every degree mod 37
+    q_max = (f.n + 1) * (f.degree - 1)
+    assert asked == [(k, 37) for k in range(q_max + 1)] * 2
+    with pytest.raises(BadPrimeError, match=r"primes \[3\] are bad"):
+        graded_betti(parse("x0^3+x1^3+x2^3", 2), primes=[3, 3])
+
+
+@pytest.mark.parametrize("f, primes", STOP_RULE_INPUTS, ids=str)
+def test_one_pass_mod_the_product_gives_the_per_prime_results(f, primes):
+    n, d = f.n, f.degree
+    # Betti side: the product's pass is each prime's pass, or it splits
+    pair = primes or default_primes(f)
+    q_max = (n + 1) * (d - 1)
+    alone = [_betti_over_field(f, q_max, PrimeField(p)) for p in pair]
+    try:
+        joint = _betti_over_field(f, q_max, PrimeField(prod(pair)))
+    except _NonUnitPivot:
+        assert primes  # derived primes never split on these inputs
+    else:
+        assert alone == [joint] * len(pair)
+    # Hilbert side: the pair gives what the primes alone agree on, and the
+    # rational value where they do not
+    pair = primes or default_primes(f, 1)
+    fit = hilbert_fit(f, primes=pair)
+    fits = [hilbert_fit(f, primes=[p]) for p in pair]
+    trusted = not any(_kills_a_partial(f, p) for p in pair)
+    if trusted and fits == [fits[0]] * len(pair):
+        assert fit == fits[0]
+    for k in range(fit.k0 + 1):
+        dims = {milnor_dimension(f, k, primes=[p]) for p in pair}
+        if trusted and len(dims) == 1:
+            expected = dims.pop()
+        else:
+            expected = len(grevlex_exponents(n, k)) - rank_rational(_jacobian_matrix(f, k)).rank
+        assert milnor_dimension(f, k, primes=pair) == fit.values[k] == expected, k
+
+
+def _record_splits(monkeypatch):
+    """Record the modulus of every rank_mod_p or rref call of the oracle
+    that raises _NonUnitPivot, and every rational fallback."""
+    log = {"splits": [], "rational": []}
+    for name in ("rank_mod_p", "rref", "rank_rational"):
+        real = getattr(oracle, name)
+
+        def record(m, *args, name=name, real=real, **kwargs):
+            if name == "rank_rational" or (name == "rref" and args[0].modulus is None):
+                log["rational"].append(name)
+            try:
+                return real(m, *args, **kwargs)
+            except _NonUnitPivot:
+                log["splits"].append(args[0] if name == "rank_mod_p" else args[0].modulus)
+                raise
+
+        monkeypatch.setattr(oracle, name, record)
+    return log
+
+
+def test_pinned_primes_that_disagree_split_and_reach_the_rational_fallback(monkeypatch):
+    f = parse(CURVE_37, 2)
+    log = _record_splits(monkeypatch)
+    assert hilbert_fit(f, primes=[37, 41]).delta is None
+    assert log["splits"] and set(log["splits"]) == {37 * 41}
+    assert "rank_rational" in log["rational"]
+    log["splits"].clear()
+    log["rational"].clear()
+    assert graded_betti(f, primes=[37, 41]) == koszul_smooth_table(2, 3)
+    assert log["splits"] == [37 * 41]
+    assert "rref" in log["rational"]
+
+
+def test_a_split_never_leaves_the_oracle(monkeypatch):
+    # force a split at every pass mod a product: the per-prime passes
+    # must then give exactly the results of the unforced run
+    cases = [(CUSP_POLY, None), (parse(CURVE_37, 2), [37, 41]), (FERMAT[(2, 3)], [41, 43])]
+    expected = [
+        (hilbert_fit(f, primes=primes), graded_betti(f, primes=primes),
+         cross_check(f, primes=primes).deviations)
+        for f, primes in cases
+    ]
+    for name in ("rank_mod_p", "rref"):
+        real = getattr(oracle, name)
+
+        def split(m, modulus, *args, real=real, **kwargs):
+            p = modulus if isinstance(modulus, int) else modulus.modulus
+            if p is not None and not is_probable_prime(p):
+                raise _NonUnitPivot(f"forced split mod {p}")
+            return real(m, modulus, *args, **kwargs)
+
+        monkeypatch.setattr(oracle, name, split)
+    for (f, primes), (fit, table, deviations) in zip(cases, expected):
+        assert hilbert_fit(f, primes=primes) == fit
+        assert graded_betti(f, primes=primes) == table
+        report = cross_check(f, primes=primes)
+        assert (report.hilbert, report.table, report.deviations) == (fit, table, deviations)
 
 
 def test_betti_low_positions():
