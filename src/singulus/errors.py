@@ -14,9 +14,10 @@ class NonHomogeneousError(ValueError):
 
 
 class BadPrimeError(ArithmeticError):
-    """A denominator is divisible by the working prime; retry with another.
+    """A denominator shares a factor with the working modulus, or an
+    invariant check shows that the working primes agreed on a wrong rank.
 
-    ``prime`` names that prime when a single one is to blame.
+    ``prime`` names the factor of the modulus to blame, when there is one.
     """
 
     def __init__(self, message: str, prime=None):

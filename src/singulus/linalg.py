@@ -4,14 +4,14 @@ Every rank and every normal form comes from one sparse elimination kernel
 on rows (dicts column -> nonzero value), run over F_p with ``% p`` on ints
 or over Q with plain Fraction arithmetic.  Ranks over a prime field are
 lower bounds for the rational rank; the calling code works mod two
-independent primes and, on disagreement, runs the same kernel on Fraction
-rows, so no silent rank loss can survive.
+independent primes at once and, where their fields part ways, runs the
+same kernel on Fraction rows, so no silent rank loss can survive.
 
-The kernel also runs mod a product N of distinct primes, which by the
-Chinese remainder theorem is one elimination over each prime field at
-once.  Pivots are picked by column alone, so the pass makes the same
-moves as every per-prime pass until a row's leading entry is nonzero mod
-N but not a unit, that is, zero mod some of the primes only.  There the
+The kernel runs mod a product N of distinct primes, which by the Chinese
+remainder theorem is one elimination over each prime field at once.
+Pivots are picked by column alone, so the pass makes the same moves as
+every per-prime pass until a row's leading entry is nonzero mod N but
+not a unit, that is, zero mod some of the primes only.  There the
 per-prime passes would part ways, and the kernel raises _NonUnitPivot;
 a pass that finishes has left every per-prime result, reduced mod N.
 """
@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, repeat
+from math import gcd
 
 from .errors import BadPrimeError
 
@@ -30,15 +31,16 @@ from .errors import BadPrimeError
 @dataclass(frozen=True)
 class RankCertificate:
     rank: int
-    modulus: object  # prime int or the string "rational"
+    modulus: object  # int (a prime or a product of primes) or "rational"
     # pivot column -> owner of the row that created it, when owners were given
     lead: dict | None = field(default=None, compare=False, repr=False)
 
 
 class _NonUnitPivot(Exception):
-    """A new pivot's leading entry is not a unit mod a composite modulus;
-    the caller redoes the work one prime at a time.  Not a ValueError, so
-    no handler for bad input can take it for one."""
+    """A new pivot's leading entry is not a unit mod a composite modulus,
+    so the prime fields part ways; the caller redoes the work over the
+    rationals.  Not a ValueError, so no handler for bad input can take it
+    for one."""
 
 
 class Pivots(dict):
@@ -59,7 +61,7 @@ class SparseMatrix:
     column -> nonzero value, the format the elimination kernel works on.
 
     Untagged matrices hold exact rationals (or ints); a matrix tagged with a
-    prime modulus holds ints in [0, p).  Zero entries are never stored.
+    modulus p holds ints in [0, p).  Zero entries are never stored.
     """
 
     __slots__ = ("rows", "cols", "data", "modulus")
@@ -109,7 +111,9 @@ class SparseMatrix:
 
 
 def reduce_mod(m: SparseMatrix, p: int) -> SparseMatrix:
-    """Entrywise image in the field with p elements, row by row.
+    """Entrywise image in Z/p, p a prime or a product of distinct primes,
+    row by row.  A denominator that shares a factor g with p raises
+    BadPrimeError naming g.
 
     A matrix holds a handful of distinct values, so each one is converted
     once; the entries of ``m`` are already validated and are not checked
@@ -120,12 +124,12 @@ def reduce_mod(m: SparseMatrix, p: int) -> SparseMatrix:
             return m
         raise ValueError("matrix already reduced mod a different prime")
     images = {v: Fraction(v) for v in set(chain.from_iterable(map(dict.values, m.data)))}
-    bad = {v for v, q in images.items() if q.denominator % p == 0}
+    bad = {v: g for v, q in images.items() if (g := gcd(q.denominator, p)) > 1}
     if bad:
-        r, c = next(
-            (r, c) for r, row in enumerate(m.data) for c, v in row.items() if v in bad
+        r, c, g = next(
+            (r, c, bad[v]) for r, row in enumerate(m.data) for c, v in row.items() if v in bad
         )
-        raise BadPrimeError(f"denominator of entry ({r},{c}) divisible by {p}", prime=p)
+        raise BadPrimeError(f"denominator of entry ({r},{c}) divisible by {g}", prime=g)
     images = {v: q.numerator * pow(q.denominator, -1, p) % p for v, q in images.items()}
     data = [{c: x for c, v in row.items() if (x := images[v])} for row in m.data]
     return SparseMatrix._from_rows(m.cols, data, p)
@@ -285,9 +289,9 @@ def deterministic_primes(seed: int, count: int = 2):
 
 
 class PrimeField:
-    """F_p: its modulus, and negation.  The modulus may also be a product
-    of distinct primes, one pass for each of their fields at once (see the
-    module docstring)."""
+    """Z/N for N a prime or a product of distinct primes, one pass for each
+    of their fields at once (see the module docstring): its modulus, and
+    negation."""
 
     __slots__ = ("modulus",)
 

@@ -8,12 +8,12 @@ homology of the quotient tensored with the Koszul complex on the variables,
 which needs nothing beyond exact kernel/rank computations on
 multiplication-by-variable block matrices.
 
-Each pipeline computes modulo its own two word-size primes; ranks over a
-prime field can only drop, so agreement certifies the answer for practical
-purposes and any disagreement reruns the same sparse elimination kernel
-over the rationals.  The two primes share one elimination mod their
-product, which splits into one pass per prime only where the two fields
-would part ways (see linalg and _for_each_prime).
+Each pipeline computes modulo its own two word-size primes, in one
+elimination mod their product N; ranks over a prime field can only drop,
+so a pass that finishes certifies the answer for practical purposes.
+Where the two prime fields would part ways the pass mod N splits (see
+linalg), and the same sparse elimination kernel reruns over the
+rationals: the one degree on the Hilbert side, the whole Betti side.
 """
 
 from __future__ import annotations
@@ -97,33 +97,16 @@ def _validate(f: Polynomial):
 def _working_primes(f: Polynomial, primes, part: int) -> list[int]:
     """The distinct pinned primes in first-seen order, each
     Miller-Rabin-tested, or else the pair derived from part ``part`` of
-    the input digest (see default_primes).  Pinned primes are never
-    replaced: one that divides a denominator of a partial raises
-    BadPrimeError at the first block reduced mod it."""
+    the input digest (see default_primes).  Distinct, because the
+    pipelines work mod their product, which must be squarefree.  Pinned
+    primes are never replaced: a bad one raises BadPrimeError at the first
+    block reduced mod the product (see reduce_mod)."""
     if not primes:
         return list(default_primes(f, part))
     for p in primes:
         if not is_probable_prime(p):
             raise ValueError(f"{p} is not prime")
     return list(dict.fromkeys(primes))
-
-
-def _for_each_prime(f: Polynomial, plist, compute) -> list:
-    """compute(m) for the working primes: [compute(N)] when one pass mod
-    their product N finishes, else one result per prime.
-
-    By the Chinese remainder theorem a finished pass mod N makes the moves
-    of every per-prime pass at once, so its result is each of theirs
-    (reduced mod N); the kernel raises _NonUnitPivot exactly where two of
-    them would part ways.  The product is tried only for two or more
-    primes, none dividing a denominator of a partial, so a bad pinned
-    prime still fails with its own error in its own pass."""
-    if len(plist) > 1 and not any(_divides_a_denominator(f, p) for p in plist):
-        try:
-            return [compute(prod(plist))]
-        except _NonUnitPivot:
-            pass
-    return [compute(p) for p in plist]
 
 
 # -- Jacobian graded pieces ---------------------------------------------
@@ -141,7 +124,7 @@ def _partial_terms(f: Polynomial):
 
 
 def _partial_terms_mod(f: Polynomial, p: int):
-    """The partials' terms over F_p, leaving out terms that vanish mod p.
+    """The partials' terms over Z/p, leaving out terms that vanish mod p.
     The images come from reduce_mod on the degree-(d-1) block, whose rows
     are the partials themselves."""
     monos = grevlex_exponents(f.n, f.degree - 1)
@@ -183,8 +166,8 @@ def default_primes(f: Polynomial, part: int = 0) -> tuple[int, int]:
 
 def _jacobian_block(f: Polynomial, k: int, p=None, lead=None):
     """Degree-k piece of the gradient map, rows = generators m*f_i over the
-    degree-k monomial columns (decreasing order), over F_p when a prime p
-    is given; returns the matrix and the index i of each row's partial.
+    degree-k monomial columns (decreasing order), over Z/p when a modulus
+    p is given; returns the matrix and the index i of each row's partial.
     The Hilbert side ranks these rows; the Betti side echelons them into
     the quotient piece.
 
@@ -228,31 +211,29 @@ def milnor_dimension(f: Polynomial, k: int, primes=None, *, leads=None) -> int:
     Pinned primes are used as given; primes derived from the input are
     the Hilbert side's own (part 1 of the digest, see default_primes).
 
-    ``leads`` maps each modulus, a prime or the product of the primes (see
-    _for_each_prime), to the lead maps (Pivots.lead) of the blocks of
-    earlier degrees over it, keyed by degree.  When it is given, the
-    degree-(k-d+1) map prunes the block mod that modulus (see
-    _jacobian_block), and this degree's map is added; a modulus without
-    that map ranks its full block.  Without ``leads`` every block is full."""
+    The block is ranked once, mod the product N of the working primes, and
+    over Q when that pass splits (see linalg) or a prime wipes out a partial.
+
+    ``leads`` maps earlier degrees to the lead maps (Pivots.lead) of their
+    blocks mod N.  When it is given, the degree-(k-d+1) map prunes the
+    block (see _jacobian_block) and this degree's map is added, if the
+    pass finished.  Without ``leads`` every block is full."""
     n, d = _validate(f)
     if k < 0:
         raise ValueError("degree must be non-negative")
     if k < d - 1:
         return dim_degree_piece(n, k)
-
-    def rank_mod(m):
-        maps = {} if leads is None else leads.setdefault(m, {})
-        block, owners = _jacobian_block(f, k, m, maps.get(k - d + 1))
-        cert = rank_mod_p(block, m, owners=owners)
-        maps[k] = cert.lead
-        return cert.rank
-
     plist = _working_primes(f, primes, 1)
-    # trust the modular ranks when they agree and no prime wiped out a partial
-    agreed = set(_for_each_prime(f, plist, rank_mod))
-    if len(agreed) == 1 and not any(_kills_a_partial(f, p) for p in plist):
-        rank = agreed.pop()
-    else:
+    modulus = prod(plist)
+    leads = {} if leads is None else leads
+    block, owners = _jacobian_block(f, k, modulus, leads.get(k - d + 1))
+    try:
+        cert = rank_mod_p(block, modulus, owners=owners)
+        leads[k] = cert.lead
+        rank = cert.rank
+    except _NonUnitPivot:
+        rank = None
+    if rank is None or any(_kills_a_partial(f, p) for p in plist):
         rank = rank_rational(_jacobian_matrix(f, k)).rank
     return dim_degree_piece(n, k) - rank
 
@@ -286,11 +267,10 @@ def hilbert_fit(f: Polynomial, window=None, primes=None) -> HilbertData:
         raise ValueError("window upper bound is too small to say anything")
     plist = _working_primes(f, primes, 1)
     vals = []
-    leads = {}  # modulus -> degree -> lead map; degree k reads degree k-d+1
+    leads = {}  # degree -> lead map; degree k reads degree k-d+1
     for k in range(w + 1):
         vals.append(milnor_dimension(f, k, primes=plist, leads=leads))
-        for maps in leads.values():
-            maps.pop(k - d + 1, None)
+        leads.pop(k - d + 1, None)
         if vals[-1] == 0:
             values = dict(enumerate(vals + [0] * (w - k)))
             return HilbertData(n, d, values, (), k, None, None, None)
@@ -487,10 +467,9 @@ def graded_betti(f: Polynomial, max_degree=None, primes=None) -> BettiTable:
     cone_check(f)
 
     plist = _working_primes(f, primes, 0)
-    results = _for_each_prime(f, plist, lambda m: _betti_over_field(f, q_max, PrimeField(m)))
-    if all(r == results[0] for r in results[1:]):
-        betas = results[0]
-    else:
+    try:
+        betas = _betti_over_field(f, q_max, PrimeField(prod(plist)))
+    except _NonUnitPivot:
         betas = _betti_over_field(f, q_max, QQ)
 
     # cone_check has shown over Q that the partials are independent, so

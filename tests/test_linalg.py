@@ -67,6 +67,13 @@ def test_reduce_mod_bad_prime():
         reduce_mod(m, 3)
 
 
+def test_reduce_mod_names_the_factor_of_a_composite_modulus():
+    m = SparseMatrix(1, 1, [(0, 0, Fraction(1, 3))])
+    with pytest.raises(BadPrimeError, match=r"entry \(0,0\) divisible by 3") as info:
+        reduce_mod(m, 15)
+    assert info.value.prime == 3
+
+
 def test_reduce_mod_repeated_values():
     m = SparseMatrix(
         2,

@@ -460,20 +460,22 @@ def test_one_pass_mod_the_product_gives_the_per_prime_results(f, primes):
         assert primes  # derived primes never split on these inputs
     else:
         assert alone == [joint] * len(pair)
-    # Hilbert side: the pair gives what the primes alone agree on, and the
-    # rational value where they do not
+    # Hilbert side: the rank of the pass mod the product, which is each
+    # prime's rank, where it finishes; the rational rank where it splits
+    # or a prime wipes out a partial
     pair = primes or default_primes(f, 1)
     fit = hilbert_fit(f, primes=pair)
-    fits = [hilbert_fit(f, primes=[p]) for p in pair]
     trusted = not any(_kills_a_partial(f, p) for p in pair)
-    if trusted and fits == [fits[0]] * len(pair):
-        assert fit == fits[0]
     for k in range(fit.k0 + 1):
-        dims = {milnor_dimension(f, k, primes=[p]) for p in pair}
-        if trusted and len(dims) == 1:
-            expected = dims.pop()
+        try:
+            rank = rank_mod_p(_jacobian_matrix(f, k, prod(pair)), prod(pair)).rank
+        except _NonUnitPivot:
+            rank = None
         else:
-            expected = len(grevlex_exponents(n, k)) - rank_rational(_jacobian_matrix(f, k)).rank
+            assert [rank_mod_p(_jacobian_matrix(f, k, p), p).rank for p in pair] == [rank] * len(pair)
+        if not trusted or rank is None:
+            rank = rank_rational(_jacobian_matrix(f, k)).rank
+        expected = len(grevlex_exponents(n, k)) - rank
         assert milnor_dimension(f, k, primes=pair) == fit.values[k] == expected, k
 
 
@@ -510,8 +512,31 @@ def test_pinned_primes_that_disagree_split_and_reach_the_rational_fallback(monke
     assert "rref" in log["rational"]
 
 
+def test_no_pass_runs_over_a_single_prime_of_a_pair(monkeypatch):
+    f = parse(CURVE_37, 2)
+    moduli = set()
+    for name in ("rank_mod_p", "rref"):
+        real = getattr(oracle, name)
+
+        def record(m, modulus, *args, real=real, **kwargs):
+            moduli.add(modulus if isinstance(modulus, int) else modulus.modulus)
+            return real(m, modulus, *args, **kwargs)
+
+        monkeypatch.setattr(oracle, name, record)
+    fit = hilbert_fit(f, primes=[37, 41])
+    table = graded_betti(f, primes=[37, 41])
+    # one pass mod 37*41 in each pipeline, and after a split the rational one
+    assert moduli == {37 * 41, None}
+    assert fit.values == {
+        k: len(grevlex_exponents(f.n, k)) - rank_rational(_jacobian_matrix(f, k)).rank
+        for k in fit.values
+    }
+    # the curve is smooth over Q, so its rational table is the Koszul one
+    assert table == koszul_smooth_table(2, 3)
+
+
 def test_a_split_never_leaves_the_oracle(monkeypatch):
-    # force a split at every pass mod a product: the per-prime passes
+    # force a split at every pass mod a product: the rational passes
     # must then give exactly the results of the unforced run
     cases = [(CUSP_POLY, None), (parse(CURVE_37, 2), [37, 41]), (FERMAT[(2, 3)], [41, 43])]
     expected = [
