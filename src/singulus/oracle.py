@@ -57,6 +57,7 @@ from .rules import (
     full_report,
     hilbert_function_from_table,
     hilbert_polynomial_from_table,
+    koszul_smooth_table,
 )
 from .tables import BettiTable
 
@@ -364,46 +365,41 @@ def _mult_matrix(pieces, i, k, field) -> SparseMatrix:
     return SparseMatrix._from_rows(len(src.basis), data, field.modulus)
 
 
-def _betti_over_field(f: Polynomial, q_max: int, field) -> dict:
-    """Graded Betti numbers beta_{p,q} for p = 0..n+1, q = 0..q_max.
+def _betti_over_field(f: Polynomial, q_max: int, field):
+    """Graded Betti numbers beta_{p,q} for p = 0..n+1, q = 0..q_max, or
+    None, with no Betti numbers, at the first quotient piece that is 0
+    over the field (see graded_betti).
 
     K_p = Lambda^p(C^{n+1}) tensor M shifted so the differential
     d(e_S tensor m) = sum_j (-1)^j e_{S \\ s_j} tensor x_{s_j} m preserves
     the internal degree q; beta_{p,q} = dim K_{p,q} - rank d_{p,q}
     - rank d_{p+1,q}.
 
-    Once a piece is empty every later one is (S_{k+1} = S_1 S_k), so the
-    first empty piece stands in for all of them; nothing reads its normal
-    forms, because no multiplication map into an empty piece is built:
-    rank_of is 0 there without one.  Each piece's block is pruned by the
-    lead map of the piece d-1 degrees down (see _jacobian_block)."""
+    M is generated by 1, so S_1 M_k = M_(k+1) and d_1 into degree q >= 1
+    has rank dim M_q: only positions p >= 2 eliminate.  Each piece's block
+    is pruned by the lead map of the piece d-1 degrees down (see
+    _jacobian_block)."""
     n, d = f.n, f.degree
     pieces = []
     for k in range(q_max + 1):
-        if pieces and not pieces[-1].basis:
-            pieces.append(pieces[-1])
-        else:
-            lead = pieces[k - d + 1].lead if k >= d - 1 else None
-            pieces.append(_quotient_piece(f, k, field, lead=lead))
-    mult = {}
-    for k in range(q_max):
-        if pieces[k + 1].basis:
-            for i in range(n + 1):
-                mult[(i, k)] = _mult_matrix(pieces, i, k, field)
+        lead = pieces[k - d + 1].lead if k >= d - 1 else None
+        pieces.append(_quotient_piece(f, k, field, lead=lead))
+        if not pieces[-1].basis:
+            return None
+    # positions p >= 2 read the maps out of degrees k <= q_max - 2
+    mult = {(i, k): _mult_matrix(pieces, i, k, field) for k in range(q_max - 1) for i in range(n + 1)}
 
     subset_cache = {p: list(combinations(range(n + 1), p)) for p in range(n + 2)}
 
     @cache
     def rank_of(p, q):
-        if p < 1 or p > n + 1:
-            return 0
         k = q - p
-        if k < 0 or not pieces[k].basis:
+        if not 1 <= p <= n + 1 or k < 0:
             return 0
+        if p == 1:
+            return len(pieces[q].basis)
         dom = len(pieces[k].basis)
         cod = len(pieces[k + 1].basis)
-        if cod == 0:
-            return 0
         subsets = subset_cache[p]
         t_index = {t: i for i, t in enumerate(subset_cache[p - 1])}
         data = [{} for _ in range(len(t_index) * cod)]
@@ -425,10 +421,7 @@ def _betti_over_field(f: Polynomial, q_max: int, field) -> dict:
     betas = {}
     for q in range(q_max + 1):
         for p in range(0, min(q, n + 1) + 1):
-            dim_k = comb(n + 1, p) * len(pieces[q - p].basis)
-            if dim_k == 0:
-                continue
-            b = dim_k - rank_of(p, q) - rank_of(p + 1, q)
+            b = comb(n + 1, p) * len(pieces[q - p].basis) - rank_of(p, q) - rank_of(p + 1, q)
             if b:
                 betas[(p, q)] = b
     return betas
@@ -454,11 +447,15 @@ def cone_check(f: Polynomial):
 def graded_betti(f: Polynomial, max_degree=None, primes=None) -> BettiTable:
     """Graded Betti table of the Jacobian algebra of f.
 
-    Homological position p = k+1 with internal degree q lands in column k
-    with shift q - (d-1).  Nonzero homology at the degree bound in any
-    position that could still continue raises an incomplete-table error
-    instead of silently truncating; the top position n+1 is allowed to sit
-    exactly on the bound, where the smooth table ends.
+    A quotient piece that is 0 over the working field is 0 over Q, as a
+    rank mod p is never above the rank over Q.  Then M(f) is Artinian,
+    the partials are a regular sequence and the table is
+    koszul_smooth_table(n, d), whatever the bound.  Otherwise position
+    p = k+1 in degree q lands in column k with shift q - (d-1).  A Betti
+    number on the degree bound, in any position, or a sigma_0 other than
+    n (the alternating count of a complete resolution of the torsion
+    module S/J is 0) raises an incomplete-table error instead of silently
+    truncating.
     """
     n, d = _validate(f)
     q_max = max_degree if max_degree is not None else (n + 1) * (d - 1)
@@ -471,14 +468,11 @@ def graded_betti(f: Polynomial, max_degree=None, primes=None) -> BettiTable:
         betas = _betti_over_field(f, q_max, PrimeField(prod(plist)))
     except _NonUnitPivot:
         betas = _betti_over_field(f, q_max, QQ)
+    if betas is None:
+        return koszul_smooth_table(n, d)
 
     # cone_check has shown over Q that the partials are independent, so
-    # only primes that agree on a wrong answer can break positions 0 and 1
-    if betas.get((0, 0)) != 1 or any(p == 0 and q != 0 for p, q in betas):
-        raise BadPrimeError(
-            "position 0 must be exactly the ground field in degree 0; "
-            f"the working primes {plist} are bad for this polynomial"
-        )
+    # only primes that agree on a wrong answer can break position 1
     beta1 = {q: b for (p, q), b in betas.items() if p == 1}
     if beta1 != {d - 1: n + 1}:
         raise BadPrimeError(
@@ -486,7 +480,7 @@ def graded_betti(f: Polynomial, max_degree=None, primes=None) -> BettiTable:
             f"the working primes {plist} are bad for this polynomial"
         )
 
-    boundary = {p: betas[(p, q_max)] for p in range(0, n + 1) if (p, q_max) in betas}
+    boundary = {p: b for (p, q), b in betas.items() if q == q_max}
     if boundary:
         raise IncompleteTableError(
             f"nonzero Betti numbers at the degree bound {q_max} in positions "
@@ -510,6 +504,12 @@ def graded_betti(f: Polynomial, max_degree=None, primes=None) -> BettiTable:
         raise IncompleteTableError(
             f"only {table.m(1)} first syzygies found below the degree bound "
             f"{q_max}, but at least {n} must exist; raise max_degree and retry"
+        )
+    if table.power_sums[0] != n:
+        raise IncompleteTableError(
+            f"the Betti numbers below the degree bound {q_max} have sigma_0 = "
+            f"{table.power_sums[0]}, but a complete resolution has {n}; "
+            "raise max_degree and retry"
         )
     return table
 

@@ -324,6 +324,28 @@ def test_inspect_poly_text_lists_warnings():
     assert doc["warnings"] == [warning]
 
 
+def test_inspect_poly_bound_past_the_first_empty_piece_is_smooth():
+    # the curve's quotient first vanishes in degree 4; its top syzygy sits
+    # in degree 6, above the bound
+    res = run_cli("inspect-poly", "--expr", "x0^3+x1^3+x2^3", "--max-degree", "5", "--format", "json")
+    assert res.returncode == 0
+    doc = json.loads(res.stdout)
+    assert doc["verdict"]["kind"] == "smooth" and doc["deviations"] == []
+
+
+@pytest.mark.parametrize("bound", ["7", "8"])
+def test_inspect_poly_bound_inside_a_gap_of_the_resolution_exits_1(bound):
+    # the quartic surface's quotient first vanishes in degree 9, and its
+    # resolution has nothing in degrees 7 and 8: the truncated table must
+    # not be reported as an obstruction
+    res = run_cli("inspect-poly", "--expr", "x0^4+x1^4+x2^4+x3^4", "--max-degree", bound)
+    assert res.returncode == 1
+    assert res.stderr == (
+        f"error: graded_betti failed: the Betti numbers below the degree bound {bound} "
+        "have sigma_0 = 6, but a complete resolution has 3; raise max_degree and retry\n"
+    )
+
+
 def test_inspect_poly_window_too_small_exits_1():
     res = run_cli("inspect-poly", "--expr", "x0*x1*x2 + x3^3", "--window", "4")
     assert res.returncode == 1

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from itertools import combinations
 from math import comb, prod
@@ -39,6 +40,7 @@ from singulus.oracle import (
 )
 from singulus.polynomials import grevlex_exponents, infer_variable_count, parse
 from singulus.rules import hilbert_function_from_table, koszul_smooth_table
+from singulus.tables import BettiTable
 from test_golden import CASES, REPO
 from _helpers import (
     cusp_threefold_table,
@@ -222,6 +224,66 @@ def test_graded_betti_incomplete_at_tight_bound():
     assert err.value.boundary == {}
 
 
+@pytest.mark.parametrize("max_degree", [4, 5, 6])
+def test_a_bound_at_or_past_the_first_empty_piece_gives_the_whole_smooth_table(max_degree):
+    # the Fermat cubic curve's quotient first vanishes in degree 4, below
+    # the top Koszul syzygy in degree 6
+    assert graded_betti(FERMAT[(2, 3)], max_degree=max_degree) == koszul_smooth_table(2, 3)
+
+
+def test_every_position_on_the_bound_is_incomplete():
+    # the top position n+1 as well: the singular_3 golden's table has its
+    # last syzygy there, in degree 6
+    f = parse("x0^2*x2+x1^2*x3", 3)
+    with pytest.raises(IncompleteTableError) as err:
+        graded_betti(f, max_degree=6)
+    assert err.value.boundary == {4: 1}
+    golden = json.loads((REPO / "fixtures" / "golden" / "singular_3.json").read_text())
+    columns = {c["k"]: c["degrees"] for c in golden["betti_columns"]}
+    assert graded_betti(f, max_degree=7) == BettiTable.of(3, 3, columns)
+
+
+@pytest.mark.parametrize("max_degree", [7, 8])
+def test_a_bound_inside_a_gap_of_the_resolution_is_incomplete(max_degree):
+    # the smooth quartic surface's quotient first vanishes in degree 9;
+    # below it the resolution has nothing in degrees 7 and 8, so nothing
+    # sits on the bound, but the truncated table has sigma_0 = 6, not 3
+    with pytest.raises(IncompleteTableError) as err:
+        graded_betti(parse("x0^4+x1^4+x2^4+x3^4", 3), max_degree=max_degree)
+    assert str(err.value) == (
+        f"the Betti numbers below the degree bound {max_degree} have sigma_0 = 6, "
+        "but a complete resolution has 3; raise max_degree and retry"
+    )
+    assert err.value.boundary == {}
+
+
+@pytest.mark.parametrize(
+    "f, primes",
+    [
+        # the Fermat goldens
+        *((parse("+".join(f"x{i}^{d}" for i in range(n + 1)), n), None) for n, d in [(3, 4), (4, 4), (5, 3)]),
+        # the pinned curve and surface: the pass mod 37*41 splits, and the
+        # rational pass ends at an empty piece
+        (parse(CURVE_37, 2), [37, 41]),
+        (parse("x0^3+x1^3+x2^3+x3^3+7*x0*x1*x2", 3), [37, 41]),
+    ],
+    ids=str,
+)
+def test_a_smooth_input_runs_no_koszul_rank(monkeypatch, f, primes):
+    calls = []
+    for name in ("rank_mod_p", "rank_rational"):
+        real = getattr(oracle, name)
+
+        def record(*args, name=name, real=real, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, name, record)
+    assert graded_betti(f, primes=primes) == koszul_smooth_table(f.n, f.degree)
+    # the one rational rank is the cone check's
+    assert calls == ["rank_rational"]
+
+
 def test_graded_betti_deterministic_across_prime_choices():
     t1 = graded_betti(CUSP_POLY, primes=[1073741831, 1073741833])
     t2 = graded_betti(CUSP_POLY, primes=[2147483629, 2147483647])
@@ -367,7 +429,12 @@ def test_stopping_at_the_first_empty_piece_is_exact(f, primes):
         fields.append(QQ)
     q_max = (f.n + 1) * (f.degree - 1)
     for field in fields:
-        assert _betti_over_field(f, q_max, field) == betti_echeloning_every_piece(f, q_max, field)
+        betas = _betti_over_field(f, q_max, field)
+        if betas is None:
+            # a piece is 0 over the field: the homology is the Koszul table
+            # of the partials, a regular sequence there
+            betas = {(p, p * (f.degree - 1)): comb(f.n + 1, p) for p in range(f.n + 2)}
+        assert betas == betti_echeloning_every_piece(f, q_max, field)
 
 
 @pytest.mark.parametrize("f, primes", STOP_RULE_INPUTS, ids=str)
