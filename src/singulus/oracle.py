@@ -24,7 +24,6 @@ from functools import cache, lru_cache
 from itertools import combinations
 from math import comb, factorial, prod
 from operator import add
-from typing import NamedTuple
 
 from .errors import (
     BadPrimeError,
@@ -313,56 +312,22 @@ def hilbert_fit(f: Polynomial, window=None, primes=None) -> HilbertData:
 # -- graded Betti numbers via Koszul homology ----------------------------
 
 
-class _Piece(NamedTuple):
-    """Monomial basis of one graded piece of the quotient plus the normal
-    forms of the pivot monomials, over one field; monomials are exponent
-    vectors.  ``lead`` is the Pivots.lead of the piece's block, which
-    prunes the block d-1 degrees up."""
+def _quotient_piece(f, k, field, *, lead=None):
+    """The degree-k piece of M(f) over the field, as the reduced echelon
+    form of the degree-k Jacobian block in its own grevlex columns (see
+    _jacobian_block), pruned by ``lead``, the degree-(k-d+1) piece's map
+    over the same field; without it the block is full.
 
-    basis: list
-    index: dict
-    normal: dict
-    lead: dict
-
-
-def _quotient_piece(f, k, field, *, lead=None) -> _Piece:
-    """Echelon the rows of the degree-k Jacobian block over the field,
-    pruned by ``lead``, the degree-(k-d+1) piece's map over the same field
-    (see _jacobian_block); without it the block is full."""
+    The non-pivot columns are a monomial basis of the piece.  Each pivot
+    row is stored without its leading 1, as a fresh dict: that tail is
+    minus the normal form of the pivot monomial.  ``lead`` is the block's
+    Pivots.lead, which prunes the block d-1 degrees up."""
     block, owners = _jacobian_block(f, k, field.modulus, lead)
     pivots = rref(block.data, field, owners=owners)
-    monos = grevlex_exponents(f.n, k)
-    ncols = len(monos)
-    basis = []
-    index = {}
-    for ci in range(ncols - 1, -1, -1):  # descending column = increasing grevlex
-        if ci not in pivots:
-            e = monos[ncols - 1 - ci]
-            index[e] = len(basis)
-            basis.append(e)
-    normal = {}
-    for ci, row in pivots.items():
-        normal[monos[ncols - 1 - ci]] = {
-            index[monos[ncols - 1 - cc]]: field.neg(v)
-            for cc, v in row.items()
-            if cc != ci
-        }
-    return _Piece(basis, index, normal, pivots.lead)
-
-
-def _mult_matrix(pieces, i, k, field) -> SparseMatrix:
-    """Multiplication by x_i from the degree-k piece to the next one."""
-    src, dst = pieces[k], pieces[k + 1]
-    data = [{} for _ in dst.basis]
-    for j, mu in enumerate(src.basis):
-        nu = mu[:i] + (mu[i] + 1,) + mu[i + 1 :]
-        pos = dst.index.get(nu)
-        if pos is not None:
-            data[pos][j] = 1
-        else:
-            for r, v in dst.normal[nu].items():
-                data[r][j] = v
-    return SparseMatrix._from_rows(len(src.basis), data, field.modulus)
+    for c, row in pivots.items():
+        # a copy: deleting the leading 1 in place would not shrink the dict
+        pivots[c] = {cc: v for cc, v in row.items() if cc != c}
+    return pivots
 
 
 def _betti_over_field(f: Polynomial, q_max: int, field):
@@ -376,20 +341,37 @@ def _betti_over_field(f: Polynomial, q_max: int, field):
     - rank d_{p+1,q}.
 
     M is generated by 1, so S_1 M_k = M_(k+1) and d_1 into degree q >= 1
-    has rank dim M_q: only positions p >= 2 eliminate.  Each piece's block
-    is pruned by the lead map of the piece d-1 degrees down (see
-    _jacobian_block)."""
+    has rank dim M_q: only positions p >= 2 eliminate.  d_p is ranked
+    transposed, one row per e_S tensor b, b a basis column of piece k.
+    x_s b is a monomial nu of degree k+1: a basis column, or a pivot
+    column whose tail is minus its normal form.  Face T puts nu at column
+    index(T) * dim S_(k+1) + nu; columns left empty change no rank.  Each
+    piece's block is pruned by the lead map of the piece d-1 degrees down
+    (see _jacobian_block)."""
     n, d = f.n, f.degree
-    pieces = []
+    pieces, size = [], []
     for k in range(q_max + 1):
         lead = pieces[k - d + 1].lead if k >= d - 1 else None
         pieces.append(_quotient_piece(f, k, field, lead=lead))
-        if not pieces[-1].basis:
+        size.append(dim_degree_piece(n, k) - len(pieces[k]))
+        if not size[k]:
             return None
-    # positions p >= 2 read the maps out of degrees k <= q_max - 2
-    mult = {(i, k): _mult_matrix(pieces, i, k, field) for k in range(q_max - 1) for i in range(n + 1)}
+
+    @cache
+    def images(s, k):
+        """(nu, tail) for each basis column b of piece k: nu is the column
+        of x_s b in degree k+1, tail its pivot tail there or None."""
+        col_of = grevlex_columns(n, k + 1)
+        nxt = pieces[k + 1]
+        out = []
+        for c, e in enumerate(reversed(grevlex_exponents(n, k))):
+            if c not in pieces[k]:
+                nu = col_of[e[:s] + (e[s] + 1,) + e[s + 1 :]]
+                out.append((nu, nxt.get(nu)))
+        return out
 
     subset_cache = {p: list(combinations(range(n + 1), p)) for p in range(n + 2)}
+    minus_one = field.neg(1)
 
     @cache
     def rank_of(p, q):
@@ -397,23 +379,26 @@ def _betti_over_field(f: Polynomial, q_max: int, field):
         if not 1 <= p <= n + 1 or k < 0:
             return 0
         if p == 1:
-            return len(pieces[q].basis)
-        dom = len(pieces[k].basis)
-        cod = len(pieces[k + 1].basis)
-        subsets = subset_cache[p]
+            return size[q]
+        width = dim_degree_piece(n, k + 1)
         t_index = {t: i for i, t in enumerate(subset_cache[p - 1])}
-        data = [{} for _ in range(len(t_index) * cod)]
-        for si, s_set in enumerate(subsets):
-            shift = si * dom
-            for j, s in enumerate(s_set):
-                ti = t_index[s_set[:j] + s_set[j + 1 :]]
-                odd = j % 2
-                for r, row in enumerate(mult[(s, k)].data, start=ti * cod):
-                    if row:
-                        out = data[r]
-                        for c, v in row.items():
-                            out[shift + c] = field.neg(v) if odd else v
-        matrix = SparseMatrix._from_rows(len(subsets) * dom, data, field.modulus)
+        data = []
+        for s_set in subset_cache[p]:
+            faces = [
+                (t_index[s_set[:j] + s_set[j + 1 :]] * width, j % 2, images(s, k))
+                for j, s in enumerate(s_set)
+            ]
+            for b in range(size[k]):
+                row = {}
+                for shift, odd, image in faces:
+                    nu, tail = image[b]
+                    if tail is None:
+                        row[shift + nu] = minus_one if odd else 1
+                    else:
+                        for c, v in tail.items():
+                            row[shift + c] = v if odd else field.neg(v)
+                data.append(row)
+        matrix = SparseMatrix._from_rows(len(t_index) * width, data, field.modulus)
         if field.modulus is None:
             return rank_rational(matrix).rank
         return rank_mod_p(matrix, field.modulus).rank
@@ -421,7 +406,7 @@ def _betti_over_field(f: Polynomial, q_max: int, field):
     betas = {}
     for q in range(q_max + 1):
         for p in range(0, min(q, n + 1) + 1):
-            b = comb(n + 1, p) * len(pieces[q - p].basis) - rank_of(p, q) - rank_of(p + 1, q)
+            b = comb(n + 1, p) * size[q - p] - rank_of(p, q) - rank_of(p + 1, q)
             if b:
                 betas[(p, q)] = b
     return betas
@@ -492,13 +477,7 @@ def graded_betti(f: Polynomial, max_degree=None, primes=None) -> BettiTable:
     for (p, q), b in sorted(betas.items()):
         if p < 2:
             continue
-        shift = q - (d - 1)
-        if shift < 0:
-            raise BadPrimeError(
-                f"position {p} has a Betti number in degree {q}, below the generators; "
-                f"the working primes {plist} are bad for this polynomial"
-            )
-        columns[p - 1].extend([shift] * b)
+        columns[p - 1].extend([q - (d - 1)] * b)
     table = BettiTable.of(n, d, columns)
     if table.m(1) < n:
         raise IncompleteTableError(

@@ -260,16 +260,24 @@ def repaired_table(rng: random.Random, n: int, d: int, t: int):
 
 
 def _int_det(matrix) -> int:
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    total = 0
-    for j in range(n):
-        if matrix[0][j]:
-            minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
-            term = matrix[0][j] * _int_det(minor)
-            total += term if j % 2 == 0 else -term
-    return total
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination: each step's entries are minors of the input, so every
+    division is exact and all values stay integers."""
+    a = [list(row) for row in matrix]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
 
 
 def generate_repaired_tables(seed: int, count: int, t_choices=(2, 3, 4)):

@@ -386,21 +386,6 @@ def test_inspect_poly_decreasing_hilbert_tail_is_a_bad_prime_error(monkeypatch, 
     assert err == f"error: {message}\n"
 
 
-def test_inspect_poly_betti_number_below_the_generators_is_a_bad_prime_error(
-    monkeypatch, capsys
-):
-    # n=3, d=3: the fake keeps positions 0 and 1 right and puts a beta at (2, d-2)
-    fake = {(0, 0): 1, (1, 2): 4, (2, 1): 1}
-    monkeypatch.setattr(oracle, "_betti_over_field", lambda f, q_max, field: dict(fake))
-    code, doc, err = _inspect_in_process(capsys, "x0*x1*x2 + x3^3")
-    assert code == 1
-    assert "verdict" not in doc and doc["hilbert"]["tjurina"] == 6
-    [dev] = doc["deviations"]
-    assert dev.startswith("graded_betti failed: position 2 has a Betti number in degree 1")
-    assert dev.endswith("are bad for this polynomial")
-    assert err == f"error: {dev}\n" and "Traceback" not in err
-
-
 # -- smooth-table and hspog -------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 from itertools import combinations
@@ -14,7 +15,7 @@ from singulus.errors import (
     NonHomogeneousError,
     WindowTooSmallError,
 )
-from singulus import oracle
+from singulus import cli, oracle
 from singulus.linalg import (
     QQ,
     PrimeField,
@@ -30,7 +31,6 @@ from singulus.oracle import (
     _jacobian_block,
     _jacobian_matrix,
     _kills_a_partial,
-    _mult_matrix,
     _quotient_piece,
     cross_check,
     default_primes,
@@ -38,7 +38,13 @@ from singulus.oracle import (
     hilbert_fit,
     milnor_dimension,
 )
-from singulus.polynomials import grevlex_exponents, infer_variable_count, parse
+from singulus.polynomials import (
+    dim_degree_piece,
+    grevlex_columns,
+    grevlex_exponents,
+    infer_variable_count,
+    parse,
+)
 from singulus.rules import hilbert_function_from_table, koszul_smooth_table
 from singulus.tables import BettiTable
 from test_golden import CASES, REPO
@@ -362,19 +368,43 @@ def test_resolution_predicts_hilbert_function_in_every_degree():
             assert hilbert_function_from_table(table, k) == milnor_dimension(f, k)
 
 
+def mult_matrix(n, pieces, i, k, field) -> SparseMatrix:
+    """Multiplication by x_i from piece k to piece k+1 in basis positions.
+    A piece is a reduced echelon form in its block's grevlex columns, by
+    full rows or by tails: the non-pivot columns are the basis, and a
+    pivot row less its leading 1 is minus the pivot's normal form."""
+    src, dst = pieces[k], pieces[k + 1]
+    src_basis = [c for c in range(dim_degree_piece(n, k)) if c not in src]
+    dst_index = {c: r for r, c in enumerate(c for c in range(dim_degree_piece(n, k + 1)) if c not in dst)}
+    monos = grevlex_exponents(n, k)
+    col_of = grevlex_columns(n, k + 1)
+    data = [{} for _ in dst_index]
+    for j, c in enumerate(src_basis):
+        mu = monos[len(monos) - 1 - c]
+        nu = col_of[mu[:i] + (mu[i] + 1,) + mu[i + 1 :]]
+        if nu in dst_index:
+            data[dst_index[nu]][j] = 1
+        else:
+            for cc, v in dst[nu].items():
+                if cc != nu:
+                    data[dst_index[cc]][j] = field.neg(v)
+    return SparseMatrix._from_rows(len(src_basis), data, field.modulus)
+
+
 def test_multiplication_matrices_commute():
-    # x_i x_j = x_j x_i on the quotient catches bad normal forms
-    f = parse("x0*x1*x2 + x0^3 + x1^3", 2)
+    # x_i x_j = x_j x_i on the quotient catches bad normal forms; the hspog
+    # surface's have several terms, so a negated or scaled tail shows there
     field = PrimeField(1073741831)
-    pieces = [_quotient_piece(f, k, field) for k in range(5)]
-    for k in range(3):
-        for i in range(f.n + 1):
-            for j in range(i + 1, f.n + 1):
-                xi_k = _mult_matrix(pieces, i, k, field)
-                xj_k = _mult_matrix(pieces, j, k, field)
-                xi_k1 = _mult_matrix(pieces, i, k + 1, field)
-                xj_k1 = _mult_matrix(pieces, j, k + 1, field)
-                assert entries(matmul(xj_k1, xi_k)) == entries(matmul(xi_k1, xj_k))
+    for f in [parse("x0*x1*x2 + x0^3 + x1^3", 2), parse("x0^2*x1*x2+x2^4+2*x0^3*x3", 3)]:
+        pieces = [_quotient_piece(f, k, field) for k in range(5)]
+        for k in range(3):
+            for i in range(f.n + 1):
+                for j in range(i + 1, f.n + 1):
+                    xi_k = mult_matrix(f.n, pieces, i, k, field)
+                    xj_k = mult_matrix(f.n, pieces, j, k, field)
+                    xi_k1 = mult_matrix(f.n, pieces, i, k + 1, field)
+                    xj_k1 = mult_matrix(f.n, pieces, j, k + 1, field)
+                    assert entries(matmul(xj_k1, xi_k)) == entries(matmul(xi_k1, xj_k)), (f, k)
 
 
 # the golden inputs, the pinned curve and an hspog surface (delta=1, degree 5)
@@ -388,12 +418,13 @@ STOP_RULE_INPUTS = list(
 
 
 def betti_echeloning_every_piece(f, q_max, field):
-    """_betti_over_field without the stop rule: every piece up to q_max is
-    echeloned and every Koszul differential built from the multiplication
-    maps, empty pieces included."""
+    """_betti_over_field by an independent build with no stop rule: every
+    piece up to q_max is the reduced echelon form of its full Jacobian
+    block, and every Koszul differential is built in the codomain layout
+    from the multiplication maps, empty pieces included."""
     n = f.n
-    pieces = [_quotient_piece(f, k, field) for k in range(q_max + 1)]
-    size = [len(piece.basis) for piece in pieces]
+    pieces = [rref(_jacobian_matrix(f, k, field.modulus).data, field) for k in range(q_max + 1)]
+    size = [dim_degree_piece(n, k) - len(piece) for k, piece in enumerate(pieces)]
 
     def rank(p, q):
         k = q - p
@@ -405,7 +436,7 @@ def betti_echeloning_every_piece(f, q_max, field):
         for si, s_set in enumerate(subsets):
             for j, x in enumerate(s_set):
                 ti = faces[s_set[:j] + s_set[j + 1 :]]
-                for r, row in enumerate(_mult_matrix(pieces, x, k, field).data):
+                for r, row in enumerate(mult_matrix(n, pieces, x, k, field).data):
                     for c, v in row.items():
                         block[(ti * size[k + 1] + r, si * size[k] + c)] = field.neg(v) if j % 2 else v
         m = SparseMatrix(len(faces) * size[k + 1], len(subsets) * size[k], block, field.modulus)
@@ -430,7 +461,12 @@ def test_stopping_at_the_first_empty_piece_is_exact(f, primes):
     q_max = (f.n + 1) * (f.degree - 1)
     for field in fields:
         betas = _betti_over_field(f, q_max, field)
-        if betas is None:
+        if betas is not None:
+            # for k < d-1 the piece is all of S_k, whose Koszul complex is
+            # exact from position 1 on: no Betti number below the strand
+            # of the generators
+            assert all(q > p + f.degree - 3 for p, q in betas if p >= 2)
+        else:
             # a piece is 0 over the field: the homology is the Koszul table
             # of the partials, a regular sequence there
             betas = {(p, p * (f.degree - 1)): comb(f.n + 1, p) for p in range(f.n + 2)}
@@ -753,6 +789,29 @@ def test_cross_check_consistent_cases():
     assert not smooth.deviations
     assert smooth.rule_report.verdict.kind == "smooth"
     assert smooth.hilbert.delta is None
+
+
+@pytest.mark.parametrize(
+    "change, deviation",
+    [
+        ({"delta": 1}, "dimension disagrees: hilbert delta=1, table delta=0"),
+        ({"degree_sigma": 7}, "degree disagrees: hilbert 7, table 6"),
+        ({"tjurina": 5}, "Tjurina number disagrees: hilbert 5, table 6"),
+    ],
+)
+def test_cross_check_names_each_invariant_the_sides_disagree_on(monkeypatch, change, deviation):
+    real = oracle.hilbert_fit(CUSP_POLY)
+    monkeypatch.setattr(oracle, "hilbert_fit", lambda f, **kwargs: dataclasses.replace(real, **change))
+    assert cross_check(CUSP_POLY).deviations == [deviation]
+
+
+def test_cross_check_reports_obstructions_on_an_oracle_table(monkeypatch, capsys):
+    obstructed = BettiTable.of(3, 3, {1: [1, 2, 2, 3], 2: [4]})
+    monkeypatch.setattr(oracle, "graded_betti", lambda f, **kwargs: obstructed)
+    deviations = cross_check(CUSP_POLY).deviations
+    assert deviations[0].startswith("rule engine found obstructions on an oracle table: euler")
+    assert cli.main(["inspect-poly", "--expr", str(CUSP_POLY), "--format", "json"]) == 2
+    capsys.readouterr()
 
 
 def test_cross_check_surfaces_incomplete_bound_as_deviation():

@@ -1,7 +1,9 @@
 from fractions import Fraction
+from itertools import combinations, permutations
+from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from singulus import rules
@@ -26,6 +28,7 @@ from singulus.rules import (
 from singulus.tables import BettiTable
 
 from _helpers import (
+    _int_det,
     _lagrange,
     cusp_threefold_table,
     generate_repaired_tables,
@@ -391,3 +394,21 @@ def test_degree_of_sigma_divides_exactly_on_repaired_tables():
         assert result.exact, table
         count += 1
     assert count > 100
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda t: st.lists(st.lists(st.integers(-4, 4), min_size=t, max_size=t), min_size=t, max_size=t)
+    )
+)
+@example([[0, 1], [1, 0]])  # a zero pivot: one row swap
+@example([[0, 2, 1], [0, 3, 4], [5, 1, 1]])
+@example([[1, 2, 3], [2, 4, 6], [1, 0, 1]])  # singular
+@example([[1, 1, 1], [5, 6, 7], [25, 36, 49]])  # the generator's Vandermonde shape
+def test_int_det_matches_the_leibniz_formula(matrix):
+    t = len(matrix)
+    leibniz = sum(
+        (-1) ** sum(a > b for a, b in combinations(perm, 2)) * prod(matrix[i][perm[i]] for i in range(t))
+        for perm in permutations(range(t))
+    )
+    assert _int_det(matrix) == leibniz
