@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .polynomials import Polynomial, parse, squarefree_check
 from .linalg import (
-    RankCertificate,
     SparseMatrix,
     rank_mod_p,
     rank_rational,
@@ -52,7 +51,6 @@ __all__ = [
     "Polynomial",
     "parse",
     "squarefree_check",
-    "RankCertificate",
     "SparseMatrix",
     "rank_mod_p",
     "rank_rational",

@@ -64,9 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--prime", type=int, action="append", help="working prime (repeatable)"
     )
     p_inspect.add_argument("--window", type=int, help="Hilbert window upper bound")
-    p_inspect.add_argument(
-        "--sqfree-trials", type=int, default=3, help="random lines for the squarefree check"
-    )
     p_inspect.add_argument("--format", choices=("text", "json"), default="text")
 
     p_smooth = sub.add_parser(
@@ -118,7 +115,7 @@ def cmd_inspect_poly(args) -> int:
     _validate(f)
 
     digest = _input_digest(f)
-    squarefree = squarefree_check(f, trials=args.sqfree_trials)
+    squarefree = squarefree_check(f)
 
     cross = cross_check(
         f, window=args.window, max_degree=args.max_degree, primes=args.prime

@@ -75,7 +75,8 @@ def table_from_document(doc) -> tuple[BettiTable, dict]:
                     "must be a non-negative integer", f"{where}.degrees[{i}]"
                 )
         columns[k] = degrees
-    metadata = doc.get("metadata") or {}
+    # only a missing key or null means empty; [], false, 0 and "" do not
+    metadata = {} if doc.get("metadata") is None else doc["metadata"]
     if not isinstance(metadata, dict):
         raise DocumentError("must be an object", "metadata")
     return BettiTable.of(n, d, columns), metadata

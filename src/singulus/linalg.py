@@ -19,21 +19,12 @@ a pass that finishes has left every per-prime result, reduced mod N.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, repeat
 from math import gcd
 
 from .errors import BadPrimeError
-
-
-@dataclass(frozen=True)
-class RankCertificate:
-    rank: int
-    modulus: object  # int (a prime or a product of primes) or "rational"
-    # pivot column -> owner of the row that created it, when owners were given
-    lead: dict | None = field(default=None, compare=False, repr=False)
 
 
 class _NonUnitPivot(Exception):
@@ -44,16 +35,21 @@ class _NonUnitPivot(Exception):
 
 
 class Pivots(dict):
-    """Pivot column -> pivot row, as the elimination kernel leaves them.
+    """Pivot column -> pivot row, as the elimination kernel leaves them,
+    each row stored as its tail: the row without its leading 1.
 
-    ``lead`` maps each pivot column to the owner of the row that created
-    it, or is None when no row owners were given.  Rows fed in owner
-    order make the columns owned by owners below i the leading columns of
-    the span of those owners' rows: the criterion the oracle prunes its
-    Jacobian blocks with.
+    ``rank`` is the number of pivots.  ``lead`` maps each pivot column to
+    the owner of the row that created it, or is None when no row owners
+    were given.  Rows fed in owner order make the columns owned by owners
+    below i the leading columns of the span of those owners' rows: the
+    criterion the oracle prunes its Jacobian blocks with.
     """
 
     __slots__ = ("lead",)
+
+    @property
+    def rank(self) -> int:
+        return len(self)
 
 
 class SparseMatrix:
@@ -81,6 +77,8 @@ class SparseMatrix:
             if c in data[r]:
                 raise ValueError(f"duplicate entry at ({r},{c})")
             if modulus is not None:
+                if int(v) != v:
+                    raise ValueError(f"tagged entry ({r},{c}) is not an integer")
                 v = int(v)
                 if not 0 <= v < modulus:
                     raise ValueError("tagged entries must lie in [0, p)")
@@ -162,13 +160,13 @@ def _echelon(rows, p, owners=None):
 
     Each row is reduced at its leading (smallest) column against the pivots
     found so far.  A row that survives is scaled to a leading 1 and stored
-    under that column; stored rows are never touched again.  Returns the
-    Pivots, pivot column -> row, with ``lead`` recording each new pivot's
-    owner when ``owners`` (one per row) is given.  The pivot columns are
-    canonical: column c is a pivot iff it lies outside the span of the
-    columns before it.  So after the rows of owners below i, the pivot
-    columns are the leading columns of their span.  Input rows must hold
-    no zero values.
+    under that column as its tail, the 1 dropped; stored rows are never
+    touched again.  Returns the Pivots, pivot column -> tail, with
+    ``lead`` recording each new pivot's owner when ``owners`` (one per
+    row) is given.  The pivot columns are canonical: column c is a pivot
+    iff it lies outside the span of the columns before it.  So after the
+    rows of owners below i, the pivot columns are the leading columns of
+    their span.  Input rows must hold no zero values.
 
     With p a product of distinct primes, a new pivot whose leading entry
     is not a unit mod p raises _NonUnitPivot (see the module docstring).
@@ -181,18 +179,19 @@ def _echelon(rows, p, owners=None):
         row = dict(row)
         while row:
             c = min(row)
+            x = row.pop(c)
             prow = pivots.get(c)
             if prow is not None:
-                _subtract(row, row[c], prow, p)
+                _subtract(row, x, prow, p)
                 continue
             if p is None:
-                inv = 1 / Fraction(row[c])
+                inv = 1 / Fraction(x)
                 pivots[c] = {cc: v * inv for cc, v in row.items()}
             else:
                 try:
-                    inv = pow(row[c], -1, p)
+                    inv = pow(x, -1, p)
                 except ValueError:
-                    raise _NonUnitPivot(f"{row[c]} is not a unit mod {p}") from None
+                    raise _NonUnitPivot(f"{x} is not a unit mod {p}") from None
                 pivots[c] = {cc: v * inv % p for cc, v in row.items()}
             if lead is not None:
                 lead[c] = owner
@@ -200,29 +199,30 @@ def _echelon(rows, p, owners=None):
     return pivots
 
 
-def rank_mod_p(m: SparseMatrix, p: int, *, owners=None) -> RankCertificate:
-    """Rank over F_p.  With ``owners`` (one per row of m) the certificate's
-    ``lead`` maps each pivot column to the owner of the row that created it
-    (see Pivots)."""
-    pivots = _echelon(reduce_mod(m, p).data, p, owners)
-    return RankCertificate(len(pivots), p, pivots.lead)
+def rank_mod_p(m: SparseMatrix, p: int, *, owners=None) -> Pivots:
+    """Semi-echelon form of m over F_p, whose ``rank`` is the rank.  With
+    ``owners`` (one per row of m) its ``lead`` maps each pivot column to
+    the owner of the row that created it (see Pivots)."""
+    return _echelon(reduce_mod(m, p).data, p, owners)
 
 
-def rank_rational(m: SparseMatrix) -> RankCertificate:
-    """Exact rank over the rationals; settles prime-field disagreements."""
+def rank_rational(m: SparseMatrix) -> Pivots:
+    """Semi-echelon form of m over the rationals, whose ``rank`` is the
+    exact rank; settles prime-field disagreements."""
     if m.modulus is not None:
         raise ValueError("rational rank needs an unreduced matrix")
-    return RankCertificate(len(_echelon(m.data, None)), "rational")
+    return _echelon(m.data, None)
 
 
 def rref(rows, field, *, owners=None):
     """Reduced row echelon form of sparse rows (dicts col -> nonzero value).
 
-    Returns the Pivots, mapping each pivot column to its fully reduced,
-    normalized row; with ``owners`` (one per row) their ``lead`` maps each
-    pivot column to the owner of the row that created it.  The rows depend
-    only on the row space and the column order, so pivot columns and
-    normal forms are canonical.
+    Returns the Pivots, mapping each pivot column to the tail of its fully
+    reduced, normalized row: minus the normal form of that column.  With
+    ``owners`` (one per row) their ``lead`` maps each pivot column to the
+    owner of the row that created it.  The rows depend only on the row
+    space and the column order, so pivot columns and normal forms are
+    canonical.
     """
     p = field.modulus
     pivots = _echelon(rows, p, owners)
@@ -230,8 +230,8 @@ def rref(rows, field, *, owners=None):
     # already reduced, so it brings in free columns only
     for c in sorted(pivots, reverse=True):
         row = pivots[c]
-        for cc in [cc for cc in row if cc != c and cc in pivots]:
-            _subtract(row, row[cc], pivots[cc], p)
+        for cc in [cc for cc in row if cc in pivots]:
+            _subtract(row, row.pop(cc), pivots[cc], p)
     return pivots
 
 

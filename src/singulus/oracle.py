@@ -228,9 +228,9 @@ def milnor_dimension(f: Polynomial, k: int, primes=None, *, leads=None) -> int:
     leads = {} if leads is None else leads
     block, owners = _jacobian_block(f, k, modulus, leads.get(k - d + 1))
     try:
-        cert = rank_mod_p(block, modulus, owners=owners)
-        leads[k] = cert.lead
-        rank = cert.rank
+        pivots = rank_mod_p(block, modulus, owners=owners)
+        leads[k] = pivots.lead
+        rank = pivots.rank
     except _NonUnitPivot:
         rank = None
     if rank is None or any(_kills_a_partial(f, p) for p in plist):
@@ -319,15 +319,11 @@ def _quotient_piece(f, k, field, *, lead=None):
     over the same field; without it the block is full.
 
     The non-pivot columns are a monomial basis of the piece.  Each pivot
-    row is stored without its leading 1, as a fresh dict: that tail is
-    minus the normal form of the pivot monomial.  ``lead`` is the block's
-    Pivots.lead, which prunes the block d-1 degrees up."""
+    row is its tail, as rref stores it: minus the normal form of the pivot
+    monomial.  ``lead`` is the block's Pivots.lead, which prunes the block
+    d-1 degrees up."""
     block, owners = _jacobian_block(f, k, field.modulus, lead)
-    pivots = rref(block.data, field, owners=owners)
-    for c, row in pivots.items():
-        # a copy: deleting the leading 1 in place would not shrink the dict
-        pivots[c] = {cc: v for cc, v in row.items() if cc != c}
-    return pivots
+    return rref(block.data, field, owners=owners)
 
 
 def _betti_over_field(f: Polynomial, q_max: int, field):

@@ -73,6 +73,13 @@ def test_table_document_accepts_unsorted_and_missing_columns():
         pytest.param(lambda d: d.update(d=True), "d", id="boolean-d"),
         (lambda d: d["columns"][0]["degrees"].append(-1), "columns[0].degrees[3]"),
         (lambda d: d.update(columns="nope"), "columns"),
+        pytest.param(lambda d: d["columns"].insert(0, [1, 1, 2]), "columns[0]", id="column-not-object"),
+        pytest.param(lambda d: d["columns"].append({"k": 1, "degrees": []}), "columns[1].k", id="duplicate-k"),
+        pytest.param(lambda d: d["columns"][0].update(degrees=3), "columns[0].degrees", id="degrees-not-array"),
+        *(
+            pytest.param(lambda d, v=v: d.update(metadata=v), "metadata", id=f"metadata-{v!r}")
+            for v in ([], False, 0, "", "x", [1])
+        ),
     ],
 )
 def test_table_document_validation_names_fields(mutate, field):
@@ -81,6 +88,15 @@ def test_table_document_validation_names_fields(mutate, field):
     with pytest.raises(DocumentError) as err:
         table_from_document(doc)
     assert err.value.field == field
+
+
+def test_table_document_must_be_an_object_and_null_metadata_is_empty():
+    for doc in ([], "{}", None, 3):
+        with pytest.raises(DocumentError, match="must be a JSON object"):
+            table_from_document(doc)
+    doc = {"n": 3, "d": 3, "columns": [], "metadata": None}
+    assert table_from_document(doc)[1] == {}
+    assert table_from_document(dict(doc, metadata={"a": 1}))[1] == {"a": 1}
 
 
 # -- analyze-betti --------------------------------------------------------
@@ -172,6 +188,13 @@ def test_inspect_poly_syntax_error_exits_1():
 def test_inspect_poly_non_homogeneous_exits_1():
     res = run_cli("inspect-poly", "--expr", "x0^3 + x1^2")
     assert res.returncode == 1
+
+
+def test_inspect_poly_has_no_sqfree_trials_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["inspect-poly", "--expr", "x0^3 + x1^3 + x2^3", "--sqfree-trials=3"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --sqfree-trials=3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

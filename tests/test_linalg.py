@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from singulus.errors import BadPrimeError
 from singulus.linalg import (
     QQ,
+    Pivots,
     PrimeField,
     SparseMatrix,
     _NonUnitPivot,
@@ -129,9 +130,9 @@ def test_rank_characteristic_dependence():
 def test_rank_vandermonde_mod_101():
     nodes = [1, 2, 3, 4]
     vm = from_dense([[x**j for j in range(4)] for x in nodes])
-    cert = rank_mod_p(vm, 101)
-    assert cert.rank == 4
-    assert cert.modulus == 101
+    pivots = rank_mod_p(vm, 101)
+    assert pivots.rank == 4
+    assert set(pivots) == {0, 1, 2, 3}
 
 
 def test_kernel_dim_examples():
@@ -160,9 +161,9 @@ def test_rank_rational_matches_large_prime_on_random_matrices():
 
 def test_rank_certificate_consistency():
     m = from_dense([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
-    cert = rank_rational(m)
-    assert cert.rank == 2
-    assert cert.modulus == "rational"
+    pivots = rank_rational(m)
+    assert pivots.rank == 2
+    assert set(pivots) == {0, 2}
 
 
 sparse_matrices = st.builds(
@@ -227,8 +228,8 @@ def test_rref_normal_forms_touch_only_free_columns():
     ]
     pivots = rref(rows, QQ)
     free = {0, 1, 2, 3} - set(pivots)
-    for c, row in pivots.items():
-        assert set(row) - {c} <= free
+    for row in pivots.values():
+        assert set(row) <= free
 
 
 def test_rref_mod_p_rank_matches_elimination():
@@ -247,13 +248,37 @@ def test_rref_mod_p_rank_matches_elimination():
 @given(sparse_matrices)
 def test_rref_matches_dense_reference_over_QQ(m):
     rows = [{c: Fraction(v) for c, v in row.items()} for row in m.data]
-    assert rref(rows, QQ) == dense_rref(to_dense(m))
+    assert rref(rows, QQ) == _tails(dense_rref(to_dense(m)))
 
 
 @given(sparse_matrices)
 def test_rref_matches_dense_reference_mod_97(m):
     rows = [{c: residue(v, 97) for c, v in row.items() if v % 97} for row in m.data]
-    assert rref(rows, PrimeField(97)) == dense_rref(to_dense(m), 97)
+    assert rref(rows, PrimeField(97)) == _tails(dense_rref(to_dense(m), 97))
+
+
+def _tails(pivots):
+    """Pivot rows with their leading 1 dropped, as the kernel stores them."""
+    return {c: {cc: v for cc, v in row.items() if cc != c} for c, row in pivots.items()}
+
+
+@given(sparse_matrices)
+@example(from_dense([[1, 1], [1, 6]]))  # splits mod 35
+def test_every_result_is_pivots_of_tails_on_the_same_pivot_columns(m):
+    """rank_mod_p, rank_rational and rref all return Pivots whose rows
+    leave out their own column, on the same pivot columns."""
+    rows = [{c: Fraction(v) for c, v in row.items()} for row in m.data]
+    pairs = [(rank_rational(m), rref(rows, QQ))]
+    for p in (97, 35):
+        try:
+            pairs.append((rank_mod_p(m, p), rref(reduce_mod(m, p).data, PrimeField(p))))
+        except _NonUnitPivot:
+            assert p == 35
+    for echelon, reduced in pairs:
+        assert set(echelon) == set(reduced)
+        for pivots in (echelon, reduced):
+            assert isinstance(pivots, Pivots) and pivots.rank == len(pivots)
+            assert all(c not in row for c, row in pivots.items())
 
 
 @given(sparse_matrices, st.randoms(use_true_random=False))
@@ -261,12 +286,12 @@ def test_lead_marks_the_leading_columns_of_every_owner_prefix(m, rng):
     # owners ascend with the rows, as the oracle feeds its generator rows
     owners = sorted(rng.randrange(3) for _ in range(m.rows))
     rows = reduce_mod(m, 97).data
-    cert = rank_mod_p(m, 97, owners=owners)
+    echelon = rank_mod_p(m, 97, owners=owners)
     pivots = rref(rows, PrimeField(97), owners=owners)
-    assert cert.lead == pivots.lead and cert.rank == len(pivots)
+    assert echelon.lead == pivots.lead and set(echelon) == set(pivots)
     for i in range(4):
         prefix = [row for row, owner in zip(rows, owners) if owner < i]
-        assert {c for c, owner in cert.lead.items() if owner < i} == set(rref(prefix, PrimeField(97)))
+        assert {c for c, owner in echelon.lead.items() if owner < i} == set(rref(prefix, PrimeField(97)))
     assert rank_mod_p(m, 97).lead is None and rref(rows, PrimeField(97)).lead is None
     with pytest.raises(ValueError):
         rank_mod_p(m, 97, owners=owners + [3])
@@ -279,7 +304,7 @@ def test_lead_marks_the_leading_columns_of_every_owner_prefix(m, rng):
 def test_one_pass_mod_35_is_the_passes_mod_5_and_mod_7_or_splits(m, rng):
     owners = sorted(rng.randrange(3) for _ in range(m.rows))
     alone = {p: rref(reduce_mod(m, p).data, PrimeField(p), owners=owners) for p in (5, 7)}
-    certs = {p: rank_mod_p(m, p, owners=owners) for p in (5, 7)}
+    echelons = {p: rank_mod_p(m, p, owners=owners) for p in (5, 7)}
     try:
         joint = rref(reduce_mod(m, 35).data, PrimeField(35), owners=owners)
     except _NonUnitPivot:
@@ -287,12 +312,12 @@ def test_one_pass_mod_35_is_the_passes_mod_5_and_mod_7_or_splits(m, rng):
         with pytest.raises(_NonUnitPivot):
             rank_mod_p(m, 35, owners=owners)
         return
-    cert = rank_mod_p(m, 35, owners=owners)
-    assert cert.lead == joint.lead and cert.rank == len(joint)
+    echelon = rank_mod_p(m, 35, owners=owners)
+    assert echelon.lead == joint.lead and set(echelon) == set(joint)
     for p, pivots in alone.items():
         assert set(joint) == set(pivots) and joint.lead == pivots.lead
         assert {c: {cc: v % p for cc, v in row.items() if v % p} for c, row in joint.items()} == pivots
-        assert (certs[p].rank, certs[p].lead) == (cert.rank, cert.lead)
+        assert (set(echelons[p]), echelons[p].lead) == (set(echelon), echelon.lead)
 
 
 def test_a_non_unit_pivot_splits_and_is_no_value_error():
@@ -319,6 +344,13 @@ def test_matrix_validation():
         SparseMatrix(2, 2, [(2, 0, 1)])
     with pytest.raises(ValueError):
         SparseMatrix(2, 2, [(0, 0, 5)], modulus=3)
+    # a tagged value must be an integer, not truncated to one
+    for v in (Fraction(1, 2), Fraction(5, 2), 2.9):
+        with pytest.raises(ValueError, match=r"\(0,1\) is not an integer"):
+            SparseMatrix(1, 2, [(0, 0, 1), (0, 1, v)], modulus=7)
+    m = SparseMatrix(1, 3, [(0, 0, Fraction(3)), (0, 1, 3.0), (0, 2, 3)], modulus=7)
+    assert entries(m) == {(0, 0): 3, (0, 1): 3, (0, 2): 3}
+    assert {type(v) for v in entries(m).values()} == {int}
 
 
 def test_deterministic_primes():
