@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain
 from math import gcd
 
 from .errors import BadPrimeError
@@ -39,10 +39,8 @@ class Pivots(dict):
     each row stored as its tail: the row without its leading 1.
 
     ``rank`` is the number of pivots.  ``lead`` maps each pivot column to
-    the owner of the row that created it, or is None when no row owners
-    were given.  Rows fed in owner order make the columns owned by owners
-    below i the leading columns of the span of those owners' rows: the
-    criterion the oracle prunes its Jacobian blocks with.
+    the index of the input row that created it.  Those rows are a basis
+    of the row space; every other row reduced to zero.
     """
 
     __slots__ = ("lead",)
@@ -56,8 +54,8 @@ class SparseMatrix:
     """Immutable sparse matrix stored as rows: ``data[r]`` is a dict
     column -> nonzero value, the format the elimination kernel works on.
 
-    Untagged matrices hold exact rationals (or ints); a matrix tagged with a
-    modulus p holds ints in [0, p).  Zero entries are never stored.
+    Untagged matrices hold ints or Fractions, never floats; a matrix tagged
+    with a modulus p holds ints in [0, p).  Zero entries are never stored.
     """
 
     __slots__ = ("rows", "cols", "data", "modulus")
@@ -82,6 +80,8 @@ class SparseMatrix:
                 v = int(v)
                 if not 0 <= v < modulus:
                     raise ValueError("tagged entries must lie in [0, p)")
+            elif not isinstance(v, (int, Fraction)):
+                raise ValueError(f"entry ({r},{c}) is {v!r}, not an int or a Fraction")
             if v:
                 data[r][c] = v
         self.rows = rows
@@ -155,27 +155,25 @@ def _subtract(row, f, prow, p):
                 del row[c]
 
 
-def _echelon(rows, p, owners=None):
+def _echelon(rows, p):
     """Semi-echelon form of sparse rows over F_p, or over Q when p is None.
 
     Each row is reduced at its leading (smallest) column against the pivots
     found so far.  A row that survives is scaled to a leading 1 and stored
     under that column as its tail, the 1 dropped; stored rows are never
     touched again.  Returns the Pivots, pivot column -> tail, with
-    ``lead`` recording each new pivot's owner when ``owners`` (one per
-    row) is given.  The pivot columns are canonical: column c is a pivot
-    iff it lies outside the span of the columns before it.  So after the
-    rows of owners below i, the pivot columns are the leading columns of
-    their span.  Input rows must hold no zero values.
+    ``lead`` recording the index of the row behind each pivot.  The pivot
+    columns are canonical: column c is a pivot iff it lies outside the
+    span of the columns before it.  So the pivots created by the first t
+    rows are the leading columns of those rows' span.  Input rows must
+    hold no zero values.
 
     With p a product of distinct primes, a new pivot whose leading entry
     is not a unit mod p raises _NonUnitPivot (see the module docstring).
     """
     pivots = Pivots()
-    lead = pivots.lead = None if owners is None else {}
-    # strict: an owner list of the wrong length raises instead of cutting rows
-    pairs = zip(rows, repeat(None)) if owners is None else zip(rows, owners, strict=True)
-    for row, owner in pairs:
+    lead = pivots.lead = {}
+    for r, row in enumerate(rows):
         row = dict(row)
         while row:
             c = min(row)
@@ -193,17 +191,14 @@ def _echelon(rows, p, owners=None):
                 except ValueError:
                     raise _NonUnitPivot(f"{x} is not a unit mod {p}") from None
                 pivots[c] = {cc: v * inv % p for cc, v in row.items()}
-            if lead is not None:
-                lead[c] = owner
+            lead[c] = r
             break
     return pivots
 
 
-def rank_mod_p(m: SparseMatrix, p: int, *, owners=None) -> Pivots:
-    """Semi-echelon form of m over F_p, whose ``rank`` is the rank.  With
-    ``owners`` (one per row of m) its ``lead`` maps each pivot column to
-    the owner of the row that created it (see Pivots)."""
-    return _echelon(reduce_mod(m, p).data, p, owners)
+def rank_mod_p(m: SparseMatrix, p: int) -> Pivots:
+    """Semi-echelon form of m over F_p, whose ``rank`` is the rank."""
+    return _echelon(reduce_mod(m, p).data, p)
 
 
 def rank_rational(m: SparseMatrix) -> Pivots:
@@ -214,18 +209,16 @@ def rank_rational(m: SparseMatrix) -> Pivots:
     return _echelon(m.data, None)
 
 
-def rref(rows, field, *, owners=None):
+def rref(rows, field) -> Pivots:
     """Reduced row echelon form of sparse rows (dicts col -> nonzero value).
 
     Returns the Pivots, mapping each pivot column to the tail of its fully
-    reduced, normalized row: minus the normal form of that column.  With
-    ``owners`` (one per row) their ``lead`` maps each pivot column to the
-    owner of the row that created it.  The rows depend only on the row
-    space and the column order, so pivot columns and normal forms are
-    canonical.
+    reduced, normalized row: minus the normal form of that column.  The
+    rows depend only on the row space and the column order, so pivot
+    columns and normal forms are canonical.
     """
     p = field.modulus
-    pivots = _echelon(rows, p, owners)
+    pivots = _echelon(rows, p)
     # descending order: every pivot row used to clear column cc > c is
     # already reduced, so it brings in free columns only
     for c in sorted(pivots, reverse=True):

@@ -164,39 +164,40 @@ def default_primes(f: Polynomial, part: int = 0) -> tuple[int, int]:
     return tuple(good)
 
 
-def _jacobian_block(f: Polynomial, k: int, p=None, lead=None):
+def _jacobian_block(f: Polynomial, k: int, p=None, below=None):
     """Degree-k piece of the gradient map, rows = generators m*f_i over the
-    degree-k monomial columns (decreasing order), over Z/p when a modulus
-    p is given; returns the matrix and the index i of each row's partial.
-    The Hilbert side ranks these rows; the Betti side echelons them into
-    the quotient piece.
+    degree-k monomial columns (decreasing order), partial by partial, over
+    Z/p when a modulus p is given; returns the matrix and ``starts``, the
+    index of each partial's first row.  The Hilbert side ranks these rows;
+    the Betti side echelons them into the quotient piece.
 
-    ``lead`` is the Pivots.lead of the degree-(k-d+1) block over the same
-    field, its rows fed in this order.  The row m*f_i is left out when the
-    pivot at m's column came from a row of a partial before f_i, the F5
-    criterion: then m is the leading monomial of some g = m + lower in
-    <f_0, ..., f_(i-1)>, and m*f_i = g*f_i - lower*f_i
-    lies in the span of the rows of earlier partials and of rows t*f_i
-    with t < m.  By induction the row space, and so every rank and every
-    reduced echelon form, is that of the full block.
+    ``below`` is the record (Pivots.lead, starts) of the degree-(k-d+1)
+    block over the same field.  The row m*f_i is left out when the pivot
+    at m's column came from a row before f_i's first, s, the F5 criterion:
+    the pivots of the first s rows are the leading monomials of
+    <f_0, ..., f_(i-1)> in degree k-d+1, so m leads some g = m + lower
+    there, and m*f_i = g*f_i - lower*f_i lies in the span of the rows of
+    earlier partials and of rows t*f_i with t < m.  By induction the row
+    space, and so every rank and every reduced echelon form, is that of
+    the full block.
     """
     n, d = f.n, f.degree
     col_of = grevlex_columns(n, k)
-    data = []
-    owners = []
+    data, starts = [], [0] * (n + 1)
     if k - (d - 1) >= 0:
         mults = grevlex_exponents(n, k - d + 1)
         mcol = grevlex_columns(n, k - d + 1)
+        lead, first = below or ({}, [0] * (n + 1))  # no row is left out
         for i, terms in enumerate(_partial_terms(f) if p is None else _partial_terms_mod(f, p)):
+            starts[i], s = len(data), first[i]
             for m in mults:
-                if lead is not None and lead.get(mcol[m], i) < i:
+                if lead.get(mcol[m], s) < s:
                     continue
                 row = {}
                 for e, c in terms:
                     row[col_of[tuple(map(add, e, m))]] = c
                 data.append(row)
-                owners.append(i)
-    return SparseMatrix._from_rows(len(col_of), data, p), owners
+    return SparseMatrix._from_rows(len(col_of), data, p), starts
 
 
 def _jacobian_matrix(f: Polynomial, k: int, p=None) -> SparseMatrix:
@@ -211,13 +212,14 @@ def milnor_dimension(f: Polynomial, k: int, primes=None, *, leads=None) -> int:
     Pinned primes are used as given; primes derived from the input are
     the Hilbert side's own (part 1 of the digest, see default_primes).
 
-    The block is ranked once, mod the product N of the working primes, and
-    over Q when that pass splits (see linalg) or a prime wipes out a partial.
+    The block is ranked once, mod the product N of the working primes, or
+    over Q when a prime wipes out a partial or the pass splits (see linalg).
+    It is built mod N first, so a pinned prime dividing a denominator raises.
 
-    ``leads`` maps earlier degrees to the lead maps (Pivots.lead) of their
-    blocks mod N.  When it is given, the degree-(k-d+1) map prunes the
-    block (see _jacobian_block) and this degree's map is added, if the
-    pass finished.  Without ``leads`` every block is full."""
+    ``leads`` maps earlier degrees to records of their blocks mod N, read
+    only here.  When it is given, the degree-(k-d+1) record prunes the
+    block (see _jacobian_block) and this degree's is added, if the pass
+    finished.  Without ``leads`` every block is full."""
     n, d = _validate(f)
     if k < 0:
         raise ValueError("degree must be non-negative")
@@ -226,16 +228,16 @@ def milnor_dimension(f: Polynomial, k: int, primes=None, *, leads=None) -> int:
     plist = _working_primes(f, primes, 1)
     modulus = prod(plist)
     leads = {} if leads is None else leads
-    block, owners = _jacobian_block(f, k, modulus, leads.get(k - d + 1))
-    try:
-        pivots = rank_mod_p(block, modulus, owners=owners)
-        leads[k] = pivots.lead
-        rank = pivots.rank
-    except _NonUnitPivot:
-        rank = None
-    if rank is None or any(_kills_a_partial(f, p) for p in plist):
-        rank = rank_rational(_jacobian_matrix(f, k)).rank
-    return dim_degree_piece(n, k) - rank
+    block, starts = _jacobian_block(f, k, modulus, leads.get(k - d + 1))
+    if not any(_kills_a_partial(f, p) for p in plist):
+        try:
+            pivots = rank_mod_p(block, modulus)
+        except _NonUnitPivot:
+            pass
+        else:
+            leads[k] = pivots.lead, starts
+            return dim_degree_piece(n, k) - pivots.rank
+    return dim_degree_piece(n, k) - rank_rational(_jacobian_matrix(f, k)).rank
 
 
 # -- Hilbert function fit -----------------------------------------------
@@ -267,7 +269,7 @@ def hilbert_fit(f: Polynomial, window=None, primes=None) -> HilbertData:
         raise ValueError("window upper bound is too small to say anything")
     plist = _working_primes(f, primes, 1)
     vals = []
-    leads = {}  # degree -> lead map; degree k reads degree k-d+1
+    leads = {}  # degree -> record; degree k reads degree k-d+1
     for k in range(w + 1):
         vals.append(milnor_dimension(f, k, primes=plist, leads=leads))
         leads.pop(k - d + 1, None)
@@ -312,18 +314,19 @@ def hilbert_fit(f: Polynomial, window=None, primes=None) -> HilbertData:
 # -- graded Betti numbers via Koszul homology ----------------------------
 
 
-def _quotient_piece(f, k, field, *, lead=None):
+def _quotient_piece(f, k, field, *, below=None):
     """The degree-k piece of M(f) over the field, as the reduced echelon
-    form of the degree-k Jacobian block in its own grevlex columns (see
-    _jacobian_block), pruned by ``lead``, the degree-(k-d+1) piece's map
-    over the same field; without it the block is full.
+    form of the degree-k Jacobian block in its own grevlex columns, pruned
+    by ``below``, the record of the piece d-1 degrees down (see
+    _jacobian_block); without it the block is full.  Returns the echelon
+    and the block's starts, which with the echelon's lead make the record
+    that prunes the piece d-1 degrees up.
 
     The non-pivot columns are a monomial basis of the piece.  Each pivot
     row is its tail, as rref stores it: minus the normal form of the pivot
-    monomial.  ``lead`` is the block's Pivots.lead, which prunes the block
-    d-1 degrees up."""
-    block, owners = _jacobian_block(f, k, field.modulus, lead)
-    return rref(block.data, field, owners=owners)
+    monomial."""
+    block, starts = _jacobian_block(f, k, field.modulus, below)
+    return rref(block.data, field), starts
 
 
 def _betti_over_field(f: Polynomial, q_max: int, field):
@@ -342,13 +345,16 @@ def _betti_over_field(f: Polynomial, q_max: int, field):
     x_s b is a monomial nu of degree k+1: a basis column, or a pivot
     column whose tail is minus its normal form.  Face T puts nu at column
     index(T) * dim S_(k+1) + nu; columns left empty change no rank.  Each
-    piece's block is pruned by the lead map of the piece d-1 degrees down
+    piece's block is pruned by the record of the piece d-1 degrees down
     (see _jacobian_block)."""
     n, d = f.n, f.degree
-    pieces, size = [], []
+    pieces, starts, size = [], [], []
     for k in range(q_max + 1):
-        lead = pieces[k - d + 1].lead if k >= d - 1 else None
-        pieces.append(_quotient_piece(f, k, field, lead=lead))
+        j = k - d + 1
+        below = (pieces[j].lead, starts[j]) if j >= 0 else None
+        piece, first = _quotient_piece(f, k, field, below=below)
+        pieces.append(piece)
+        starts.append(first)
         size.append(dim_degree_piece(n, k) - len(pieces[k]))
         if not size[k]:
             return None

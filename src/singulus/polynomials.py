@@ -19,6 +19,14 @@ from .documents import digest_of
 from .errors import PolynomialSyntaxError
 
 
+def _exact(c) -> Fraction:
+    """A coefficient as a Fraction; a float is refused, as its binary value
+    is not the number written."""
+    if isinstance(c, float):
+        raise ValueError(f"coefficient {c!r} is a float; use an int or a Fraction")
+    return Fraction(c)
+
+
 class Polynomial:
     """Sparse polynomial with exact rational coefficients.
 
@@ -44,7 +52,7 @@ class Polynomial:
                 raise ValueError("monomial arity does not match variable count")
             if min(e) < 0:
                 raise ValueError("monomial exponents must be non-negative")
-            c = Fraction(c)
+            c = _exact(c)
             if c:
                 clean[e] = clean.get(e, Fraction(0)) + c
                 if not clean[e]:
@@ -56,7 +64,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, n: int, c) -> "Polynomial":
-        return cls(n, {(0,) * (n + 1): Fraction(c)})
+        return cls(n, {(0,) * (n + 1): c})
 
     @classmethod
     def variable(cls, n: int, i: int) -> "Polynomial":
@@ -122,7 +130,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
+        c = _exact(c)
         return Polynomial(self.n, {m: c * v for m, v in self.terms.items()})
 
     def __pow__(self, e: int) -> "Polynomial":

@@ -34,7 +34,7 @@ class BettiTable:
             if not isinstance(col, tuple):
                 raise ValueError(f"column {k} must be a tuple")
             for e in col:
-                if not isinstance(e, int) or e < 0:
+                if not isinstance(e, int) or isinstance(e, bool) or e < 0:
                     raise ValueError(f"column {k} entries must be non-negative integers")
             if any(a > b for a, b in zip(col, col[1:])):
                 raise ValueError(f"column {k} must be sorted non-decreasingly")

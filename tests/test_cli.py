@@ -27,8 +27,9 @@ def run_cli(*args, hashseed=None):
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     if hashseed is not None:
         env["PYTHONHASHSEED"] = str(hashseed)
+    # the child runs under the suite's warning policy: any warning fails
     return subprocess.run(
-        [sys.executable, "-m", "singulus", *args],
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "singulus", *args],
         capture_output=True,
         text=True,
         env=env,

@@ -55,7 +55,7 @@ def test_reduce_mod_residues_are_ints():
     m = SparseMatrix(2, 3, [(0, 0, 1), (0, 2, -1), (1, 1, 7)])
     assert entries(reduce_mod(m, 7)) == {(0, 0): 1, (0, 2): 6}
     # residues are ints even where a value equals an int in [0, p)
-    m = SparseMatrix(1, 3, [(0, 0, 3), (0, 1, Fraction(3)), (0, 2, 3.0)])
+    m = SparseMatrix(1, 3, [(0, 0, 3), (0, 1, Fraction(3)), (0, 2, Fraction(10))])
     r = reduce_mod(m, 7)
     assert entries(r) == {(0, 0): 3, (0, 1): 3, (0, 2): 3}
     assert {type(v) for v in entries(r).values()} == {int}
@@ -281,38 +281,40 @@ def test_every_result_is_pivots_of_tails_on_the_same_pivot_columns(m):
             assert all(c not in row for c, row in pivots.items())
 
 
-@given(sparse_matrices, st.randoms(use_true_random=False))
-def test_lead_marks_the_leading_columns_of_every_owner_prefix(m, rng):
-    # owners ascend with the rows, as the oracle feeds its generator rows
-    owners = sorted(rng.randrange(3) for _ in range(m.rows))
-    rows = reduce_mod(m, 97).data
-    echelon = rank_mod_p(m, 97, owners=owners)
-    pivots = rref(rows, PrimeField(97), owners=owners)
-    assert echelon.lead == pivots.lead and set(echelon) == set(pivots)
-    for i in range(4):
-        prefix = [row for row, owner in zip(rows, owners) if owner < i]
-        assert {c for c, owner in echelon.lead.items() if owner < i} == set(rref(prefix, PrimeField(97)))
-    assert rank_mod_p(m, 97).lead is None and rref(rows, PrimeField(97)).lead is None
-    with pytest.raises(ValueError):
-        rank_mod_p(m, 97, owners=owners + [3])
+@given(sparse_matrices)
+def test_lead_marks_the_leading_columns_of_every_row_prefix(m):
+    """lead names the row behind each pivot: the pivots of the first t rows
+    are the leading columns of their span, and the named rows are a basis."""
+    rational = [{c: Fraction(v) for c, v in row.items()} for row in m.data]
+    rows97 = reduce_mod(m, 97).data
+    runs = [
+        (rational, QQ, rank_rational(m)),
+        (rows97, PrimeField(97), rank_mod_p(m, 97)),
+        (rows97, PrimeField(97), rref(rows97, PrimeField(97))),
+    ]
+    for rows, field, pivots in runs:
+        assert set(pivots.lead) == set(pivots)
+        for t in range(len(rows) + 1):
+            assert {c for c, r in pivots.lead.items() if r < t} == set(rref(rows[:t], field))
+        named = [rows[r] for r in sorted(pivots.lead.values())]
+        assert rref(named, field).rank == pivots.rank
 
 
-@given(sparse_matrices, st.randoms(use_true_random=False))
-@example(from_dense([[1, 2], [3, 4]]), random.Random(0))  # finishes mod 35
-@example(from_dense([[1, 1], [1, 6]]), random.Random(0))  # 5 is left to pivot on
-@example(from_dense([[1, 7], [5, 0]]), random.Random(0))  # 5 * 7 = 0 where row 1 is empty
-def test_one_pass_mod_35_is_the_passes_mod_5_and_mod_7_or_splits(m, rng):
-    owners = sorted(rng.randrange(3) for _ in range(m.rows))
-    alone = {p: rref(reduce_mod(m, p).data, PrimeField(p), owners=owners) for p in (5, 7)}
-    echelons = {p: rank_mod_p(m, p, owners=owners) for p in (5, 7)}
+@given(sparse_matrices)
+@example(from_dense([[1, 2], [3, 4]]))  # finishes mod 35
+@example(from_dense([[1, 1], [1, 6]]))  # 5 is left to pivot on
+@example(from_dense([[1, 7], [5, 0]]))  # 5 * 7 = 0 where row 1 is empty
+def test_one_pass_mod_35_is_the_passes_mod_5_and_mod_7_or_splits(m):
+    alone = {p: rref(reduce_mod(m, p).data, PrimeField(p)) for p in (5, 7)}
+    echelons = {p: rank_mod_p(m, p) for p in (5, 7)}
     try:
-        joint = rref(reduce_mod(m, 35).data, PrimeField(35), owners=owners)
+        joint = rref(reduce_mod(m, 35).data, PrimeField(35))
     except _NonUnitPivot:
         # rank_mod_p runs the same echelon, so it splits at the same row
         with pytest.raises(_NonUnitPivot):
-            rank_mod_p(m, 35, owners=owners)
+            rank_mod_p(m, 35)
         return
-    echelon = rank_mod_p(m, 35, owners=owners)
+    echelon = rank_mod_p(m, 35)
     assert echelon.lead == joint.lead and set(echelon) == set(joint)
     for p, pivots in alone.items():
         assert set(joint) == set(pivots) and joint.lead == pivots.lead
@@ -351,6 +353,12 @@ def test_matrix_validation():
     m = SparseMatrix(1, 3, [(0, 0, Fraction(3)), (0, 1, 3.0), (0, 2, 3)], modulus=7)
     assert entries(m) == {(0, 0): 3, (0, 1): 3, (0, 2): 3}
     assert {type(v) for v in entries(m).values()} == {int}
+    # an untagged value must be exact: a float's binary value is not 2.9
+    for v in (2.9, 3.0, "3"):
+        with pytest.raises(ValueError, match=r"entry \(0,1\) is .*not an int or a Fraction"):
+            SparseMatrix(1, 2, [(0, 0, 1), (0, 1, v)])
+    m = SparseMatrix(1, 2, [(0, 0, 2), (0, 1, Fraction(1, 10))])
+    assert entries(m) == {(0, 0): 2, (0, 1): Fraction(1, 10)}
 
 
 def test_deterministic_primes():

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb, prod
@@ -19,6 +20,7 @@ from singulus import cli, oracle
 from singulus.linalg import (
     QQ,
     PrimeField,
+    Pivots,
     SparseMatrix,
     _NonUnitPivot,
     is_probable_prime,
@@ -39,11 +41,13 @@ from singulus.oracle import (
     milnor_dimension,
 )
 from singulus.polynomials import (
+    Polynomial,
     dim_degree_piece,
     grevlex_columns,
     grevlex_exponents,
     infer_variable_count,
     parse,
+    squarefree_check,
 )
 from singulus.rules import hilbert_function_from_table, koszul_smooth_table
 from singulus.tables import BettiTable
@@ -374,6 +378,7 @@ def mult_matrix(n, pieces, i, k, field) -> SparseMatrix:
     full rows or by tails: the non-pivot columns are the basis, and a
     pivot row less its leading 1 is minus the pivot's normal form."""
     src, dst = pieces[k], pieces[k + 1]
+    assert isinstance(src, Pivots) and isinstance(dst, Pivots)
     src_basis = [c for c in range(dim_degree_piece(n, k)) if c not in src]
     dst_index = {c: r for r, c in enumerate(c for c in range(dim_degree_piece(n, k + 1)) if c not in dst)}
     monos = grevlex_exponents(n, k)
@@ -396,7 +401,7 @@ def test_multiplication_matrices_commute():
     # surface's have several terms, so a negated or scaled tail shows there
     field = PrimeField(1073741831)
     for f in [parse("x0*x1*x2 + x0^3 + x1^3", 2), parse("x0^2*x1*x2+x2^4+2*x0^3*x3", 3)]:
-        pieces = [_quotient_piece(f, k, field) for k in range(5)]
+        pieces = [_quotient_piece(f, k, field)[0] for k in range(5)]
         for k in range(3):
             for i in range(f.n + 1):
                 for j in range(i + 1, f.n + 1):
@@ -484,10 +489,10 @@ def test_pruned_rows_span_the_full_block(f, primes):
     for field in fields:
         leads = {}
         for k in range((n + 1) * (d - 2) + n + 3):
-            block, owners = _jacobian_block(f, k, field.modulus, leads.get(k - d + 1))
-            pivots = rref(block.data, field, owners=owners)
+            block, starts = _jacobian_block(f, k, field.modulus, leads.get(k - d + 1))
+            pivots = rref(block.data, field)
             assert pivots == rref(_jacobian_matrix(f, k, field.modulus).data, field), k
-            leads[k] = pivots.lead
+            leads[k] = pivots.lead, starts
 
 
 @pytest.mark.parametrize(
@@ -507,10 +512,10 @@ def test_no_kept_row_reduces_to_zero_on_a_regular_sequence(f):
     n, d = f.n, f.degree
     leads = {}
     for k in range((n + 1) * (d - 2) + 1):
-        block, owners = _jacobian_block(f, k, p, leads.get(k - d + 1))
-        cert = rank_mod_p(block, p, owners=owners)
-        assert cert.rank == block.rows, k
-        leads[k] = cert.lead
+        block, starts = _jacobian_block(f, k, p, leads.get(k - d + 1))
+        pivots = rank_mod_p(block, p)
+        assert pivots.rank == block.rows, k
+        leads[k] = pivots.lead, starts
 
 
 def test_pipelines_stop_at_the_first_empty_piece(monkeypatch):
@@ -734,6 +739,24 @@ def test_prime_killing_the_partials_is_not_trusted():
     assert hilbert_fit(f, primes=[3]).delta is None
 
 
+def test_a_prime_killing_a_partial_takes_no_modular_rank(monkeypatch):
+    f = FERMAT[(2, 3)]
+    expected = hilbert_fit(f).values
+    calls = []
+    real = oracle.rank_mod_p
+
+    def rank_mod_p(m, p):
+        calls.append(p)
+        return real(m, p)
+
+    monkeypatch.setattr(oracle, "rank_mod_p", rank_mod_p)
+    assert hilbert_fit(f, primes=[3, 5]).values == expected
+    assert calls == []
+    # the block is still built mod 15: 3 also divides a denominator here
+    with pytest.raises(BadPrimeError, match="divisible by 3"):
+        hilbert_fit(parse("3*x0^3 + x1^3 + 1/9*x2^3", 2), primes=[3, 5])
+
+
 def test_prime_disagreement_runs_the_rational_fallback(monkeypatch):
     # singular mod 37 (7^3 + 27 = 10*37), smooth over Q and mod 41
     f = parse("x0^3+x1^3+x2^3+7*x0*x1*x2", 2)
@@ -819,6 +842,33 @@ def test_cross_check_surfaces_incomplete_bound_as_deviation():
     assert report.deviations
     assert any("graded_betti failed" in dev for dev in report.deviations)
     assert report.hilbert is not None  # the other side still ran
+
+
+def test_cross_check_on_seeded_random_forms():
+    """100 sparse random plane curves and surfaces of degree 3 or 4: each
+    one is clean, a cone with only the Betti side refused, or
+    non-reduced, and the squarefree check agrees."""
+    rng = random.Random(20261019)
+    seen = set()
+    for _ in range(100):
+        n, d = rng.choice((2, 3)), rng.choice((3, 4))
+        monos = rng.sample(grevlex_exponents(n, d), rng.randint(3, 6))
+        f = Polynomial(n, {m: rng.choice((1, -1, 2)) for m in monos})
+        report = cross_check(f)
+        if not report.deviations:
+            seen.add("clean")
+            assert squarefree_check(f), f
+        elif report.hilbert is None:
+            seen.add("non-reduced")
+            first, *rest = report.deviations
+            assert "not a reduced hypersurface" in first and first.startswith("hilbert_fit failed"), f
+            assert all(dev.startswith("rule engine found obstructions") for dev in rest), f
+            assert not squarefree_check(f), f
+        else:
+            seen.add("cone")
+            [deviation] = report.deviations
+            assert deviation.startswith("graded_betti failed") and "f is a cone" in deviation, f
+    assert seen == {"clean", "cone", "non-reduced"}
 
 
 def test_cross_check_cone_has_hilbert_side_only():

@@ -98,6 +98,22 @@ def test_polynomial_rejects_bad_exponents():
     assert f.terms == {(1, 0, 2): 3} and type(next(iter(f.terms))[0]) is int
 
 
+def test_polynomial_rejects_float_coefficients():
+    # a float's binary value is not the decimal written: 0.1 would become
+    # 3602879701896397/36028797018963968
+    with pytest.raises(ValueError, match="0.1 is a float"):
+        Polynomial(2, {(3, 0, 0): 0.1, (0, 3, 0): 1})
+    with pytest.raises(ValueError, match="float"):
+        Polynomial.constant(2, 2.0)
+    f = parse("x0^3 + x1^3 + x2^3", 2)
+    for scaled in (lambda: f.scale(0.5), lambda: f * 0.5, lambda: 0.5 * f):
+        with pytest.raises(ValueError, match="0.5 is a float"):
+            scaled()
+    # exact values are taken as they are
+    assert f.scale(Fraction(1, 2)) == Polynomial(2, {e: Fraction(1, 2) for e in f.terms})
+    assert 2 * f == f + f
+
+
 def test_equal_polynomials_hash_equal_and_stably():
     parsed = parse("x0^3 + 7*x0*x1*x2 - 1/2*x2^3", 2)
     built = Polynomial(2, {(0, 0, 3): Fraction(-1, 2), (1, 1, 1): 7, (3, 0, 0): 1})

@@ -20,6 +20,10 @@ def test_validation():
         BettiTable(2, 3, ((2, 1), ()))
     with pytest.raises(ValueError, match="non-negative"):
         BettiTable.of(2, 3, {1: [-1]})
+    # a bool is an int to Python, but no shift
+    for shift in (True, False):
+        with pytest.raises(ValueError, match="entries must be non-negative integers"):
+            BettiTable.of(2, 3, {1: [shift, 2, 2], 2: [3]})
     with pytest.raises(ValueError, match="columns"):
         BettiTable(2, 3, ((1,),))
 
