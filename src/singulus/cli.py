@@ -9,6 +9,7 @@ seeds derive from a digest of the canonicalized input.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import __version__
@@ -34,6 +35,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+# built on the first main() call, not at import, and reused by every later
+# call in the process: parse_args keeps no state between calls
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="singulus",

@@ -11,15 +11,94 @@ from __future__ import annotations
 
 import hashlib
 import json
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .errors import DocumentError
-from .tables import BettiTable
+from .tables import BettiTable, _plain_shifts
+
+# a list or tuple of exactly these types goes to the C encoder in one call
+_FLAT = frozenset({int, str, float, bool, type(None)})
 
 
 def canonical_json(obj) -> str:
-    """Raises TypeError on anything that is not a JSON value."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """The bytes of ``json.dumps(obj, sort_keys=True, indent=2)`` plus a
+    newline.  Raises TypeError on anything that is not a JSON value.
+
+    ``json`` falls back to its pure-Python encoder whenever ``indent`` is
+    set, so the containers are laid out here and flat lists are handed to
+    the C encoder with the line break inside the item separator.
+    """
+    parts = []
+    _encode(obj, "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _encode(o, newline, emit):
+    """Emit o as it sits on a line that ``newline`` starts (with its indent).
+
+    The type tests run in the order ``json`` runs them, and ints and floats
+    are written through ``int.__repr__`` and ``json.dumps`` as ``json``
+    writes them, so subclasses serialize as their base values.
+    """
+    if isinstance(o, str):
+        emit(encode_basestring_ascii(o))
+    elif o is None:
+        emit("null")
+    elif o is True:
+        emit("true")
+    elif o is False:
+        emit("false")
+    elif isinstance(o, int):
+        emit(int.__repr__(o))
+    elif isinstance(o, float):
+        emit(json.dumps(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            emit("[]")
+            return
+        inner = newline + "  "
+        if _FLAT.issuperset(map(type, o)):
+            flat = json.dumps(o, separators=("," + inner, ": "))
+            emit("[" + inner + flat[1:-1] + newline + "]")
+            return
+        sep = "[" + inner
+        for value in o:
+            emit(sep)
+            _encode(value, inner, emit)
+            sep = "," + inner
+        emit(newline + "]")
+    elif isinstance(o, dict):
+        if not o:
+            emit("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted(o.items()):
+            emit(sep + encode_basestring_ascii(_key(key)) + ": ")
+            _encode(value, inner, emit)
+            sep = "," + inner
+        emit(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _key(key) -> str:
+    """A dict key as the string ``json`` writes for it."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return json.dumps(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def digest_of(text: str) -> str:
@@ -69,11 +148,12 @@ def table_from_document(doc) -> tuple[BettiTable, dict]:
         degrees = entry.get("degrees")
         if not isinstance(degrees, list):
             raise DocumentError("must be an array", f"{where}.degrees")
-        for i, e in enumerate(degrees):
-            if not isinstance(e, int) or isinstance(e, bool) or e < 0:
-                raise DocumentError(
-                    "must be a non-negative integer", f"{where}.degrees[{i}]"
-                )
+        if not _plain_shifts(degrees):
+            for i, e in enumerate(degrees):
+                if not isinstance(e, int) or isinstance(e, bool) or e < 0:
+                    raise DocumentError(
+                        "must be a non-negative integer", f"{where}.degrees[{i}]"
+                    )
         columns[k] = degrees
     # only a missing key or null means empty; [], false, 0 and "" do not
     metadata = {} if doc.get("metadata") is None else doc["metadata"]

@@ -15,6 +15,16 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from operator import le
+
+_INT = frozenset({int})
+
+
+def _plain_shifts(col) -> bool:
+    """True when every entry is a plain int and none is negative, tested
+    at C level; False sends the caller to its per-entry check, which names
+    the bad entry (and accepts int subclasses other than bool)."""
+    return _INT.issuperset(map(type, col)) and (not col or min(col) >= 0)
 
 
 @dataclass(frozen=True)
@@ -24,15 +34,17 @@ class BettiTable:
     columns: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("need n >= 2")
-        if self.d < 3:
-            raise ValueError("need d >= 3")
+        for name, least in (("n", 2), ("d", 3)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < least:
+                raise ValueError(f"need an integer {name} >= {least}")
         if len(self.columns) != self.n:
             raise ValueError(f"expected {self.n} columns, got {len(self.columns)}")
         for k, col in enumerate(self.columns, start=1):
             if not isinstance(col, tuple):
                 raise ValueError(f"column {k} must be a tuple")
+            if _plain_shifts(col) and all(map(le, col, col[1:])):
+                continue
             for e in col:
                 if not isinstance(e, int) or isinstance(e, bool) or e < 0:
                     raise ValueError(f"column {k} entries must be non-negative integers")
@@ -47,6 +59,9 @@ class BettiTable:
         may pass degrees in any order.
         """
         if isinstance(columns, dict):
+            for k in columns:
+                if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= n:
+                    raise ValueError(f"column index {k!r} is not an integer in 1..{n}")
             cols = [tuple(sorted(columns.get(k, ()))) for k in range(1, n + 1)]
         else:
             cols = [tuple(sorted(c)) for c in columns]

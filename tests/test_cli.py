@@ -6,6 +6,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from singulus import cli, oracle
 from singulus.documents import (
@@ -51,9 +53,74 @@ def test_table_document_roundtrip():
     assert again == canonical_json(doc)
 
 
+class _Int(int):
+    def __repr__(self):
+        return "_Int"
+
+
+class _Float(float):
+    def __repr__(self):
+        return "_Float"
+
+
+class _Str(str):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),  # NaN, +-inf and -0.0 included
+    st.text(),  # non-ASCII and control characters included
+    st.builds(_Int, st.integers()),
+    st.builds(_Float, st.floats()),
+    st.builds(_Str, st.text()),
+)
+# keys of one dict are all strings or all numbers, so that sorting them works
+_str_keys = st.text() | st.builds(_Str, st.text())
+_number_keys = st.integers() | st.booleans() | st.floats() | st.builds(_Int, st.integers())
+
+
+def _dicts(values):
+    return st.dictionaries(_str_keys, values) | st.dictionaries(_number_keys, values)
+
+
+_json_values = st.recursive(
+    _scalars | st.lists(st.integers() | st.booleans()),
+    lambda inner: st.one_of(
+        st.lists(inner),
+        st.lists(inner).map(tuple),
+        st.lists(inner).map(_List),
+        _dicts(inner),
+        _dicts(inner).map(_Dict),
+    ),
+)
+
+
+@given(_json_values)
+def test_canonical_json_is_the_indented_json_dumps_bytes(value):
+    assert canonical_json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
 def test_canonical_json_rejects_what_is_not_json():
-    with pytest.raises(TypeError, match="Fraction"):
-        canonical_json({"x": Fraction(1, 2)})
+    for bad in (Fraction(1, 2), set(), object()):
+        name = type(bad).__name__
+        for value in ([1, bad, "x"], {"x": bad}, {"x": [{"y": bad}]}):
+            with pytest.raises(TypeError, match=f"Object of type {name} is not JSON serializable"):
+                canonical_json(value)
+        # a set is unhashable, so the key case takes a frozenset
+        key = frozenset() if isinstance(bad, set) else bad
+        with pytest.raises(TypeError, match=f"keys must be str, int, float, bool or None, not {type(key).__name__}"):
+            canonical_json({key: 1})
 
 
 def test_table_document_accepts_unsorted_and_missing_columns():
@@ -73,6 +140,8 @@ def test_table_document_accepts_unsorted_and_missing_columns():
         pytest.param(lambda d: d.update(n=True), "n", id="boolean-n"),
         pytest.param(lambda d: d.update(d=True), "d", id="boolean-d"),
         (lambda d: d["columns"][0]["degrees"].append(-1), "columns[0].degrees[3]"),
+        pytest.param(lambda d: d["columns"][0]["degrees"].insert(1, True), "columns[0].degrees[1]", id="boolean-degree"),
+        pytest.param(lambda d: d["columns"][0]["degrees"].insert(2, 2.0), "columns[0].degrees[2]", id="float-degree"),
         (lambda d: d.update(columns="nope"), "columns"),
         pytest.param(lambda d: d["columns"].insert(0, [1, 1, 2]), "columns[0]", id="column-not-object"),
         pytest.param(lambda d: d["columns"].append({"k": 1, "degrees": []}), "columns[1].k", id="duplicate-k"),
@@ -455,6 +524,33 @@ def test_hspog_usage_error():
         res = run_cli("hspog", *args)
         assert (res.returncode, res.stdout) == (1, "")
         assert res.stderr == "error: need n >= 3 and d >= 3\n"
+
+
+def test_reused_parser_leaks_nothing_between_calls(capsys):
+    calls = [
+        ["analyze-betti", str(FIXTURES / "betti_p4_d3_negative_degree.json"), "--format", "json"],
+        ["inspect-poly", str(FIXTURES / "triangle_cusp_threefold.poly"), "--expr", "x0^3"],
+        ["inspect-poly", "--expr", "x0^3+x1^3+x2^3", "--format", "text"],
+        ["analyze-betti", str(FIXTURES / "betti_p4_d3_negative_degree.json"), "--format", "json"],
+    ]
+
+    def call(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    cli._build_parser.cache_clear()
+    reused = [call(argv) for argv in calls]
+    assert cli._build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(call(argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [2, 1, 0, 2]
+    assert "not allowed with argument" in reused[1][2]
 
 
 def test_exit_code_contract_on_usage():

@@ -26,6 +26,17 @@ def test_validation():
             BettiTable.of(2, 3, {1: [shift, 2, 2], 2: [3]})
     with pytest.raises(ValueError, match="columns"):
         BettiTable(2, 3, ((1,),))
+    # n and d are integers, not floats or bools
+    cols = ((2, 2, 2), (4,))
+    for n, d, message in ((2.0, 3, "n >= 2"), (True, 3, "n >= 2"), (2, 3.0, "d >= 3"), (2, True, "d >= 3")):
+        with pytest.raises(ValueError, match=message):
+            BettiTable(n, d, cols)
+
+
+@pytest.mark.parametrize("key", [4, 0, -1, "1", True, 1.0], ids=repr)
+def test_of_rejects_mapping_keys_outside_the_columns(key):
+    with pytest.raises(ValueError, match=f"column index {key!r} is not an integer in 1..3"):
+        BettiTable.of(3, 3, {key: [1], 1: [2, 2, 2, 2]})
 
 
 def test_column_index_range():
