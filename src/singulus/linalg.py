@@ -159,9 +159,10 @@ def _echelon(rows, p):
     """Semi-echelon form of sparse rows over F_p, or over Q when p is None.
 
     Each row is reduced at its leading (smallest) column against the pivots
-    found so far.  A row that survives is scaled to a leading 1 and stored
-    under that column as its tail, the 1 dropped; stored rows are never
-    touched again.  Returns the Pivots, pivot column -> tail, with
+    found so far.  A row that survives is scaled to a leading 1 (a copy
+    of it, when its leading entry is already 1) and stored under that
+    column as its tail, the 1 dropped; stored rows are never touched
+    again.  Returns the Pivots, pivot column -> tail, with
     ``lead`` recording the index of the row behind each pivot.  The pivot
     columns are canonical: column c is a pivot iff it lies outside the
     span of the columns before it.  So the pivots created by the first t
@@ -182,7 +183,9 @@ def _echelon(rows, p):
             if prow is not None:
                 _subtract(row, x, prow, p)
                 continue
-            if p is None:
+            if x == 1:  # row.copy() is compact; dict(row) over-allocates small rows
+                pivots[c] = row.copy()
+            elif p is None:
                 inv = 1 / Fraction(x)
                 pivots[c] = {cc: v * inv for cc, v in row.items()}
             else:

@@ -5,8 +5,8 @@ dimensions of the quotient by the partial-derivative ideal degree by degree
 and fits the eventual polynomial, which carries the dimension and degree of
 the singular subscheme.  The Betti side computes graded Betti numbers as the
 homology of the quotient tensored with the Koszul complex on the variables,
-which needs nothing beyond exact kernel/rank computations on
-multiplication-by-variable block matrices.
+which needs nothing beyond exact ranks of the Koszul differentials, each
+built transposed from the pivot rows of the quotient pieces.
 
 Each pipeline computes modulo its own two word-size primes, in one
 elimination mod their product N; ranks over a prime field can only drop,
@@ -341,12 +341,23 @@ def _betti_over_field(f: Polynomial, q_max: int, field):
 
     M is generated by 1, so S_1 M_k = M_(k+1) and d_1 into degree q >= 1
     has rank dim M_q: only positions p >= 2 eliminate.  d_p is ranked
-    transposed, one row per e_S tensor b, b a basis column of piece k.
-    x_s b is a monomial nu of degree k+1: a basis column, or a pivot
-    column whose tail is minus its normal form.  Face T puts nu at column
-    index(T) * dim S_(k+1) + nu; columns left empty change no rank.  Each
-    piece's block is pruned by the record of the piece d-1 degrees down
-    (see _jacobian_block)."""
+    transposed, one row per e_S tensor b, b a basis column of piece k =
+    q - p, at index index(S) * dim S_k + b.  x_s b is a monomial nu of
+    degree k+1: a basis column, or a pivot column whose tail is minus its
+    normal form.  Face T puts nu at column index(T) * dim S_(k+1) + nu;
+    columns left empty change no rank.  Each row is scaled by the unit
+    (-1)^(p-1), so the face S less its last index, which holds the row's
+    leading column, enters with sign +1: a row whose leading column is a
+    basis column leads with 1, which the kernel stores unscaled.
+
+    Each degree q is ranked from p = min(q, n+1) down to 2, and d_p's
+    block leaves out the row at every pivot column c of d_(p+1)'s.  That
+    pivot row, e_c plus later coordinates, lies in im d_(p+1), which d_p
+    kills, so row c of d_p's block is a combination of later rows; by
+    induction from the last row the kept rows span the same space.  Only
+    beta_{p,q} kept rows then reduce to zero.  Each piece's Jacobian
+    block is pruned by the record of the piece d-1 degrees down (see
+    _jacobian_block)."""
     n, d = f.n, f.degree
     pieces, starts, size = [], [], []
     for k in range(q_max + 1):
@@ -360,55 +371,72 @@ def _betti_over_field(f: Polynomial, q_max: int, field):
             return None
 
     @cache
+    def basis(k):
+        """The basis columns of piece k, its non-pivot columns."""
+        return [c for c in range(dim_degree_piece(n, k)) if c not in pieces[k]]
+
+    @cache
     def images(s, k):
         """(nu, tail) for each basis column b of piece k: nu is the column
         of x_s b in degree k+1, tail its pivot tail there or None."""
         col_of = grevlex_columns(n, k + 1)
+        exps = grevlex_exponents(n, k)
+        top = len(exps) - 1
         nxt = pieces[k + 1]
         out = []
-        for c, e in enumerate(reversed(grevlex_exponents(n, k))):
-            if c not in pieces[k]:
-                nu = col_of[e[:s] + (e[s] + 1,) + e[s + 1 :]]
-                out.append((nu, nxt.get(nu)))
+        for c in basis(k):
+            e = exps[top - c]
+            nu = col_of[e[:s] + (e[s] + 1,) + e[s + 1 :]]
+            out.append((nu, nxt.get(nu)))
         return out
 
     subset_cache = {p: list(combinations(range(n + 1), p)) for p in range(n + 2)}
     minus_one = field.neg(1)
 
-    @cache
-    def rank_of(p, q):
+    def rank_of(p, q, skip):
+        """The rank of d_p in degree q and the pivot columns of its block,
+        less the rows at the columns in ``skip``."""
         k = q - p
-        if not 1 <= p <= n + 1 or k < 0:
-            return 0
-        if p == 1:
-            return size[q]
-        width = dim_degree_piece(n, k + 1)
+        own, width = dim_degree_piece(n, k), dim_degree_piece(n, k + 1)
         t_index = {t: i for i, t in enumerate(subset_cache[p - 1])}
+        cols = basis(k)
         data = []
-        for s_set in subset_cache[p]:
+        for si, s_set in enumerate(subset_cache[p]):
             faces = [
-                (t_index[s_set[:j] + s_set[j + 1 :]] * width, j % 2, images(s, k))
+                (t_index[s_set[:j] + s_set[j + 1 :]] * width, (p - 1 - j) % 2, images(s, k))
                 for j, s in enumerate(s_set)
             ]
-            for b in range(size[k]):
+            base = si * own
+            for b, c in enumerate(cols):
+                if base + c in skip:
+                    continue
                 row = {}
                 for shift, odd, image in faces:
                     nu, tail = image[b]
                     if tail is None:
                         row[shift + nu] = minus_one if odd else 1
                     else:
-                        for c, v in tail.items():
-                            row[shift + c] = v if odd else field.neg(v)
+                        for cc, v in tail.items():
+                            row[shift + cc] = v if odd else field.neg(v)
                 data.append(row)
         matrix = SparseMatrix._from_rows(len(t_index) * width, data, field.modulus)
         if field.modulus is None:
-            return rank_rational(matrix).rank
-        return rank_mod_p(matrix, field.modulus).rank
+            pivots = rank_rational(matrix)
+        else:
+            pivots = rank_mod_p(matrix, field.modulus)
+        return pivots.rank, set(pivots)
 
     betas = {}
     for q in range(q_max + 1):
-        for p in range(0, min(q, n + 1) + 1):
-            b = comb(n + 1, p) * size[q - p] - rank_of(p, q) - rank_of(p + 1, q)
+        p_max = min(q, n + 1)
+        rank = [0] * (n + 3)  # rank[p] = rank d_{p,q}
+        if q:
+            rank[1] = size[q]
+        skip = set()
+        for p in range(p_max, 1, -1):
+            rank[p], skip = rank_of(p, q, skip)
+        for p in range(p_max + 1):
+            b = comb(n + 1, p) * size[q - p] - rank[p] - rank[p + 1]
             if b:
                 betas[(p, q)] = b
     return betas

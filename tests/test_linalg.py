@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +13,7 @@ from singulus.linalg import (
     PrimeField,
     SparseMatrix,
     _NonUnitPivot,
+    _echelon,
     deterministic_primes,
     is_probable_prime,
     rank_mod_p,
@@ -320,6 +322,38 @@ def test_one_pass_mod_35_is_the_passes_mod_5_and_mod_7_or_splits(m):
         assert set(joint) == set(pivots) and joint.lead == pivots.lead
         assert {c: {cc: v % p for cc, v in row.items() if v % p} for c, row in joint.items()} == pivots
         assert (set(echelons[p]), echelons[p].lead) == (set(echelon), echelon.lead)
+
+
+def _outcome(kernel, rows):
+    """What a kernel leaves on the rows: its pivots and lead, or a split.
+    Checks that the rows are left as they were and that no stored row is
+    one of them."""
+    before = [dict(row) for row in rows]
+    try:
+        pivots = kernel(rows)
+    except _NonUnitPivot:
+        return "split"
+    assert rows == before
+    assert not {id(tail) for tail in pivots.values()} & {id(row) for row in rows}
+    return pivots, pivots.lead
+
+
+@given(sparse_matrices, st.lists(st.sampled_from([u for u in range(1, 35) if gcd(u, 35) == 1]), min_size=6, max_size=6))
+@example(from_dense([[1, 2], [3, 4]]), [1] * 6)  # a leading 1, then a leading -2
+@example(from_dense([[1, 2], [3, 4]]), [2, 3, 1, 1, 1, 1])  # leading 2, then 1 mod 97
+@example(from_dense([[1, 1], [1, 6]]), [4, 1, 1, 1, 1, 1])  # splits mod 35
+def test_scaling_rows_by_units_changes_no_echelon(m, units):
+    """_echelon and rref depend on each row only up to a unit factor, on
+    either branch: a leading entry that is already 1, or one to scale."""
+    for p, field in ((97, PrimeField(97)), (35, PrimeField(35)), (None, QQ)):
+        if p is None:
+            rows = [{c: Fraction(v) for c, v in row.items()} for row in m.data]
+            scaled = [{c: v * Fraction(-u, 7) for c, v in row.items()} for row, u in zip(rows, units)]
+        else:
+            rows = reduce_mod(m, p).data
+            scaled = [{c: v * u % p for c, v in row.items()} for row, u in zip(rows, units)]
+        for kernel in (lambda rows: _echelon(rows, p), lambda rows: rref(rows, field)):
+            assert _outcome(kernel, scaled) == _outcome(kernel, rows), p
 
 
 def test_a_non_unit_pivot_splits_and_is_no_value_error():

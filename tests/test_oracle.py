@@ -412,14 +412,43 @@ def test_multiplication_matrices_commute():
                     assert entries(matmul(xj_k1, xi_k)) == entries(matmul(xi_k1, xj_k)), (f, k)
 
 
-# the golden inputs, the pinned curve and an hspog surface (delta=1, degree 5)
+# a singular cubic curve (a node, tau = 1) whose pinned pair splits the
+# Betti pass mod 37*41 at a Koszul rank, so its Koszul blocks are ranked
+# over Q
+SPLIT_NODE = "x0^3+x1^2*x2+7*x0*x1*x2+x1^3"
+
+# the golden inputs, the pinned curve, an hspog surface (delta=1, degree 5)
+# and the node whose pair splits
 STOP_RULE_INPUTS = list(
     dict.fromkeys([
         *golden_inputs(),
         (parse("x0^3+x1^3+x2^3+7*x0*x1*x2", 2), (37, 41)),
         (parse("x0^2*x1*x2+x2^4+2*x0^3*x3", 3), None),
+        (parse(SPLIT_NODE, 2), (37, 41)),
     ])
 )
+
+
+def koszul_block(n, pieces, p, q, field) -> SparseMatrix:
+    """d_p into internal degree q, 1 <= p <= n+1, in the codomain layout:
+    the full block, built from the multiplication maps between the pieces
+    in basis positions."""
+    k = q - p
+    size = [dim_degree_piece(n, j) - len(piece) for j, piece in enumerate(pieces)]
+    faces = {t: i for i, t in enumerate(combinations(range(n + 1), p - 1))}
+    subsets = list(combinations(range(n + 1), p))
+    block = {}
+    for si, s_set in enumerate(subsets):
+        for j, x in enumerate(s_set):
+            ti = faces[s_set[:j] + s_set[j + 1 :]]
+            for r, row in enumerate(mult_matrix(n, pieces, x, k, field).data):
+                for c, v in row.items():
+                    block[(ti * size[k + 1] + r, si * size[k] + c)] = field.neg(v) if j % 2 else v
+    return SparseMatrix(len(faces) * size[k + 1], len(subsets) * size[k], block, field.modulus)
+
+
+def rank_over(m, field) -> int:
+    return rank_rational(m).rank if field.modulus is None else rank_mod_p(m, field.modulus).rank
 
 
 def betti_echeloning_every_piece(f, q_max, field):
@@ -432,20 +461,9 @@ def betti_echeloning_every_piece(f, q_max, field):
     size = [dim_degree_piece(n, k) - len(piece) for k, piece in enumerate(pieces)]
 
     def rank(p, q):
-        k = q - p
-        if not 1 <= p <= n + 1 or k < 0:
+        if not 1 <= p <= n + 1 or q < p:
             return 0
-        faces = {t: i for i, t in enumerate(combinations(range(n + 1), p - 1))}
-        subsets = list(combinations(range(n + 1), p))
-        block = {}
-        for si, s_set in enumerate(subsets):
-            for j, x in enumerate(s_set):
-                ti = faces[s_set[:j] + s_set[j + 1 :]]
-                for r, row in enumerate(mult_matrix(n, pieces, x, k, field).data):
-                    for c, v in row.items():
-                        block[(ti * size[k + 1] + r, si * size[k] + c)] = field.neg(v) if j % 2 else v
-        m = SparseMatrix(len(faces) * size[k + 1], len(subsets) * size[k], block, field.modulus)
-        return rank_rational(m).rank if field.modulus is None else rank_mod_p(m, field.modulus).rank
+        return rank_over(koszul_block(n, pieces, p, q, field), field)
 
     betas = {}
     for q in range(q_max + 1):
@@ -476,6 +494,70 @@ def test_stopping_at_the_first_empty_piece_is_exact(f, primes):
             # of the partials, a regular sequence there
             betas = {(p, p * (f.degree - 1)): comb(f.n + 1, p) for p in range(f.n + 2)}
         assert betas == betti_echeloning_every_piece(f, q_max, field)
+
+
+@pytest.mark.parametrize("f, primes", STOP_RULE_INPUTS, ids=str)
+def test_pruned_koszul_blocks_keep_the_rank_of_the_full_block(monkeypatch, f, primes):
+    # every Koszul rank of the pass, in its order: each degree q from
+    # p = min(q, n+1) down to 2
+    n, d = f.n, f.degree
+    q_max = (n + 1) * (d - 1)
+    order = [(p, q) for q in range(q_max + 1) for p in range(min(q, n + 1), 1, -1)]
+    fields = [PrimeField(prod(primes or default_primes(f)))]
+    if n == 2:
+        fields.append(QQ)
+    for field in fields:
+        pieces, ranked = [], []
+        real_piece = oracle._quotient_piece
+
+        def piece(*args, **kwargs):
+            result = real_piece(*args, **kwargs)
+            pieces.append(result[0])
+            return result
+
+        for name in ("rank_mod_p", "rank_rational"):
+            real = getattr(oracle, name)
+
+            def record(m, *args, real=real, **kwargs):
+                pivots = real(m, *args, **kwargs)
+                ranked.append((m.rows, pivots.rank))
+                return pivots
+
+            monkeypatch.setattr(oracle, name, record)
+        monkeypatch.setattr(oracle, "_quotient_piece", piece)
+        try:
+            betas = _betti_over_field(f, q_max, field)
+        except _NonUnitPivot:
+            assert primes and field.modulus is not None  # QQ then covers it
+            continue
+        finally:
+            monkeypatch.undo()
+        if betas is None:
+            assert ranked == []  # an empty piece ends the pass before any rank
+            continue
+        assert len(ranked) == len(order)
+        for (p, q), (rows, rank) in zip(order, ranked):
+            # the full transposed block: one row per e_S tensor b, none left out
+            full = koszul_block(n, pieces, p, q, field)
+            full_t = SparseMatrix(full.cols, full.rows, {(c, r): v for (r, c), v in entries(full).items()}, field.modulus)
+            assert rank == rank_over(full_t, field), (p, q, field.modulus)
+            # only the rows of the homology reduce to zero
+            assert rows - rank == betas.get((p, q), 0), (p, q, field.modulus)
+
+
+def test_a_singular_input_whose_pair_splits_ranks_its_koszul_blocks_over_q(monkeypatch):
+    f = parse(SPLIT_NODE, 2)
+    log = _record_splits(monkeypatch)
+    table = graded_betti(f, primes=[37, 41])
+    assert table == BettiTable.of(2, 3, {1: [2, 2, 2, 2], 2: [3, 3]})
+    # the pass mod 37*41 splits once; then the cone check and one
+    # rank_rational per (p, q) with 2 <= p <= min(q, 3), q <= 6
+    assert log["splits"] == [37 * 41]
+    assert "rref" in log["rational"]
+    assert log["rational"].count("rank_rational") == 1 + 9
+    report = cross_check(f, primes=[37, 41])
+    assert report.deviations == []
+    assert report.hilbert.tjurina == report.rule_report.tau == 1
 
 
 @pytest.mark.parametrize("f, primes", STOP_RULE_INPUTS, ids=str)
