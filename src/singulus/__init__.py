@@ -34,7 +34,6 @@ from .rules import (
     pd_codim_check,
     regularity_and_Ik,
     sigma,
-    singular_dimension,
     structural_checks,
 )
 from .oracle import (
@@ -71,7 +70,6 @@ __all__ = [
     "pd_codim_check",
     "regularity_and_Ik",
     "sigma",
-    "singular_dimension",
     "structural_checks",
     "CrossCheckReport",
     "HilbertData",

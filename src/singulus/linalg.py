@@ -280,30 +280,15 @@ def deterministic_primes(seed: int, count: int = 2):
     return primes
 
 
-
-# -- fields seen by the oracle's quotient pieces ------------------------
-
-
-class PrimeField:
-    """Z/N for N a prime or a product of distinct primes, one pass for each
-    of their fields at once (see the module docstring): its modulus, and
-    negation."""
+class Field:
+    """The field rref works over: Z/N for ``modulus`` N a prime or a
+    product of distinct primes, one pass for each of their fields at once
+    (see the module docstring), or Q when ``modulus`` is None."""
 
     __slots__ = ("modulus",)
 
-    def __init__(self, p: int):
-        self.modulus = p
-
-    def neg(self, a):
-        return -a % self.modulus
+    def __init__(self, modulus=None):
+        self.modulus = modulus
 
 
-class RationalField:
-    __slots__ = ()
-    modulus = None
-
-    def neg(self, a):
-        return -a
-
-
-QQ = RationalField()
+QQ = Field()

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import combinations
 from math import comb, factorial, prod
-from operator import add
+from operator import add, neg
 
 from .errors import (
     BadPrimeError,
@@ -34,7 +34,7 @@ from .errors import (
 )
 from .linalg import (
     QQ,
-    PrimeField,
+    Field,
     SparseMatrix,
     _NonUnitPivot,
     deterministic_primes,
@@ -391,7 +391,9 @@ def _betti_over_field(f: Polynomial, q_max: int, field):
         return out
 
     subset_cache = {p: list(combinations(range(n + 1), p)) for p in range(n + 2)}
-    minus_one = field.neg(1)
+    # N - v, not -v: a matrix tagged with N holds residues in [1, N)
+    negate = neg if field.modulus is None else field.modulus.__sub__
+    minus_one = negate(1)
 
     def rank_of(p, q, skip):
         """The rank of d_p in degree q and the pivot columns of its block,
@@ -417,7 +419,7 @@ def _betti_over_field(f: Polynomial, q_max: int, field):
                         row[shift + nu] = minus_one if odd else 1
                     else:
                         for cc, v in tail.items():
-                            row[shift + cc] = v if odd else field.neg(v)
+                            row[shift + cc] = v if odd else negate(v)
                 data.append(row)
         matrix = SparseMatrix._from_rows(len(t_index) * width, data, field.modulus)
         if field.modulus is None:
@@ -480,7 +482,7 @@ def graded_betti(f: Polynomial, max_degree=None, primes=None) -> BettiTable:
 
     plist = _working_primes(f, primes, 0)
     try:
-        betas = _betti_over_field(f, q_max, PrimeField(prod(plist)))
+        betas = _betti_over_field(f, q_max, Field(prod(plist)))
     except _NonUnitPivot:
         betas = _betti_over_field(f, q_max, QQ)
     if betas is None:

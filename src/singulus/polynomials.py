@@ -208,22 +208,17 @@ def grevlex_exponents(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     increasing in grevlex.
 
     Increasing grevlex within one degree is decreasing lex order on the
-    reversed vector (e_n, ..., e_0).  So the vectors are built one variable
-    at a time: the new last exponent runs downwards, and in front of each
-    value come the vectors of the remaining degree in the earlier
-    variables, already in order.  Both oracle pipelines ask for every basis
-    at every degree, so the result is cached.
+    reversed vector (e_n, ..., e_0).  So the last exponent e runs
+    downwards, and in front of each value come the degree-(k-e) vectors in
+    x0..x(n-1), already in order.  Both oracle pipelines ask for every
+    basis at every degree, so the result is cached, and so are the smaller
+    bases it is built from.
     """
     if k < 0:
         raise ValueError("degree must be non-negative")
-    # heads[j]: the degree-j vectors in the variables placed so far
-    heads = [[(j,)] for j in range(k + 1)]
-    for _ in range(n):
-        heads = [
-            [h + (e,) for e in range(j, -1, -1) for h in heads[j - e]]
-            for j in range(k + 1)
-        ]
-    return tuple(heads[k])
+    if n == 0:
+        return ((k,),)
+    return tuple([h + (e,) for e in range(k, -1, -1) for h in grevlex_exponents(n - 1, k - e)])
 
 
 @lru_cache(maxsize=None)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, isqrt
 
+from .polynomials import dim_degree_piece
 from .tables import BettiTable
 
 
@@ -56,7 +57,6 @@ class CheckResult:
 class ScanVerdict:
     kind: str  # "smooth" | "singular" | "inconsistent"
     delta: int | None = None
-    mismatch_j: int | None = None
     reason: str | None = None
 
 
@@ -97,24 +97,17 @@ def euler_consistency(table: BettiTable) -> CheckResult:
     )
 
 
-def singular_dimension(table: BettiTable) -> ScanVerdict:
-    """Scan sigma_2..sigma_n for the first deviation.
-
-    A deviation first appearing at exponent j corresponds to a singular
-    subscheme of dimension n - j; no deviation at all means smooth.
-    """
-    return _scan(table, SigmaProfile.from_table(table), euler_consistency(table))
-
-
 def _scan(table: BettiTable, profile: SigmaProfile, euler: CheckResult) -> ScanVerdict:
-    """singular_dimension from the table's power-sum profile and Euler check."""
+    """The dimension of the singular subscheme from the first deviation
+    among sigma_2..sigma_n: a deviation first appearing at exponent j
+    means dimension n - j, none at all means smooth."""
     if not euler.passed:
         return ScanVerdict("inconsistent", reason="euler")
     j = profile.first_mismatch
     if j is None:
         return ScanVerdict("smooth")
     # j >= 2 is guaranteed here since sigma_1 passed the Euler check
-    return ScanVerdict("singular", delta=table.n - j, mismatch_j=j)
+    return ScanVerdict("singular", delta=table.n - j)
 
 
 def degree_of_sigma(table: BettiTable, delta: int) -> DegreeOfSigma:
@@ -160,13 +153,9 @@ def hilbert_function_from_table(table: BettiTable, k: int) -> int:
     if k < 0:
         raise ValueError("degree must be non-negative")
     n, d = table.n, table.d
-
-    def dim_s(m: int) -> int:
-        return comb(m + n, n) if m >= 0 else 0
-
-    total = dim_s(k) - (n + 1) * dim_s(k - d + 1)
+    total = dim_degree_piece(n, k) - (n + 1) * dim_degree_piece(n, k - d + 1)
     for kk in range(1, n + 1):
-        s = sum(dim_s(k - d + 1 - e) for e in table.column(kk))
+        s = sum(dim_degree_piece(n, k - d + 1 - e) for e in table.column(kk))
         total += s if kk % 2 == 1 else -s
     return total
 
@@ -350,7 +339,7 @@ def hspog_detect(table: BettiTable):
     The witness records the matching index and, as a consistency note,
     whether the remaining n first-column shifts sum to d."""
     n, d = table.n, table.d
-    col1, col2 = table.column(1), table.column(2) if n >= 2 else ()
+    col1, col2 = table.column(1), table.column(2)
     shape = (
         len(col1) == n + 1
         and len(col2) == 1
@@ -517,12 +506,7 @@ def full_report(table: BettiTable) -> SingularReport:
     )
     verdict = scan
     if obstructions and scan.kind != "inconsistent":
-        verdict = ScanVerdict(
-            "inconsistent",
-            delta=delta,
-            mismatch_j=scan.mismatch_j,
-            reason=", ".join(obstructions),
-        )
+        verdict = ScanVerdict("inconsistent", delta=delta, reason=", ".join(obstructions))
 
     return SingularReport(
         n=n,

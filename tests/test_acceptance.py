@@ -19,7 +19,6 @@ from singulus.rules import (
     hilbert_function_from_table,
     hspog_dim_guarantee,
     koszul_smooth_table,
-    singular_dimension,
 )
 
 from _helpers import generate_repaired_tables
@@ -86,7 +85,7 @@ def test_criterion_02_bound_violation_table_reproduction():
 def test_criterion_03_smoothness_round_trip():
     start = time.perf_counter()
     smooth_ok = all(
-        singular_dimension(koszul_smooth_table(n, d)).kind == "smooth"
+        full_report(koszul_smooth_table(n, d)).verdict.kind == "smooth"
         for n in range(2, 5)
         for d in range(3, 6)
     )

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from singulus.errors import BadPrimeError
 from singulus.linalg import (
     QQ,
+    Field,
     Pivots,
-    PrimeField,
     SparseMatrix,
     _NonUnitPivot,
     _echelon,
@@ -243,7 +243,7 @@ def test_rref_mod_p_rank_matches_elimination():
             {c: residue(v, 97) for c, v in enumerate(row) if v % 97} for row in dense
         ]
         rank = len(dense_rref(dense, 97))
-        assert len(rref(rows, PrimeField(97))) == rank
+        assert len(rref(rows, Field(97))) == rank
         assert rank_mod_p(m, 97).rank == rank
 
 
@@ -256,7 +256,7 @@ def test_rref_matches_dense_reference_over_QQ(m):
 @given(sparse_matrices)
 def test_rref_matches_dense_reference_mod_97(m):
     rows = [{c: residue(v, 97) for c, v in row.items() if v % 97} for row in m.data]
-    assert rref(rows, PrimeField(97)) == _tails(dense_rref(to_dense(m), 97))
+    assert rref(rows, Field(97)) == _tails(dense_rref(to_dense(m), 97))
 
 
 def _tails(pivots):
@@ -273,7 +273,7 @@ def test_every_result_is_pivots_of_tails_on_the_same_pivot_columns(m):
     pairs = [(rank_rational(m), rref(rows, QQ))]
     for p in (97, 35):
         try:
-            pairs.append((rank_mod_p(m, p), rref(reduce_mod(m, p).data, PrimeField(p))))
+            pairs.append((rank_mod_p(m, p), rref(reduce_mod(m, p).data, Field(p))))
         except _NonUnitPivot:
             assert p == 35
     for echelon, reduced in pairs:
@@ -291,8 +291,8 @@ def test_lead_marks_the_leading_columns_of_every_row_prefix(m):
     rows97 = reduce_mod(m, 97).data
     runs = [
         (rational, QQ, rank_rational(m)),
-        (rows97, PrimeField(97), rank_mod_p(m, 97)),
-        (rows97, PrimeField(97), rref(rows97, PrimeField(97))),
+        (rows97, Field(97), rank_mod_p(m, 97)),
+        (rows97, Field(97), rref(rows97, Field(97))),
     ]
     for rows, field, pivots in runs:
         assert set(pivots.lead) == set(pivots)
@@ -307,10 +307,10 @@ def test_lead_marks_the_leading_columns_of_every_row_prefix(m):
 @example(from_dense([[1, 1], [1, 6]]))  # 5 is left to pivot on
 @example(from_dense([[1, 7], [5, 0]]))  # 5 * 7 = 0 where row 1 is empty
 def test_one_pass_mod_35_is_the_passes_mod_5_and_mod_7_or_splits(m):
-    alone = {p: rref(reduce_mod(m, p).data, PrimeField(p)) for p in (5, 7)}
+    alone = {p: rref(reduce_mod(m, p).data, Field(p)) for p in (5, 7)}
     echelons = {p: rank_mod_p(m, p) for p in (5, 7)}
     try:
-        joint = rref(reduce_mod(m, 35).data, PrimeField(35))
+        joint = rref(reduce_mod(m, 35).data, Field(35))
     except _NonUnitPivot:
         # rank_mod_p runs the same echelon, so it splits at the same row
         with pytest.raises(_NonUnitPivot):
@@ -345,7 +345,7 @@ def _outcome(kernel, rows):
 def test_scaling_rows_by_units_changes_no_echelon(m, units):
     """_echelon and rref depend on each row only up to a unit factor, on
     either branch: a leading entry that is already 1, or one to scale."""
-    for p, field in ((97, PrimeField(97)), (35, PrimeField(35)), (None, QQ)):
+    for p, field in ((97, Field(97)), (35, Field(35)), (None, QQ)):
         if p is None:
             rows = [{c: Fraction(v) for c, v in row.items()} for row in m.data]
             scaled = [{c: v * Fraction(-u, 7) for c, v in row.items()} for row, u in zip(rows, units)]
@@ -363,8 +363,8 @@ def test_a_non_unit_pivot_splits_and_is_no_value_error():
     with pytest.raises(_NonUnitPivot):
         rank_mod_p(m, 35)
     with pytest.raises(_NonUnitPivot):
-        rref(m.data, PrimeField(35))
-    assert len(rref(from_dense([[1, 2], [3, 4]]).data, PrimeField(35))) == 2
+        rref(m.data, Field(35))
+    assert len(rref(from_dense([[1, 2], [3, 4]]).data, Field(35))) == 2
 
 
 def test_matmul():

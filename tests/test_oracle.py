@@ -19,7 +19,7 @@ from singulus.errors import (
 from singulus import cli, oracle
 from singulus.linalg import (
     QQ,
-    PrimeField,
+    Field,
     Pivots,
     SparseMatrix,
     _NonUnitPivot,
@@ -294,6 +294,23 @@ def test_a_smooth_input_runs_no_koszul_rank(monkeypatch, f, primes):
     assert calls == ["rank_rational"]
 
 
+def test_every_koszul_block_holds_residues(monkeypatch):
+    # a tagged matrix holds residues in [1, N); writing -v for N - v would
+    # leave every rank the same, since the kernel reduces mod N
+    blocks = []
+    real = oracle.rank_mod_p
+
+    def record(m, p):
+        blocks.append((m.modulus, p, [v for row in m.data for v in row.values()]))
+        return real(m, p)
+
+    monkeypatch.setattr(oracle, "rank_mod_p", record)
+    assert graded_betti(CUSP_POLY) == cusp_threefold_table()
+    assert blocks
+    for modulus, p, values in blocks:
+        assert modulus == p and all(0 < v < p for v in values)
+
+
 def test_graded_betti_deterministic_across_prime_choices():
     t1 = graded_betti(CUSP_POLY, primes=[1073741831, 1073741833])
     t2 = graded_betti(CUSP_POLY, primes=[2147483629, 2147483647])
@@ -372,6 +389,10 @@ def test_resolution_predicts_hilbert_function_in_every_degree():
             assert hilbert_function_from_table(table, k) == milnor_dimension(f, k)
 
 
+def negate(field, v):
+    return -v if field.modulus is None else -v % field.modulus
+
+
 def mult_matrix(n, pieces, i, k, field) -> SparseMatrix:
     """Multiplication by x_i from piece k to piece k+1 in basis positions.
     A piece is a reduced echelon form in its block's grevlex columns, by
@@ -392,14 +413,14 @@ def mult_matrix(n, pieces, i, k, field) -> SparseMatrix:
         else:
             for cc, v in dst[nu].items():
                 if cc != nu:
-                    data[dst_index[cc]][j] = field.neg(v)
+                    data[dst_index[cc]][j] = negate(field, v)
     return SparseMatrix._from_rows(len(src_basis), data, field.modulus)
 
 
 def test_multiplication_matrices_commute():
     # x_i x_j = x_j x_i on the quotient catches bad normal forms; the hspog
     # surface's have several terms, so a negated or scaled tail shows there
-    field = PrimeField(1073741831)
+    field = Field(1073741831)
     for f in [parse("x0*x1*x2 + x0^3 + x1^3", 2), parse("x0^2*x1*x2+x2^4+2*x0^3*x3", 3)]:
         pieces = [_quotient_piece(f, k, field)[0] for k in range(5)]
         for k in range(3):
@@ -443,7 +464,7 @@ def koszul_block(n, pieces, p, q, field) -> SparseMatrix:
             ti = faces[s_set[:j] + s_set[j + 1 :]]
             for r, row in enumerate(mult_matrix(n, pieces, x, k, field).data):
                 for c, v in row.items():
-                    block[(ti * size[k + 1] + r, si * size[k] + c)] = field.neg(v) if j % 2 else v
+                    block[(ti * size[k + 1] + r, si * size[k] + c)] = negate(field, v) if j % 2 else v
     return SparseMatrix(len(faces) * size[k + 1], len(subsets) * size[k], block, field.modulus)
 
 
@@ -478,7 +499,7 @@ def betti_echeloning_every_piece(f, q_max, field):
 def test_stopping_at_the_first_empty_piece_is_exact(f, primes):
     hd = hilbert_fit(f, primes=primes)
     assert hd.values == {k: milnor_dimension(f, k, primes=primes) for k in range(max(hd.values) + 1)}
-    fields = [PrimeField(p) for p in primes or default_primes(f)]
+    fields = [Field(p) for p in primes or default_primes(f)]
     if f.n == 2:
         fields.append(QQ)
     q_max = (f.n + 1) * (f.degree - 1)
@@ -503,7 +524,7 @@ def test_pruned_koszul_blocks_keep_the_rank_of_the_full_block(monkeypatch, f, pr
     n, d = f.n, f.degree
     q_max = (n + 1) * (d - 1)
     order = [(p, q) for q in range(q_max + 1) for p in range(min(q, n + 1), 1, -1)]
-    fields = [PrimeField(prod(primes or default_primes(f)))]
+    fields = [Field(prod(primes or default_primes(f)))]
     if n == 2:
         fields.append(QQ)
     for field in fields:
@@ -565,7 +586,7 @@ def test_pruned_rows_span_the_full_block(f, primes):
     # each degree pruned by the pruned echelon d-1 degrees down, as the
     # pipelines chain them, over every working prime of both sides
     n, d = f.n, f.degree
-    fields = [PrimeField(p) for p in primes or default_primes(f) + default_primes(f, 1)]
+    fields = [Field(p) for p in primes or default_primes(f) + default_primes(f, 1)]
     if n == 2:
         fields.append(QQ)
     for field in fields:
@@ -643,9 +664,9 @@ def test_one_pass_mod_the_product_gives_the_per_prime_results(f, primes):
     # Betti side: the product's pass is each prime's pass, or it splits
     pair = primes or default_primes(f)
     q_max = (n + 1) * (d - 1)
-    alone = [_betti_over_field(f, q_max, PrimeField(p)) for p in pair]
+    alone = [_betti_over_field(f, q_max, Field(p)) for p in pair]
     try:
-        joint = _betti_over_field(f, q_max, PrimeField(prod(pair)))
+        joint = _betti_over_field(f, q_max, Field(prod(pair)))
     except _NonUnitPivot:
         assert primes  # derived primes never split on these inputs
     else:
@@ -753,7 +774,7 @@ def test_a_split_never_leaves_the_oracle(monkeypatch):
 
 def test_betti_low_positions():
     f = CUSP_POLY
-    betas = _betti_over_field(f, 8, PrimeField(1073741831))
+    betas = _betti_over_field(f, 8, Field(1073741831))
     assert betas[(0, 0)] == 1
     assert betas[(1, f.degree - 1)] == f.n + 1
     assert not any(p == 1 and q != f.degree - 1 for p, q in betas)

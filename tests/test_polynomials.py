@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import comb
 
@@ -161,9 +162,17 @@ def test_grevlex_degree_two_order():
 
 
 def test_grevlex_exponents_match_sorted_monomials():
-    for n in range(5):
-        for k in range(7):
-            assert list(grevlex_exponents(n, k)) == sorted_monomials(n, k)
+    # each basis is built from the cached smaller ones, so build them from
+    # an empty cache in an order where the smaller ones come later, and in
+    # a shuffled one
+    grid = [(n, k) for n in range(6) for k in range(9)]
+    brute = {nk: sorted_monomials(*nk) for nk in grid}
+    shuffled = grid[:]
+    random.Random(5).shuffle(shuffled)
+    for order in (grid[::-1], shuffled):
+        grevlex_exponents.cache_clear()
+        for n, k in order:
+            assert list(grevlex_exponents(n, k)) == brute[n, k], (n, k)
 
 
 def test_grevlex_exponents_rejects_negative_degree():

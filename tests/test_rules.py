@@ -22,7 +22,6 @@ from singulus.rules import (
     pd_codim_check,
     regularity_and_Ik,
     sigma,
-    singular_dimension,
     structural_checks,
 )
 from singulus.tables import BettiTable
@@ -82,13 +81,13 @@ def test_euler_consistency():
 
 
 def test_singular_dimension_scan():
-    assert singular_dimension(EX1).delta == 0
+    assert full_report(EX1).delta == 0
     k33 = koszul_smooth_table(3, 3)
-    assert singular_dimension(k33).kind == "smooth"
+    assert full_report(k33).verdict.kind == "smooth"
     assert sigma(k33, 3) == 48 - 256 + 216 == 8
-    assert singular_dimension(CUSP).delta == 0
+    assert full_report(CUSP).delta == 0
     assert sigma(CUSP, 3) == 26 - 54 == -28
-    verdict = singular_dimension(EULER_FAIL)
+    verdict = full_report(EULER_FAIL).verdict
     assert (verdict.kind, verdict.reason, verdict.delta) == ("inconsistent", "euler", None)
 
 
