@@ -9,15 +9,20 @@ which needs nothing beyond exact ranks of the Koszul differentials, each
 built transposed from the pivot rows of the quotient pieces.
 
 Each pipeline computes modulo its own two word-size primes, in one
-elimination mod their product N; ranks over a prime field can only drop,
-so a pass that finishes certifies the answer for practical purposes.
-Where the two prime fields would part ways the pass mod N splits (see
-linalg), and the same sparse elimination kernel reruns over the
-rationals: the one degree on the Hilbert side, the whole Betti side.
+elimination mod their product N.  Ranks over a prime field can only drop,
+so a pass that finishes is wrong only where both primes drop a rank at
+once; nothing proves that away, and the comparison of the two pipelines,
+four primes in all, is the check.  Where the two prime fields would part
+ways the pass mod N splits (see linalg), and the same sparse elimination
+kernel reruns over the rationals: the one degree on the Hilbert side, the
+whole Betti side.  "Certified" means one thing here: a stop of the Hilbert
+side proven by a regularity certificate (see hilbert_fit).
 """
 
 from __future__ import annotations
 
+import random
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
@@ -69,7 +74,10 @@ class HilbertData:
     function is eventually zero (smooth hypersurface, empty singular locus).
     ``degree_sigma`` is the leading coefficient times delta! and equals the
     degree of the singular subscheme; ``tjurina`` is the constant value when
-    delta == 0.
+    delta == 0.  ``stop`` is the degree proven to end the computation: the
+    first zero value of a smooth input, or an m for which J_f is proven
+    m-regular, so that every value from m on is the polynomial's (see
+    hilbert_fit); None when every degree of the window was computed.
     """
 
     n: int
@@ -80,6 +88,7 @@ class HilbertData:
     delta: int | None
     degree_sigma: int | None
     tjurina: int | None
+    stop: int | None = None
 
 
 def _validate(f: Polynomial):
@@ -129,7 +138,7 @@ def _partial_terms_mod(f: Polynomial, p: int):
     are the partials themselves."""
     monos = grevlex_exponents(f.n, f.degree - 1)
     top = len(monos) - 1
-    block = reduce_mod(_jacobian_matrix(f, f.degree - 1), p)
+    block = _jacobian_matrix(f, f.degree - 1, p)
     return [[(monos[top - c], v) for c, v in row.items()] for row in block.data]
 
 
@@ -164,31 +173,38 @@ def default_primes(f: Polynomial, part: int = 0) -> tuple[int, int]:
     return tuple(good)
 
 
-def _jacobian_block(f: Polynomial, k: int, p=None, below=None):
-    """Degree-k piece of the gradient map, rows = generators m*f_i over the
-    degree-k monomial columns (decreasing order), partial by partial, over
-    Z/p when a modulus p is given; returns the matrix and ``starts``, the
-    index of each partial's first row.  The Hilbert side ranks these rows;
-    the Betti side echelons them into the quotient piece.
+def _partials(f: Polynomial, p=None):
+    """The partials' term lists over Q, or over Z/p when p is given."""
+    return _partial_terms(f) if p is None else _partial_terms_mod(f, p)
 
-    ``below`` is the record (Pivots.lead, starts) of the degree-(k-d+1)
-    block over the same field.  The row m*f_i is left out when the pivot
-    at m's column came from a row before f_i's first, s, the F5 criterion:
-    the pivots of the first s rows are the leading monomials of
-    <f_0, ..., f_(i-1)> in degree k-d+1, so m leads some g = m + lower
-    there, and m*f_i = g*f_i - lower*f_i lies in the span of the rows of
-    earlier partials and of rows t*f_i with t < m.  By induction the row
-    space, and so every rank and every reduced echelon form, is that of
-    the full block.
+
+def _jacobian_block(gens, deg: int, n: int, k: int, p=None, below=None):
+    """Degree-k piece of the ideal of generators g_i of degree ``deg`` in
+    x_0..x_n, each given as a list of (exponents, coefficient) terms, over
+    Z/p when a modulus p is given: rows = generators m*g_i over the
+    degree-k monomial columns (decreasing order), generator by generator.
+    Returns the matrix and ``starts``, the index of each generator's first
+    row.  The Hilbert side ranks these rows for the partials of f and for
+    their restrictions to hyperplanes; the Betti side echelons them into
+    the quotient piece.
+
+    ``below`` is the record (Pivots.lead, starts) of the block of the same
+    generators over the same field, ``deg`` degrees down.  The row m*g_i
+    is left out when the pivot at m's column came from a row before g_i's
+    first, s, the F5 criterion: the pivots of the first s rows are the
+    leading monomials of <g_0, ..., g_(i-1)> in degree k - deg, so m leads
+    some g = m + lower there, and m*g_i = g*g_i - lower*g_i lies in the
+    span of the rows of earlier generators and of rows t*g_i with t < m.
+    By induction the row space, and so every rank and every reduced
+    echelon form, is that of the full block.
     """
-    n, d = f.n, f.degree
     col_of = grevlex_columns(n, k)
-    data, starts = [], [0] * (n + 1)
-    if k - (d - 1) >= 0:
-        mults = grevlex_exponents(n, k - d + 1)
-        mcol = grevlex_columns(n, k - d + 1)
-        lead, first = below or ({}, [0] * (n + 1))  # no row is left out
-        for i, terms in enumerate(_partial_terms(f) if p is None else _partial_terms_mod(f, p)):
+    data, starts = [], [0] * len(gens)
+    if k >= deg:
+        mults = grevlex_exponents(n, k - deg)
+        mcol = grevlex_columns(n, k - deg)
+        lead, first = below or ({}, [0] * len(gens))  # no row is left out
+        for i, terms in enumerate(gens):
             starts[i], s = len(data), first[i]
             for m in mults:
                 if lead.get(mcol[m], s) < s:
@@ -201,9 +217,11 @@ def _jacobian_block(f: Polynomial, k: int, p=None, below=None):
 
 
 def _jacobian_matrix(f: Polynomial, k: int, p=None) -> SparseMatrix:
-    """The full degree-k block, every generator m*f_i: the reference the
-    pruned blocks are tested against."""
-    return _jacobian_block(f, k, p)[0]
+    """The full degree-k block of the partials, every generator m*f_i,
+    over Q or reduced mod p: the reference the pruned blocks are tested
+    against."""
+    block = _jacobian_block(_partial_terms(f), f.degree - 1, f.n, k)[0]
+    return block if p is None else reduce_mod(block, p)
 
 
 def milnor_dimension(f: Polynomial, k: int, primes=None, *, leads=None) -> int:
@@ -228,7 +246,8 @@ def milnor_dimension(f: Polynomial, k: int, primes=None, *, leads=None) -> int:
     plist = _working_primes(f, primes, 1)
     modulus = prod(plist)
     leads = {} if leads is None else leads
-    block, starts = _jacobian_block(f, k, modulus, leads.get(k - d + 1))
+    below = leads.get(k - d + 1)
+    block, starts = _jacobian_block(_partials(f, modulus), d - 1, n, k, modulus, below)
     if not any(_kills_a_partial(f, p) for p in plist):
         try:
             pivots = rank_mod_p(block, modulus)
@@ -241,6 +260,83 @@ def milnor_dimension(f: Polynomial, k: int, primes=None, *, leads=None) -> int:
 
 
 # -- Hilbert function fit -----------------------------------------------
+
+
+def _section_forms(f: Polynomial, modulus: int) -> list[list[int]]:
+    """The coefficients a_t of h_i = x_(n-i+1) - sum_(t <= n-i) a_t x_t
+    for i = 1..n-1, each drawn from [1, modulus) by the stream seeded with
+    part 2 of the input digest."""
+    rng = random.Random(_seed_of(f, 2))
+    return [[rng.randrange(1, modulus) for _ in range(f.n - i + 1)] for i in range(1, f.n)]
+
+
+def _restrict(gens, a, modulus):
+    """Term lists in x_0..x_r, r = len(a), on the hyperplane
+    x_r = sum_t a_t x_t: term lists in x_0..x_(r-1) mod the modulus."""
+    r = len(a)
+    powers = [{(0,) * r: 1}]  # powers of sum_t a_t x_t
+    out = []
+    for terms in gens:
+        acc = defaultdict(int)
+        for e, c in terms:
+            while len(powers) <= e[r]:
+                nxt = defaultdict(int)
+                for u, b in powers[-1].items():
+                    for t, at in enumerate(a):
+                        nxt[u[:t] + (u[t] + 1,) + u[t + 1 :]] += b * at
+                powers.append({u: v % modulus for u, v in nxt.items()})
+            for u, b in powers[e[r]].items():
+                acc[tuple(map(add, e[:r], u))] += c * b
+        out.append([(e, x) for e, v in acc.items() if (x := v % modulus)])
+    return out
+
+
+def _section_dimensions(f: Polynomial, modulus: int, vals: list, forms):
+    """HF_i(k) = dim (S/(J_f, h_1..h_i))_k as a cached function of (i, k),
+    the h_i given by ``forms`` (see _section_forms).  HF_0 reads the full
+    ring's values ``vals``.  S/(h_1..h_i) is the polynomial ring in
+    x_0..x_(n-i), so HF_i is that of the partials with x_n, ..,
+    x_(n-i+1) substituted in turn; each of its blocks is full and ranked
+    mod the modulus, so a split raises _NonUnitPivot."""
+
+    @cache
+    def gens(i):
+        if i == 0:
+            return _partial_terms_mod(f, modulus)
+        return _restrict(gens(i - 1), forms[i - 1], modulus)
+
+    @cache
+    def hf(i, k):
+        if i == 0:
+            return vals[k]
+        block = _jacobian_block(gens(i), f.degree - 1, f.n - i, k, modulus)[0]
+        return dim_degree_piece(f.n - i, k) - rank_mod_p(block, modulus).rank
+
+    return hf
+
+
+def _certified_forms(hf, n: int, m: int):
+    """The number j of forms that prove J_f m-regular, or None.
+
+    Bayer and Stillman, Invent. Math. 87 (1987), Thm 1.10: an ideal
+    generated in degrees <= m is m-regular if, for linear forms
+    h_1..h_j, multiplication by h_(i+1) is injective on (S/(J, h_<=i))_m
+    for every i < j and (S/(J, h_1..h_j))_m = 0.  In Hilbert functions
+    (see _section_dimensions) the first condition reads
+    HF_(i+1)(m+1) = HF_i(m+1) - HF_i(m).  Forms that pass prove it;
+    unlucky forms can only fail.  j <= n-1 suffices, as a reduced f has
+    a singular locus of dimension at most n-2.  A split in the forms'
+    ranks (see linalg) proves nothing either."""
+    try:
+        for i in range(n - 1):
+            low, high = hf(i, m), hf(i, m + 1)
+            if low == 0:
+                return i
+            if high < low or hf(i + 1, m + 1) != high - low:
+                return None
+        return n - 1 if hf(n - 1, m) == 0 else None
+    except _NonUnitPivot:
+        return None
 
 
 def hilbert_fit(f: Polynomial, window=None, primes=None) -> HilbertData:
@@ -259,23 +355,60 @@ def hilbert_fit(f: Polynomial, window=None, primes=None) -> HilbertData:
 
     The first zero value ends the computation, even at the last degree of
     the window: if S_k lies in J_f, so does S_{k+1} = S_1 S_k, and every
-    later value is 0, so f is smooth with k0 = k.  A zero needs no
+    later value is 0, so f is smooth with k0 = stop = k.  A zero needs no
     rational check, because a rank mod p is at most the rank over Q.
     The working primes are resolved once, for every degree.
+
+    A proven stop ends it earlier on singular inputs.  Once a value has
+    left the series of a complete intersection, where the values of f stay
+    in every degree exactly when the partials are a regular sequence, each
+    new value k tries to prove J_f (k-1)-regular (see _certified_forms),
+    mod the product of the working primes and with forms drawn from the
+    input digest, unless a working prime kills a partial.  If J_f is
+    m-regular with j forms, the values from m on lie on a polynomial of
+    degree < j: they are computed up to K = max(m+1, m+j-1) and the rest
+    of the window is filled from the last j, whose j-th difference is 0.
+    ``stop`` is then m.  When nothing certifies, or K is past the window,
+    every degree is computed and ``stop`` is None.  The fit is the same
+    either way, on the same values.
     """
     n, d = _validate(f)
     w = window if window is not None else (n + 1) * (d - 2) + n + 2
     if w < d + 1:
         raise ValueError("window upper bound is too small to say anything")
     plist = _working_primes(f, primes, 1)
+    modulus = prod(plist)
     vals = []
     leads = {}  # degree -> record; degree k reads degree k-d+1
+    hf = None  # HF_i, built at the first attempt
+    live = not any(_kills_a_partial(f, p) for p in plist)  # a stop may yet be proven
+    left = False  # whether a value has left the complete-intersection series
+    stop, last = None, w
     for k in range(w + 1):
         vals.append(milnor_dimension(f, k, primes=plist, leads=leads))
         leads.pop(k - d + 1, None)
         if vals[-1] == 0:
             values = dict(enumerate(vals + [0] * (w - k)))
-            return HilbertData(n, d, values, (), k, None, None, None)
+            return HilbertData(n, d, values, (), k, None, None, None, stop=k)
+        if live:
+            # that series: the coefficient of t^k in ((1 - t^(d-1)) / (1 - t))^(n+1)
+            left = left or vals[k] != sum(
+                (-1) ** i * comb(n + 1, i) * dim_degree_piece(n, k - i * (d - 1))
+                for i in range(n + 2)
+            )
+            if left and k >= d:  # J_f is generated in degree d-1 <= m = k-1
+                hf = hf or _section_dimensions(f, modulus, vals, _section_forms(f, modulus))
+                j = _certified_forms(hf, n, k - 1)
+                if j is not None:
+                    live = False
+                    if k + j - 2 <= w:
+                        stop, last = k - 1, max(k, k + j - 2)
+        if k == last:
+            break
+    if stop is not None:
+        # the values from stop on lie on a polynomial of degree < j
+        for _ in range(w + 1 - len(vals)):
+            vals.append(sum((-1) ** (i + 1) * comb(j, i) * vals[-i] for i in range(1, j + 1)))
 
     rows = [vals]  # rows[i] is the i-th forward difference
     for _ in range(n):
@@ -308,7 +441,7 @@ def hilbert_fit(f: Polynomial, window=None, primes=None) -> HilbertData:
             f"the working primes {plist} are bad for this polynomial"
         )
     tjurina = int(coeffs[0]) if delta == 0 else None
-    return HilbertData(n, d, dict(enumerate(vals)), coeffs, start, delta, int(lead), tjurina)
+    return HilbertData(n, d, dict(enumerate(vals)), coeffs, start, delta, int(lead), tjurina, stop)
 
 
 # -- graded Betti numbers via Koszul homology ----------------------------
@@ -325,7 +458,9 @@ def _quotient_piece(f, k, field, *, below=None):
     The non-pivot columns are a monomial basis of the piece.  Each pivot
     row is its tail, as rref stores it: minus the normal form of the pivot
     monomial."""
-    block, starts = _jacobian_block(f, k, field.modulus, below)
+    # a block below degree d-1 has no rows, so its partials are not reduced
+    gens = _partials(f, field.modulus) if k >= f.degree - 1 else [[]] * (f.n + 1)
+    block, starts = _jacobian_block(gens, f.degree - 1, f.n, k, field.modulus, below)
     return rref(block.data, field), starts
 
 
@@ -590,6 +725,15 @@ def cross_check(f: Polynomial, window=None, max_degree=None, primes=None) -> Cro
                     f"Tjurina number disagrees: hilbert {hilbert.tjurina}, "
                     f"table {rule_report.tau}"
                 )
+        # J_f is (reg + 1)-regular and no less, so a proven stop below
+        # reg + 1 means a bad prime or a bug; a stop above it proves nothing
+        # wrong, as unlucky forms or a late first attempt give one
+        reg = rule_report.reg
+        if hilbert.stop is not None and reg is not None and reg + 1 > hilbert.stop:
+            deviations.append(
+                f"regularity disagrees: hilbert proves a stop at degree {hilbert.stop}, "
+                f"below the table's reg + 1 = {reg + 1}"
+            )
         for k, v in sorted(hilbert.values.items()):
             predicted = hilbert_function_from_table(table, k)
             if predicted != v:

@@ -29,11 +29,16 @@ from singulus.linalg import (
     rref,
 )
 from singulus.oracle import (
+    HilbertData,
     _betti_over_field,
+    _certified_forms,
     _jacobian_block,
     _jacobian_matrix,
     _kills_a_partial,
+    _partials,
     _quotient_piece,
+    _section_dimensions,
+    _section_forms,
     cross_check,
     default_primes,
     graded_betti,
@@ -49,7 +54,7 @@ from singulus.polynomials import (
     parse,
     squarefree_check,
 )
-from singulus.rules import hilbert_function_from_table, koszul_smooth_table
+from singulus.rules import full_report, hilbert_function_from_table, koszul_smooth_table
 from singulus.tables import BettiTable
 from test_golden import CASES, REPO
 from _helpers import (
@@ -64,6 +69,8 @@ from _helpers import (
 )
 
 CUSP_POLY = parse("x0*x1*x2 + x3^3", 3)
+# the hspog surface: delta 1, degree 5
+HSPOG = parse("x0^2*x1*x2+x2^4+2*x0^3*x3", 3)
 # singular mod 37 (7^3 + 27 = 10*37), smooth over Q and mod 41
 CURVE_37 = "x0^3+x1^3+x2^3+7*x0*x1*x2"
 FERMAT = {(n, d): parse("+".join(f"x{i}^{d}" for i in range(n + 1)), n) for n, d in
@@ -193,6 +200,8 @@ def test_hilbert_fit_matches_the_reference_fit(case):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "milnor_dimension", fake_milnor_dimension)
+        # the faked values belong to no ideal, so no stop may be proven
+        mp.setattr(oracle, "_certified_forms", lambda hf, n, m: None)
         try:
             hd = hilbert_fit(f, window=len(vals) - 1)
         except (ValueError, BadPrimeError, WindowTooSmallError) as exc:
@@ -203,6 +212,139 @@ def test_hilbert_fit_matches_the_reference_fit(case):
             got = (hd.poly, hd.k0, hd.delta, hd.degree_sigma, hd.tjurina)
     assert asked == list(range(last + 1))
     assert got == reference_hilbert_fit(n, expected, default_primes(f, 1))
+
+
+# -- the proven stop of the Hilbert side ----------------------------------
+
+
+def _no_certificate(monkeypatch):
+    monkeypatch.setattr(oracle, "_certified_forms", lambda hf, n, m: None)
+
+
+def test_the_proven_stop_is_the_table_regularity_plus_one():
+    # J_f is (reg + 1)-regular and no less, and generic forms prove the
+    # least such degree; a smooth input stops at its first zero value, reg + 1
+    compared = 0
+    for f, primes in [*golden_inputs(), (HSPOG, None)]:
+        hd = hilbert_fit(f, primes=primes)
+        try:
+            table = graded_betti(f, primes=primes)
+        except ConeError:
+            continue  # the cone golden has no table
+        assert hd.stop == full_report(table).reg + 1, f
+        compared += 1
+    assert compared == 13
+
+
+def test_the_proven_stop_changes_no_other_field(monkeypatch):
+    # the goldens and 120 seeded sparse curves and surfaces of degree 3..5
+    rng = random.Random(2026)
+    inputs = list(golden_inputs())
+    for _ in range(120):
+        n, d = rng.choice((2, 3)), rng.choice((3, 4, 5))
+        monos = rng.sample(grevlex_exponents(n, d), rng.randint(3, 6))
+        inputs.append((Polynomial(n, {m: rng.choice((1, -1, 2)) for m in monos}), None))
+
+    def outcomes():
+        """Each fit less its stop, or its error by type and message, and the stop."""
+        out = []
+        for f, primes in inputs:
+            try:
+                hd = hilbert_fit(f, primes=primes)
+            except (ValueError, BadPrimeError, WindowTooSmallError) as exc:
+                out.append(((type(exc).__name__, str(exc)), None))
+            else:
+                out.append((dataclasses.replace(hd, stop=None), hd.stop))
+        return out
+
+    proven = outcomes()
+    _no_certificate(monkeypatch)
+    plain = outcomes()
+    assert [fit for fit, _ in proven] == [fit for fit, _ in plain]
+    singular = [
+        i for i, (fit, _) in enumerate(plain) if isinstance(fit, HilbertData) and fit.delta is not None
+    ]
+    assert len(singular) > 50
+    # every singular fit stops at a proven degree, and only with the certificate
+    assert all(proven[i][1] is not None and plain[i][1] is None for i in singular)
+    assert any(isinstance(fit, tuple) for fit, _ in plain)  # some errors are compared
+
+
+def test_a_window_below_the_proven_degrees_computes_every_degree(monkeypatch):
+    # a double cone over a surface with isolated singular points: delta 2,
+    # and j = 3 forms prove J_f 6-regular, so the proven stop needs the
+    # values up to K = 8; the window 7 is too small for it, not for the fit
+    f = parse("x1^2*x2^2+2*x0^3*x3-x1*x3^3", 5)
+    attempts = []
+    real = oracle._certified_forms
+
+    def record(hf, n, m):
+        attempts.append((m, real(hf, n, m)))
+        return attempts[-1][1]
+
+    monkeypatch.setattr(oracle, "_certified_forms", record)
+    assert hilbert_fit(f, window=8).stop == 6
+    attempts.clear()
+    fit = hilbert_fit(f, window=7)
+    assert attempts[-1] == (6, 3) and fit.stop is None
+    _no_certificate(monkeypatch)
+    assert fit == hilbert_fit(f, window=7)
+    assert fit.delta == 2 and max(fit.values) == 7
+
+
+def test_a_proven_stop_fills_the_window_past_its_last_computed_degree(monkeypatch):
+    # the delta = 2 threefold: j = 3 forms prove J_f 8-regular, so degrees
+    # up to K = 10 are ranked and 11..21 are filled from the values at 8..10
+    f = parse("-x0^3*x2*x3-x1*x2*x3^2*x4+x0*x1*x2^2*x4+x2^2*x3^3+2*x0^3*x1*x2+x1^2*x2^2*x4", 4)
+    asked = []
+    real = oracle.milnor_dimension
+
+    def record(f, k, *args, **kwargs):
+        asked.append(k)
+        return real(f, k, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "milnor_dimension", record)
+    hd = hilbert_fit(f)
+    assert (hd.stop, hd.k0, hd.delta, hd.degree_sigma, max(hd.values)) == (8, 8, 2, 4, 21)
+    assert asked == list(range(11))
+    assert hd.values[11] == real(f, 11) == 323
+
+
+def test_coordinate_forms_do_not_prove_the_cusp_regular():
+    # on the hyperplane x3 = 0 the partials of x0*x1*x2 + x3^3 cut out the
+    # three coordinate points, so multiplication by x3 is not injective
+    f = CUSP_POLY
+    modulus = prod(default_primes(f, 1))
+    vals = [hilbert_fit(f).values[k] for k in range(5)]
+    coordinate = [[0] * (f.n - i + 1) for i in range(1, f.n)]
+    assert _certified_forms(_section_dimensions(f, modulus, vals, coordinate), f.n, 3) is None
+    seeded = _section_forms(f, modulus)
+    assert _certified_forms(_section_dimensions(f, modulus, vals, seeded), f.n, 3) == 1
+
+
+@pytest.mark.parametrize(
+    "f, primes",
+    [*((f, None) for f in FERMAT.values()), (parse(CURVE_37, 2), [37, 41]),
+     (parse("x0^3+x1^3+x2^3+x3^3+7*x0*x1*x2", 3), [37, 41])],
+    ids=str,
+)
+def test_a_smooth_input_attempts_no_certificate(monkeypatch, f, primes):
+    # the values of a smooth input stay on the complete-intersection series
+    for name in ("_section_dimensions", "_certified_forms"):
+        monkeypatch.setattr(oracle, name, lambda *args, name=name: pytest.fail(f"{name} called"))
+    hd = hilbert_fit(f, primes=primes)
+    assert hd.delta is None and hd.stop == hd.k0 == (f.n + 1) * (f.degree - 2) + 1
+
+
+def test_cross_check_flags_a_stop_below_the_table_regularity(monkeypatch):
+    # a certificate that passes at every attempt proves the cusp
+    # 2-regular, below its reg + 1 = 3: the values are still right there
+    monkeypatch.setattr(oracle, "_certified_forms", lambda hf, n, m: 1)
+    report = cross_check(CUSP_POLY)
+    assert report.hilbert.stop == 2
+    assert report.deviations == [
+        "regularity disagrees: hilbert proves a stop at degree 2, below the table's reg + 1 = 3"
+    ]
 
 
 def test_graded_betti_cusp_threefold():
@@ -592,7 +734,8 @@ def test_pruned_rows_span_the_full_block(f, primes):
     for field in fields:
         leads = {}
         for k in range((n + 1) * (d - 2) + n + 3):
-            block, starts = _jacobian_block(f, k, field.modulus, leads.get(k - d + 1))
+            gens = _partials(f, field.modulus)
+            block, starts = _jacobian_block(gens, d - 1, n, k, field.modulus, leads.get(k - d + 1))
             pivots = rref(block.data, field)
             assert pivots == rref(_jacobian_matrix(f, k, field.modulus).data, field), k
             leads[k] = pivots.lead, starts
@@ -615,7 +758,7 @@ def test_no_kept_row_reduces_to_zero_on_a_regular_sequence(f):
     n, d = f.n, f.degree
     leads = {}
     for k in range((n + 1) * (d - 2) + 1):
-        block, starts = _jacobian_block(f, k, p, leads.get(k - d + 1))
+        block, starts = _jacobian_block(_partials(f, p), d - 1, n, k, p, leads.get(k - d + 1))
         pivots = rank_mod_p(block, p)
         assert pivots.rank == block.rows, k
         leads[k] = pivots.lead, starts
@@ -766,10 +909,14 @@ def test_a_split_never_leaves_the_oracle(monkeypatch):
 
         monkeypatch.setattr(oracle, name, split)
     for (f, primes), (fit, table, deviations) in zip(cases, expected):
-        assert hilbert_fit(f, primes=primes) == fit
+        got = hilbert_fit(f, primes=primes)
+        # the regularity certificate's ranks split too, so no stop is
+        # proven; a smooth input still stops at its first zero value
+        assert dataclasses.replace(got, stop=fit.stop) == fit
+        assert got.stop == (fit.stop if fit.delta is None else None)
         assert graded_betti(f, primes=primes) == table
         report = cross_check(f, primes=primes)
-        assert (report.hilbert, report.table, report.deviations) == (fit, table, deviations)
+        assert (report.hilbert, report.table, report.deviations) == (got, table, deviations)
 
 
 def test_betti_low_positions():
