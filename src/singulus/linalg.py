@@ -28,10 +28,11 @@ from .errors import BadPrimeError
 
 
 class _NonUnitPivot(Exception):
-    """A new pivot's leading entry is not a unit mod a composite modulus,
-    so the prime fields part ways; the caller redoes the work over the
-    rationals.  Not a ValueError, so no handler for bad input can take it
-    for one."""
+    """The pass mod N cannot stand in for Q: a new pivot's leading entry
+    is not a unit mod a composite modulus, so the prime fields part ways,
+    or (raised by the oracle) a factor of N divides every coefficient of a
+    nonzero generator.  The caller redoes the work over the rationals.
+    Not a ValueError, so no handler for bad input can take it for one."""
 
 
 class Pivots(dict):

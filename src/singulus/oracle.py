@@ -13,10 +13,12 @@ elimination mod their product N.  Ranks over a prime field can only drop,
 so a pass that finishes is wrong only where both primes drop a rank at
 once; nothing proves that away, and the comparison of the two pipelines,
 four primes in all, is the check.  Where the two prime fields would part
-ways the pass mod N splits (see linalg), and the same sparse elimination
-kernel reruns over the rationals: the one degree on the Hilbert side, the
-whole Betti side.  "Certified" means one thing here: a stop of the Hilbert
-side proven by a regularity certificate (see hilbert_fit).
+ways the pass mod N splits (see linalg), and so it does where a factor of
+N divides every coefficient of a nonzero partial (see _partials); either
+way the same sparse elimination kernel reruns over the rationals: the one
+degree on the Hilbert side, the whole Betti side.  "Certified" means one
+thing here: a stop of the Hilbert side proven by a regularity certificate
+(see hilbert_fit).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import combinations
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, prod
 from operator import add, neg
 
 from .errors import (
@@ -132,25 +134,6 @@ def _partial_terms(f: Polynomial):
     ]
 
 
-def _partial_terms_mod(f: Polynomial, p: int):
-    """The partials' terms over Z/p, leaving out terms that vanish mod p.
-    The images come from reduce_mod on the degree-(d-1) block, whose rows
-    are the partials themselves."""
-    monos = grevlex_exponents(f.n, f.degree - 1)
-    top = len(monos) - 1
-    block = _jacobian_matrix(f, f.degree - 1, p)
-    return [[(monos[top - c], v) for c, v in row.items()] for row in block.data]
-
-
-def _kills_a_partial(f: Polynomial, p: int) -> bool:
-    """Whether p divides every coefficient of some nonzero partial, so that
-    ranks mod p say nothing about ranks over Q."""
-    return any(
-        terms and all(c.numerator % p == 0 for _, c in terms)
-        for terms in _partial_terms(f)
-    )
-
-
 def _divides_a_denominator(f: Polynomial, p: int) -> bool:
     """Whether p divides the denominator of some coefficient of a partial,
     the one thing that stops the partials from being reduced mod p."""
@@ -173,9 +156,25 @@ def default_primes(f: Polynomial, part: int = 0) -> tuple[int, int]:
     return tuple(good)
 
 
-def _partials(f: Polynomial, p=None):
-    """The partials' term lists over Q, or over Z/p when p is given."""
-    return _partial_terms(f) if p is None else _partial_terms_mod(f, p)
+def _partials(f: Polynomial, modulus=None):
+    """The partials' term lists over Q, or over Z/N for a modulus N: the
+    rows of the degree-(d-1) block reduced mod N, which are the partials
+    themselves, terms that vanish mod N left out.
+
+    A factor of N that divides every coefficient of a nonzero partial
+    leaves ranks mod N saying nothing about ranks over Q, so that raises
+    _NonUnitPivot, the one way out of a pass mod N (see linalg)."""
+    if modulus is None:
+        return _partial_terms(f)
+    monos = grevlex_exponents(f.n, f.degree - 1)
+    top = len(monos) - 1
+    block = reduce_mod(_jacobian_matrix(f, f.degree - 1), modulus)
+    out = []
+    for terms, row in zip(_partial_terms(f), block.data):
+        if terms and gcd(modulus, *row.values()) > 1:
+            raise _NonUnitPivot(f"a factor of {modulus} kills a partial")
+        out.append([(monos[top - c], v) for c, v in row.items()])
+    return out
 
 
 def _jacobian_block(gens, deg: int, n: int, k: int, p=None, below=None):
@@ -216,12 +215,10 @@ def _jacobian_block(gens, deg: int, n: int, k: int, p=None, below=None):
     return SparseMatrix._from_rows(len(col_of), data, p), starts
 
 
-def _jacobian_matrix(f: Polynomial, k: int, p=None) -> SparseMatrix:
-    """The full degree-k block of the partials, every generator m*f_i,
-    over Q or reduced mod p: the reference the pruned blocks are tested
-    against."""
-    block = _jacobian_block(_partial_terms(f), f.degree - 1, f.n, k)[0]
-    return block if p is None else reduce_mod(block, p)
+def _jacobian_matrix(f: Polynomial, k: int) -> SparseMatrix:
+    """The full degree-k block of the partials over Q, every generator
+    m*f_i: the reference the pruned blocks are tested against."""
+    return _jacobian_block(_partial_terms(f), f.degree - 1, f.n, k)[0]
 
 
 def milnor_dimension(f: Polynomial, k: int, primes=None, *, leads=None) -> int:
@@ -231,7 +228,7 @@ def milnor_dimension(f: Polynomial, k: int, primes=None, *, leads=None) -> int:
     the Hilbert side's own (part 1 of the digest, see default_primes).
 
     The block is ranked once, mod the product N of the working primes, or
-    over Q when a prime wipes out a partial or the pass splits (see linalg).
+    over Q when the pass splits, a killed partial included (see _partials).
     It is built mod N first, so a pinned prime dividing a denominator raises.
 
     ``leads`` maps earlier degrees to records of their blocks mod N, read
@@ -247,16 +244,13 @@ def milnor_dimension(f: Polynomial, k: int, primes=None, *, leads=None) -> int:
     modulus = prod(plist)
     leads = {} if leads is None else leads
     below = leads.get(k - d + 1)
-    block, starts = _jacobian_block(_partials(f, modulus), d - 1, n, k, modulus, below)
-    if not any(_kills_a_partial(f, p) for p in plist):
-        try:
-            pivots = rank_mod_p(block, modulus)
-        except _NonUnitPivot:
-            pass
-        else:
-            leads[k] = pivots.lead, starts
-            return dim_degree_piece(n, k) - pivots.rank
-    return dim_degree_piece(n, k) - rank_rational(_jacobian_matrix(f, k)).rank
+    try:
+        block, starts = _jacobian_block(_partials(f, modulus), d - 1, n, k, modulus, below)
+        pivots = rank_mod_p(block, modulus)
+    except _NonUnitPivot:
+        return dim_degree_piece(n, k) - rank_rational(_jacobian_matrix(f, k)).rank
+    leads[k] = pivots.lead, starts
+    return dim_degree_piece(n, k) - pivots.rank
 
 
 # -- Hilbert function fit -----------------------------------------------
@@ -297,12 +291,13 @@ def _section_dimensions(f: Polynomial, modulus: int, vals: list, forms):
     ring's values ``vals``.  S/(h_1..h_i) is the polynomial ring in
     x_0..x_(n-i), so HF_i is that of the partials with x_n, ..,
     x_(n-i+1) substituted in turn; each of its blocks is full and ranked
-    mod the modulus, so a split raises _NonUnitPivot."""
+    mod the modulus, so a split, a killed partial included (see
+    _partials), raises _NonUnitPivot."""
 
     @cache
     def gens(i):
         if i == 0:
-            return _partial_terms_mod(f, modulus)
+            return _partials(f, modulus)
         return _restrict(gens(i - 1), forms[i - 1], modulus)
 
     @cache
@@ -364,13 +359,13 @@ def hilbert_fit(f: Polynomial, window=None, primes=None) -> HilbertData:
     in every degree exactly when the partials are a regular sequence, each
     new value k tries to prove J_f (k-1)-regular (see _certified_forms),
     mod the product of the working primes and with forms drawn from the
-    input digest, unless a working prime kills a partial.  If J_f is
-    m-regular with j forms, the values from m on lie on a polynomial of
-    degree < j: they are computed up to K = max(m+1, m+j-1) and the rest
-    of the window is filled from the last j, whose j-th difference is 0.
-    ``stop`` is then m.  When nothing certifies, or K is past the window,
-    every degree is computed and ``stop`` is None.  The fit is the same
-    either way, on the same values.
+    input digest; a split, a killed partial included, certifies nothing.
+    If J_f is m-regular with j forms, the values from m on lie on a
+    polynomial of degree < j: they are computed up to K = max(m+1, m+j-1)
+    and the rest of the window is filled from the last j, whose j-th
+    difference is 0.  ``stop`` is then m.  When nothing certifies, or K is
+    past the window, every degree is computed and ``stop`` is None.  The
+    fit is the same either way, on the same values.
     """
     n, d = _validate(f)
     w = window if window is not None else (n + 1) * (d - 2) + n + 2
@@ -381,7 +376,7 @@ def hilbert_fit(f: Polynomial, window=None, primes=None) -> HilbertData:
     vals = []
     leads = {}  # degree -> record; degree k reads degree k-d+1
     hf = None  # HF_i, built at the first attempt
-    live = not any(_kills_a_partial(f, p) for p in plist)  # a stop may yet be proven
+    j = None  # the forms of the first attempt that certifies
     left = False  # whether a value has left the complete-intersection series
     stop, last = None, w
     for k in range(w + 1):
@@ -390,7 +385,7 @@ def hilbert_fit(f: Polynomial, window=None, primes=None) -> HilbertData:
         if vals[-1] == 0:
             values = dict(enumerate(vals + [0] * (w - k)))
             return HilbertData(n, d, values, (), k, None, None, None, stop=k)
-        if live:
+        if j is None:
             # that series: the coefficient of t^k in ((1 - t^(d-1)) / (1 - t))^(n+1)
             left = left or vals[k] != sum(
                 (-1) ** i * comb(n + 1, i) * dim_degree_piece(n, k - i * (d - 1))
@@ -399,10 +394,8 @@ def hilbert_fit(f: Polynomial, window=None, primes=None) -> HilbertData:
             if left and k >= d:  # J_f is generated in degree d-1 <= m = k-1
                 hf = hf or _section_dimensions(f, modulus, vals, _section_forms(f, modulus))
                 j = _certified_forms(hf, n, k - 1)
-                if j is not None:
-                    live = False
-                    if k + j - 2 <= w:
-                        stop, last = k - 1, max(k, k + j - 2)
+                if j is not None and k + j - 2 <= w:
+                    stop, last = k - 1, max(k, k + j - 2)
         if k == last:
             break
     if stop is not None:
@@ -447,19 +440,18 @@ def hilbert_fit(f: Polynomial, window=None, primes=None) -> HilbertData:
 # -- graded Betti numbers via Koszul homology ----------------------------
 
 
-def _quotient_piece(f, k, field, *, below=None):
+def _quotient_piece(f, k, gens, field, *, below=None):
     """The degree-k piece of M(f) over the field, as the reduced echelon
-    form of the degree-k Jacobian block in its own grevlex columns, pruned
-    by ``below``, the record of the piece d-1 degrees down (see
-    _jacobian_block); without it the block is full.  Returns the echelon
-    and the block's starts, which with the echelon's lead make the record
-    that prunes the piece d-1 degrees up.
+    form of the degree-k block of ``gens``, the partials over the field
+    (see _partials), in its own grevlex columns, pruned by ``below``, the
+    record of the piece d-1 degrees down (see _jacobian_block); without
+    it the block is full.  Returns the echelon and the block's starts,
+    which with the echelon's lead make the record that prunes the piece
+    d-1 degrees up.
 
     The non-pivot columns are a monomial basis of the piece.  Each pivot
     row is its tail, as rref stores it: minus the normal form of the pivot
     monomial."""
-    # a block below degree d-1 has no rows, so its partials are not reduced
-    gens = _partials(f, field.modulus) if k >= f.degree - 1 else [[]] * (f.n + 1)
     block, starts = _jacobian_block(gens, f.degree - 1, f.n, k, field.modulus, below)
     return rref(block.data, field), starts
 
@@ -494,11 +486,12 @@ def _betti_over_field(f: Polynomial, q_max: int, field):
     block is pruned by the record of the piece d-1 degrees down (see
     _jacobian_block)."""
     n, d = f.n, f.degree
+    gens = _partials(f, field.modulus)
     pieces, starts, size = [], [], []
     for k in range(q_max + 1):
         j = k - d + 1
         below = (pieces[j].lead, starts[j]) if j >= 0 else None
-        piece, first = _quotient_piece(f, k, field, below=below)
+        piece, first = _quotient_piece(f, k, gens, field, below=below)
         pieces.append(piece)
         starts.append(first)
         size.append(dim_degree_piece(n, k) - len(pieces[k]))

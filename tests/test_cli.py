@@ -221,6 +221,17 @@ def test_analyze_betti_boolean_column_index_exits_1(tmp_path):
     assert res.stdout == ""
 
 
+@pytest.mark.parametrize("text", ["", '{"n": 3', "n: 3\n"])
+def test_analyze_betti_file_that_is_not_json_exits_1(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert cli.main(["analyze-betti", str(bad)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    # the decoder's own words follow, and they vary between Python versions
+    assert err.startswith("error: not valid JSON: ") and err.count("\n") == 1
+
+
 def test_analyze_betti_missing_file_exits_1():
     res = run_cli("analyze-betti", "no-such-file.json")
     assert res.returncode == 1
@@ -328,8 +339,9 @@ def test_inspect_poly_prime_dividing_every_coefficient_falls_back_to_rationals()
     [
         # a denominator vanishes mod 3
         ("1/3*x0^4+x1^4+x2^4", ["3", "5"], "divisible by 3"),
-        # one prime, under which position 1 comes out wrong
-        ("x0^3+x1^3+x2^3", ["3"], "primes [3] are bad"),
+        # one prime, under which the partials are dependent but none
+        # vanishes, so position 1 comes out wrong
+        ("x0^3+(x1+x2)^3+5*x2^3", ["5"], "primes [5] are bad"),
     ],
 )
 def test_inspect_poly_bad_pinned_prime_exits_1(expr, primes, reason):
@@ -343,20 +355,26 @@ def test_inspect_poly_bad_pinned_prime_exits_1(expr, primes, reason):
     assert reason in res.stderr
 
 
-def test_inspect_poly_prime_killing_the_partials_keeps_the_hilbert_side():
-    # mod 3 every partial of the Fermat cubic vanishes: the Hilbert side
-    # falls back to Q, the Betti side reports the bad prime
-    res = run_cli(
-        "inspect-poly", "--expr", "x0^3+x1^3+x2^3", "--prime", "3", "--format", "json"
-    )
-    assert res.returncode == 1
-    lines = res.stderr.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("error: graded_betti failed")
-    assert "primes [3] are bad" in lines[0]
-    hilbert = json.loads(res.stdout)["hilbert"]
-    assert hilbert["delta"] is None
-    assert [hilbert["values"][str(k)] for k in range(6)] == [1, 3, 3, 1, 0, 0]
+def test_inspect_poly_prime_killing_the_partials_falls_back_on_both_sides():
+    # mod 3 every partial of the Fermat cubic vanishes: both sides fall
+    # back to Q and answer as the derived primes do
+    expr = ("inspect-poly", "--expr", "x0^3+x1^3+x2^3", "--format", "json")
+    derived = run_cli(*expr)
+    assert derived.returncode == 0, derived.stderr
+    ref = json.loads(derived.stdout)
+    for args in (["--prime", "3"], ["--prime", "3", "--prime", "3"]):
+        res = run_cli(*expr, *args)
+        assert res.returncode == 0, res.stderr
+        assert res.stderr == ""
+        doc = json.loads(res.stdout)
+        for key in ("hilbert", "betti_columns", "sigma", "verdict", "deviations"):
+            assert doc[key] == ref[key], (args, key)
+        assert doc["warnings"] == [
+            "ranks mod the single prime 3 are not certified; "
+            "pass two distinct primes to certify them"
+        ]
+    assert ref["verdict"]["kind"] == "smooth"
+    assert [ref["hilbert"]["values"][str(k)] for k in range(6)] == [1, 3, 3, 1, 0, 0]
 
 
 # singular mod 37 (7^3 + 27 = 10*37), smooth over Q

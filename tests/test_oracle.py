@@ -26,6 +26,7 @@ from singulus.linalg import (
     is_probable_prime,
     rank_mod_p,
     rank_rational,
+    reduce_mod,
     rref,
 )
 from singulus.oracle import (
@@ -34,7 +35,6 @@ from singulus.oracle import (
     _certified_forms,
     _jacobian_block,
     _jacobian_matrix,
-    _kills_a_partial,
     _partials,
     _quotient_piece,
     _section_dimensions,
@@ -76,6 +76,22 @@ CURVE_37 = "x0^3+x1^3+x2^3+7*x0*x1*x2"
 FERMAT = {(n, d): parse("+".join(f"x{i}^{d}" for i in range(n + 1)), n) for n, d in
           [(2, 3), (2, 4), (3, 3)]}
 FERMAT_CUBICS = {n: parse("+".join(f"x{i}^3" for i in range(n + 1)), n) for n in range(2, 6)}
+
+
+def jacobian_mod(f, k, p):
+    """The full degree-k block of the partials, over Q when p is None and
+    reduced mod p otherwise."""
+    m = _jacobian_matrix(f, k)
+    return m if p is None else reduce_mod(m, p)
+
+
+def kills_a_partial(f, p) -> bool:
+    """Whether p divides every coefficient of some nonzero partial, read
+    off the rational coefficients."""
+    return any(
+        terms and all(c.numerator % p == 0 for c in terms.values())
+        for terms in (f.partial(i).terms for i in range(f.n + 1))
+    )
 
 
 def brute_milnor_dimension(f, k):
@@ -152,8 +168,44 @@ def test_hilbert_fit_polynomial_matches_values_beyond_k0():
 
 
 def test_hilbert_fit_window_too_small():
-    with pytest.raises(WindowTooSmallError):
+    with pytest.raises(WindowTooSmallError) as err:
         hilbert_fit(CUSP_POLY, window=4)
+    assert err.value.tail == [1, 4, 6, 6, 6]
+    # the tail is the last six values of the window
+    with pytest.raises(WindowTooSmallError) as err:
+        hilbert_fit(HSPOG, window=6)
+    assert err.value.tail == [4, 10, 16, 21, 26, 31]
+    assert str(err.value) == "no stabilization detected up to degree 6; tail [4, 10, 16, 21, 26, 31]"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: hilbert_fit(parse("x0-x0", 2)),
+            "the zero polynomial has no Jacobian algebra here",
+            id="zero-polynomial",
+        ),
+        pytest.param(
+            lambda: milnor_dimension(CUSP_POLY, -1), "degree must be non-negative", id="negative-degree"
+        ),
+        pytest.param(
+            lambda: hilbert_fit(CUSP_POLY, window=3),
+            "window upper bound is too small to say anything",
+            id="window-at-d",
+        ),
+        pytest.param(
+            lambda: graded_betti(CUSP_POLY, max_degree=2),
+            "max_degree must be at least d",
+            id="bound-below-d",
+        ),
+    ],
+)
+def test_out_of_range_arguments_are_refused(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert type(err.value) is ValueError
+    assert str(err.value) == message
 
 
 def test_hilbert_fit_flags_non_reduced_input():
@@ -564,7 +616,8 @@ def test_multiplication_matrices_commute():
     # surface's have several terms, so a negated or scaled tail shows there
     field = Field(1073741831)
     for f in [parse("x0*x1*x2 + x0^3 + x1^3", 2), parse("x0^2*x1*x2+x2^4+2*x0^3*x3", 3)]:
-        pieces = [_quotient_piece(f, k, field)[0] for k in range(5)]
+        gens = _partials(f, field.modulus)
+        pieces = [_quotient_piece(f, k, gens, field)[0] for k in range(5)]
         for k in range(3):
             for i in range(f.n + 1):
                 for j in range(i + 1, f.n + 1):
@@ -620,7 +673,7 @@ def betti_echeloning_every_piece(f, q_max, field):
     block, and every Koszul differential is built in the codomain layout
     from the multiplication maps, empty pieces included."""
     n = f.n
-    pieces = [rref(_jacobian_matrix(f, k, field.modulus).data, field) for k in range(q_max + 1)]
+    pieces = [rref(jacobian_mod(f, k, field.modulus).data, field) for k in range(q_max + 1)]
     size = [dim_degree_piece(n, k) - len(piece) for k, piece in enumerate(pieces)]
 
     def rank(p, q):
@@ -737,7 +790,7 @@ def test_pruned_rows_span_the_full_block(f, primes):
             gens = _partials(f, field.modulus)
             block, starts = _jacobian_block(gens, d - 1, n, k, field.modulus, leads.get(k - d + 1))
             pivots = rref(block.data, field)
-            assert pivots == rref(_jacobian_matrix(f, k, field.modulus).data, field), k
+            assert pivots == rref(jacobian_mod(f, k, field.modulus).data, field), k
             leads[k] = pivots.lead, starts
 
 
@@ -788,17 +841,19 @@ def test_a_repeated_pinned_prime_is_one_pass(monkeypatch):
     asked = []
     real = oracle._quotient_piece
 
-    def record(f, k, field, **kwargs):
+    def record(f, k, gens, field, **kwargs):
         asked.append((k, field.modulus))
-        return real(f, k, field, **kwargs)
+        return real(f, k, gens, field, **kwargs)
 
     monkeypatch.setattr(oracle, "_quotient_piece", record)
     assert graded_betti(f, primes=[37, 37]) == graded_betti(f, primes=[37])
     # each call is one pass over every degree mod 37
     q_max = (f.n + 1) * (f.degree - 1)
     assert asked == [(k, 37) for k in range(q_max + 1)] * 2
-    with pytest.raises(BadPrimeError, match=r"primes \[3\] are bad"):
-        graded_betti(parse("x0^3+x1^3+x2^3", 2), primes=[3, 3])
+    # 3 kills every partial of the Fermat cubic: the one pass splits and
+    # the rational pass gives the table of the derived primes
+    fermat = FERMAT[(2, 3)]
+    assert graded_betti(fermat, primes=[3, 3]) == graded_betti(fermat)
 
 
 @pytest.mark.parametrize("f, primes", STOP_RULE_INPUTS, ids=str)
@@ -819,14 +874,14 @@ def test_one_pass_mod_the_product_gives_the_per_prime_results(f, primes):
     # or a prime wipes out a partial
     pair = primes or default_primes(f, 1)
     fit = hilbert_fit(f, primes=pair)
-    trusted = not any(_kills_a_partial(f, p) for p in pair)
+    trusted = not any(kills_a_partial(f, p) for p in pair)
     for k in range(fit.k0 + 1):
         try:
-            rank = rank_mod_p(_jacobian_matrix(f, k, prod(pair)), prod(pair)).rank
+            rank = rank_mod_p(jacobian_mod(f, k, prod(pair)), prod(pair)).rank
         except _NonUnitPivot:
             rank = None
         else:
-            assert [rank_mod_p(_jacobian_matrix(f, k, p), p).rank for p in pair] == [rank] * len(pair)
+            assert [rank_mod_p(jacobian_mod(f, k, p), p).rank for p in pair] == [rank] * len(pair)
         if not trusted or rank is None:
             rank = rank_rational(_jacobian_matrix(f, k)).rank
         expected = len(grevlex_exponents(n, k)) - rank
@@ -974,10 +1029,10 @@ def test_jacobian_matrix_matches_monomial_products(f):
                 expected = {rc: x for rc, v in literal.items() if (x := residue(v, p))}
             except ZeroDivisionError:
                 with pytest.raises(BadPrimeError) as err:
-                    _jacobian_matrix(f, k, p)
+                    jacobian_mod(f, k, p)
                 assert err.value.prime == p
                 continue
-            m = _jacobian_matrix(f, k, p)
+            m = jacobian_mod(f, k, p)
             assert (m.rows, m.cols, m.modulus, entries(m)) == (rows, cols, p, expected)
 
 
@@ -987,6 +1042,30 @@ def test_prime_killing_the_partials_is_not_trusted():
     for k in range(8):
         assert milnor_dimension(f, k, primes=[3]) == milnor_dimension(f, k)
     assert hilbert_fit(f, primes=[3]).delta is None
+
+
+@pytest.mark.parametrize("f", [FERMAT[(2, 3)], CUSP_POLY], ids=str)
+def test_a_prime_killing_a_partial_splits_both_sides(f):
+    # 3 kills a partial of each: x_i^3 and x3^3 differentiate to 3*x_i^2.
+    # Under 3 alone, or 3 beside another prime, the pass mod N splits
+    # before any rank, and both sides give their rational answers
+    for modulus in (3, 15):
+        with pytest.raises(_NonUnitPivot):
+            _partials(f, modulus)
+    table, values = graded_betti(f), hilbert_fit(f).values
+    for primes in ([3], [3, 3], [3, 5]):
+        assert graded_betti(f, primes=primes) == table, primes
+        fit = hilbert_fit(f, primes=primes)
+        assert fit.values == values, primes
+        # a split proves no stop: only a smooth input's first zero ends it
+        assert fit.stop == (fit.k0 if fit.delta is None else None), primes
+    # 5 kills no partial of this curve, smooth over Q, but leaves them
+    # dependent: the lone prime is refused at position 1, a pair is not
+    g = parse("x0^3+(x1+x2)^3+5*x2^3", 2)
+    assert all(_partials(g, 5))
+    with pytest.raises(BadPrimeError, match=r"position 1 .* primes \[5\] are bad"):
+        graded_betti(g, primes=[5])
+    assert graded_betti(g, primes=[5, 7]) == koszul_smooth_table(2, 3)
 
 
 def test_a_prime_killing_a_partial_takes_no_modular_rank(monkeypatch):

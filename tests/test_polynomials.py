@@ -10,6 +10,7 @@ from singulus.errors import PolynomialSyntaxError
 from singulus.polynomials import (
     Polynomial,
     grevlex_exponents,
+    infer_variable_count,
     parse,
     squarefree_check,
 )
@@ -56,6 +57,25 @@ def test_parse_rational_coefficients_and_signs():
 def test_parse_parentheses_expand():
     f = parse("(x0+x1)^2", 1)
     assert f == parse("x0^2 + 2*x0*x1 + x1^2", 1)
+
+
+@pytest.mark.parametrize(
+    "call, text, message, offset",
+    [
+        (parse, "x0 & x1", "unexpected character '&'", 3),
+        (parse, "x0^0", "exponent must be >= 1", 3),
+        (parse, "1/x0", "expected denominator", 2),
+        (parse, "1/0*x0", "zero denominator", 2),
+        (parse, "(x0+x1", "expected ')'", 6),
+        (parse, "x0+*x1", "expected a coefficient, variable or '('", 3),
+        (lambda text, n: infer_variable_count(text), "1+2", "no variables found", 0),
+    ],
+)
+def test_syntax_errors_name_the_fault_and_its_offset(call, text, message, offset):
+    with pytest.raises(PolynomialSyntaxError) as err:
+        call(text, 2)
+    assert str(err.value) == f"{message} (offset {offset})"
+    assert err.value.offset == offset
 
 
 def test_parse_rejects_stray_division():

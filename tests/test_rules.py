@@ -183,6 +183,14 @@ def test_duplessis_wall_intervals():
     assert duplessis_wall_check(EX1, 1).status == "not-applicable"
 
 
+def test_duplessis_wall_needs_a_first_column():
+    # delta = 0, and the bounds read the smallest first-column shift
+    report = full_report(BettiTable.of(3, 3, {2: [4], 3: [0, 2, 2, 2]}))
+    assert report.delta == 0
+    [check] = [c for c in report.checks if c.name == "duplessis_wall"]
+    assert (check.status, check.witness) == ("not-applicable", {"note": "empty first column"})
+
+
 def test_divisibility_N_t():
     n4, ok4 = divisibility_N_t(EX1, 4)
     assert (n4, ok4) == (-192, True)
