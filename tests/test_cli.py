@@ -341,7 +341,7 @@ def test_inspect_poly_prime_dividing_every_coefficient_falls_back_to_rationals()
         ("1/3*x0^4+x1^4+x2^4", ["3", "5"], "divisible by 3"),
         # one prime, under which the partials are dependent but none
         # vanishes, so position 1 comes out wrong
-        ("x0^3+(x1+x2)^3+5*x2^3", ["5"], "primes [5] are bad"),
+        ("x0^3+(x1+x2)^3+10*x2^3", ["5"], "primes [5] are bad"),
     ],
 )
 def test_inspect_poly_bad_pinned_prime_exits_1(expr, primes, reason):
