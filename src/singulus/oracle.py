@@ -17,8 +17,9 @@ ways the pass mod N splits (see linalg), and so it does where a factor of
 N divides every coefficient of a nonzero partial (see _partials); either
 way the same sparse elimination kernel reruns over the rationals: the one
 degree on the Hilbert side, the whole Betti side.  "Certified" means one
-thing here: a stop of the Hilbert side proven by a regularity certificate
-(see hilbert_fit).
+thing here: a stop of either side proven by a regularity certificate, mod
+the side's own N (see _regularity_attempts); the rational rerun after a
+split is never certified and ranks up to the default degrees.
 """
 
 from __future__ import annotations
@@ -221,7 +222,7 @@ def _jacobian_matrix(f: Polynomial, k: int) -> SparseMatrix:
     return _jacobian_block(_partial_terms(f), f.degree - 1, f.n, k)[0]
 
 
-def milnor_dimension(f: Polynomial, k: int, primes=None, *, leads=None) -> int:
+def milnor_dimension(f: Polynomial, k: int, primes=None, *, leads=None, partials=()) -> int:
     """dim of the degree-k piece of the Jacobian algebra S/J_f.
 
     Pinned primes are used as given; primes derived from the input are
@@ -231,10 +232,13 @@ def milnor_dimension(f: Polynomial, k: int, primes=None, *, leads=None) -> int:
     over Q when the pass splits, a killed partial included (see _partials).
     It is built mod N first, so a pinned prime dividing a denominator raises.
 
-    ``leads`` maps earlier degrees to records of their blocks mod N, read
-    only here.  When it is given, the degree-(k-d+1) record prunes the
-    block (see _jacobian_block) and this degree's is added, if the pass
-    finished.  Without ``leads`` every block is full."""
+    ``partials`` are the partials mod N as _partials gives them, which
+    hilbert_fit reduces once for every degree, or None when a factor of N
+    kills one there; by default they are reduced here.  ``leads`` maps
+    earlier degrees to records of their blocks mod N, read only here.
+    When it is given, the degree-(k-d+1) record prunes the block (see
+    _jacobian_block) and this degree's is added, if the pass finished.
+    Without ``leads`` every block is full."""
     n, d = _validate(f)
     if k < 0:
         raise ValueError("degree must be non-negative")
@@ -245,7 +249,10 @@ def milnor_dimension(f: Polynomial, k: int, primes=None, *, leads=None) -> int:
     leads = {} if leads is None else leads
     below = leads.get(k - d + 1)
     try:
-        block, starts = _jacobian_block(_partials(f, modulus), d - 1, n, k, modulus, below)
+        if partials is None:
+            raise _NonUnitPivot(f"a factor of {modulus} kills a partial")
+        gens = partials or _partials(f, modulus)
+        block, starts = _jacobian_block(gens, d - 1, n, k, modulus, below)
         pivots = rank_mod_p(block, modulus)
     except _NonUnitPivot:
         return dim_degree_piece(n, k) - rank_rational(_jacobian_matrix(f, k)).rank
@@ -285,27 +292,25 @@ def _restrict(gens, a, modulus):
     return out
 
 
-def _section_dimensions(f: Polynomial, modulus: int, vals: list, forms):
+def _section_dimensions(f: Polynomial, modulus: int, vals: list, forms, partials, rank):
     """HF_i(k) = dim (S/(J_f, h_1..h_i))_k as a cached function of (i, k),
     the h_i given by ``forms`` (see _section_forms).  HF_0 reads the full
     ring's values ``vals``.  S/(h_1..h_i) is the polynomial ring in
-    x_0..x_(n-i), so HF_i is that of the partials with x_n, ..,
-    x_(n-i+1) substituted in turn; each of its blocks is full and ranked
-    mod the modulus, so a split, a killed partial included (see
-    _partials), raises _NonUnitPivot."""
+    x_0..x_(n-i), so HF_i is that of the ``partials`` mod the modulus (see
+    _partials) with x_n, .., x_(n-i+1) substituted in turn; each of its
+    blocks is full and ranked mod the modulus by ``rank``, each side's own
+    entry to the kernel, so a split raises _NonUnitPivot."""
 
     @cache
     def gens(i):
-        if i == 0:
-            return _partials(f, modulus)
-        return _restrict(gens(i - 1), forms[i - 1], modulus)
+        return partials if i == 0 else _restrict(gens(i - 1), forms[i - 1], modulus)
 
     @cache
     def hf(i, k):
         if i == 0:
             return vals[k]
         block = _jacobian_block(gens(i), f.degree - 1, f.n - i, k, modulus)[0]
-        return dim_degree_piece(f.n - i, k) - rank_mod_p(block, modulus).rank
+        return dim_degree_piece(f.n - i, k) - rank(block)
 
     return hf
 
@@ -334,6 +339,52 @@ def _certified_forms(hf, n: int, m: int):
         return None
 
 
+def _regularity_attempts(f: Polynomial, modulus: int, vals: list, partials, rank, reach, bound):
+    """Each side's attempts to prove where it may stop: returns
+    attempt(k), called once for each new value vals[k] of the side (its
+    HF_0, see _section_dimensions).
+
+    Once a value has left the series of a complete intersection, where
+    the values of f stay in every degree exactly when the partials are a
+    regular sequence, each new value k >= d tries to prove J_f
+    (k-1)-regular (see _certified_forms) mod the side's modulus, with
+    forms drawn from the input digest, the side's ``partials`` mod the
+    modulus and each section block ranked by ``rank``.  attempt(k) returns
+    (j, reach(k, j)) when j forms prove it and reach(k, j), the last
+    degree the side must then compute, is within ``bound``; otherwise
+    None.  Reach grows with k and j, so the attempts end at the first
+    proof, at the first k whose reach is past the bound for every j, and
+    at once when ``partials`` is None (a factor of the modulus kills one).
+    A split in the forms' ranks certifies nothing at that degree."""
+    n, d = f.n, f.degree
+    hf = None  # HF_i, built at the first attempt
+    left = False  # whether a value has left the complete-intersection series
+    live = partials is not None
+
+    def attempt(k):
+        nonlocal hf, left, live
+        if not live:
+            return None
+        # that series: the coefficient of t^k in ((1 - t^(d-1)) / (1 - t))^(n+1)
+        left = left or vals[k] != sum(
+            (-1) ** i * comb(n + 1, i) * dim_degree_piece(n, k - i * (d - 1)) for i in range(n + 2)
+        )
+        if not left or k < d:  # J_f is generated in degree d-1 <= m = k-1
+            return None
+        if reach(k, 1) > bound:
+            live = False
+            return None
+        hf = hf or _section_dimensions(f, modulus, vals, _section_forms(f, modulus), partials, rank)
+        j = _certified_forms(hf, n, k - 1)
+        if j is None:
+            return None
+        live = False
+        last = reach(k, j)
+        return (j, last) if last <= bound else None
+
+    return attempt
+
+
 def hilbert_fit(f: Polynomial, window=None, primes=None) -> HilbertData:
     """Compute dim M(f)_k over 0..window and fit the eventual polynomial.
 
@@ -354,18 +405,21 @@ def hilbert_fit(f: Polynomial, window=None, primes=None) -> HilbertData:
     rational check, because a rank mod p is at most the rank over Q.
     The working primes are resolved once, for every degree.
 
-    A proven stop ends it earlier on singular inputs.  Once a value has
-    left the series of a complete intersection, where the values of f stay
-    in every degree exactly when the partials are a regular sequence, each
-    new value k tries to prove J_f (k-1)-regular (see _certified_forms),
-    mod the product of the working primes and with forms drawn from the
-    input digest; a split, a killed partial included, certifies nothing.
-    If J_f is m-regular with j forms, the values from m on lie on a
-    polynomial of degree < j: they are computed up to K = max(m+1, m+j-1)
-    and the rest of the window is filled from the last j, whose j-th
-    difference is 0.  ``stop`` is then m.  When nothing certifies, or K is
-    past the window, every degree is computed and ``stop`` is None.  The
-    fit is the same either way, on the same values.
+    The partials are reduced mod the product N of the working primes once,
+    for every degree and for the certificate; when a factor of N kills one
+    (see _partials), every degree goes to Q and nothing is certified.  At
+    degree d-1 the value is that of n+1 independent partials unless they
+    are dependent over Q, as for a cone: a value that is neither means the
+    working primes agreed on a wrong rank, and raises BadPrimeError.  Only
+    on a mismatch is the block of the partials ranked over Q.
+
+    A proven stop ends it earlier on singular inputs (see
+    _regularity_attempts): if J_f is m-regular with j forms, the values
+    from m on lie on a polynomial of degree < j, so they are computed up to
+    K = max(m+1, m+j-1) and the rest of the window is filled from the last
+    j, whose j-th difference is 0.  ``stop`` is then m.  When nothing
+    certifies, or K is past the window, every degree is computed and
+    ``stop`` is None.  The fit is the same either way, on the same values.
     """
     n, d = _validate(f)
     w = window if window is not None else (n + 1) * (d - 2) + n + 2
@@ -373,29 +427,33 @@ def hilbert_fit(f: Polynomial, window=None, primes=None) -> HilbertData:
         raise ValueError("window upper bound is too small to say anything")
     plist = _working_primes(f, primes, 1)
     modulus = prod(plist)
+    try:
+        partials = _partials(f, modulus)
+    except _NonUnitPivot:
+        partials = None  # every degree goes to Q, and nothing is certified
     vals = []
     leads = {}  # degree -> record; degree k reads degree k-d+1
-    hf = None  # HF_i, built at the first attempt
-    j = None  # the forms of the first attempt that certifies
-    left = False  # whether a value has left the complete-intersection series
+    attempt = _regularity_attempts(
+        f, modulus, vals, partials, lambda m: rank_mod_p(m, modulus).rank,
+        lambda k, j: max(k, k + j - 2), w,
+    )
     stop, last = None, w
     for k in range(w + 1):
-        vals.append(milnor_dimension(f, k, primes=plist, leads=leads))
+        vals.append(milnor_dimension(f, k, primes=plist, leads=leads, partials=partials))
         leads.pop(k - d + 1, None)
         if vals[-1] == 0:
             values = dict(enumerate(vals + [0] * (w - k)))
             return HilbertData(n, d, values, (), k, None, None, None, stop=k)
-        if j is None:
-            # that series: the coefficient of t^k in ((1 - t^(d-1)) / (1 - t))^(n+1)
-            left = left or vals[k] != sum(
-                (-1) ** i * comb(n + 1, i) * dim_degree_piece(n, k - i * (d - 1))
-                for i in range(n + 2)
-            )
-            if left and k >= d:  # J_f is generated in degree d-1 <= m = k-1
-                hf = hf or _section_dimensions(f, modulus, vals, _section_forms(f, modulus))
-                j = _certified_forms(hf, n, k - 1)
-                if j is not None and k + j - 2 <= w:
-                    stop, last = k - 1, max(k, k + j - 2)
+        if k == d - 1 and vals[k] != dim_degree_piece(n, k) - n - 1:
+            # the n+1 partials are dependent mod N; only over Q may they be
+            expected = dim_degree_piece(n, k) - rank_rational(_jacobian_matrix(f, k)).rank
+            if vals[k] != expected:
+                raise BadPrimeError(
+                    f"degree {k} of the Jacobian algebra has dimension {expected}, "
+                    f"got {vals[k]}; the working primes {plist} are bad for this polynomial"
+                )
+        if proof := attempt(k):
+            stop, (j, last) = k - 1, proof
         if k == last:
             break
     if stop is not None:
@@ -457,9 +515,15 @@ def _quotient_piece(f, k, gens, field, *, below=None):
 
 
 def _betti_over_field(f: Polynomial, q_max: int, field):
-    """Graded Betti numbers beta_{p,q} for p = 0..n+1, q = 0..q_max, or
-    None, with no Betti numbers, at the first quotient piece that is 0
-    over the field (see graded_betti).
+    """Graded Betti numbers beta_{p,q} for p = 0..n+1, q = 0..top, and
+    the bound top that was ranked; or None, with no Betti numbers, at the
+    first quotient piece that is 0 over the field (see graded_betti).
+
+    Over Z/N the pass proves its own stop (see _regularity_attempts):
+    once J_f is proven m-regular, beta_{p,q} = 0 for q > m-1+p, so the
+    table is complete at top = m+n+1, whose Betti numbers are provably 0;
+    a bound below m+n+1 is kept, as is q_max over Q.  The sections'
+    blocks are echeloned by rref, the Betti side's entry to the kernel.
 
     K_p = Lambda^p(C^{n+1}) tensor M shifted so the differential
     d(e_S tensor m) = sum_j (-1)^j e_{S \\ s_j} tensor x_{s_j} m preserves
@@ -488,6 +552,9 @@ def _betti_over_field(f: Polynomial, q_max: int, field):
     n, d = f.n, f.degree
     gens = _partials(f, field.modulus)
     pieces, starts, size = [], [], []
+    attempt = None if field.modulus is None else _regularity_attempts(
+        f, field.modulus, size, gens, lambda m: len(rref(m.data, field)), lambda k, j: k + n, q_max
+    )
     for k in range(q_max + 1):
         j = k - d + 1
         below = (pieces[j].lead, starts[j]) if j >= 0 else None
@@ -496,7 +563,11 @@ def _betti_over_field(f: Polynomial, q_max: int, field):
         starts.append(first)
         size.append(dim_degree_piece(n, k) - len(pieces[k]))
         if not size[k]:
-            return None
+            return None, k
+        if attempt and (proof := attempt(k)):
+            q_max = proof[1]  # J_f is (k-1)-regular: beta_{p,q} = 0 for q > k-2+p
+        if k == q_max:
+            break
 
     @cache
     def basis(k):
@@ -569,7 +640,7 @@ def _betti_over_field(f: Polynomial, q_max: int, field):
             b = comb(n + 1, p) * size[q - p] - rank[p] - rank[p + 1]
             if b:
                 betas[(p, q)] = b
-    return betas
+    return betas, q_max
 
 
 def cone_check(f: Polynomial):
@@ -600,7 +671,8 @@ def graded_betti(f: Polynomial, max_degree=None, primes=None) -> BettiTable:
     number on the degree bound, in any position, or a sigma_0 other than
     n (the alternating count of a complete resolution of the torsion
     module S/J is 0) raises an incomplete-table error instead of silently
-    truncating.
+    truncating.  The bound checked is the one ranked: ``max_degree`` or
+    (n+1)(d-1), or m+n+1 below it once J_f is proven m-regular.
     """
     n, d = _validate(f)
     q_max = max_degree if max_degree is not None else (n + 1) * (d - 1)
@@ -610,9 +682,9 @@ def graded_betti(f: Polynomial, max_degree=None, primes=None) -> BettiTable:
 
     plist = _working_primes(f, primes, 0)
     try:
-        betas = _betti_over_field(f, q_max, Field(prod(plist)))
+        betas, q_max = _betti_over_field(f, q_max, Field(prod(plist)))
     except _NonUnitPivot:
-        betas = _betti_over_field(f, q_max, QQ)
+        betas, q_max = _betti_over_field(f, q_max, QQ)
     if betas is None:
         return koszul_smooth_table(n, d)
 

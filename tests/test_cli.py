@@ -355,6 +355,20 @@ def test_inspect_poly_bad_pinned_prime_exits_1(expr, primes, reason):
     assert reason in res.stderr
 
 
+def test_inspect_poly_lone_prime_with_dependent_partials_fails_both_sides():
+    # smooth over Q; mod 5 the partials are dependent, so each side refuses
+    # the prime: the Hilbert side at degree 2, the Betti side at position 1
+    res = run_cli("inspect-poly", "--expr", "x0^3+(x1+x2)^3+5*x2^3", "--prime", "5", "--format", "json")
+    assert res.returncode == 1
+    assert "Traceback" not in res.stderr
+    lines = res.stderr.splitlines()
+    assert [line.split(":")[1] for line in lines] == [" hilbert_fit failed", " graded_betti failed"]
+    assert all(line.endswith("the working primes [5] are bad for this polynomial") for line in lines)
+    doc = json.loads(res.stdout)
+    assert "hilbert" not in doc and "betti_columns" not in doc
+    assert doc["deviations"] == [line.removeprefix("error: ") for line in lines]
+
+
 def test_inspect_poly_prime_killing_the_partials_falls_back_on_both_sides():
     # mod 3 every partial of the Fermat cubic vanishes: both sides fall
     # back to Q and answer as the derived primes do
@@ -485,7 +499,11 @@ def _inspect_in_process(capsys, expr):
 
 
 def test_inspect_poly_decreasing_hilbert_tail_is_a_bad_prime_error(monkeypatch, capsys):
-    monkeypatch.setattr(oracle, "milnor_dimension", lambda f, k, primes=None, **kwargs: 100 - k)
+    # degree 2 keeps the value of four independent partials, which the
+    # position-1 check compares, and every later value falls
+    monkeypatch.setattr(
+        oracle, "milnor_dimension", lambda f, k, primes=None, **kwargs: 6 if k == 2 else 100 - k
+    )
     code, doc, err = _inspect_in_process(capsys, "x0*x1*x2 + x3^3")
     assert code == 1
     assert "hilbert" not in doc and doc["verdict"]["kind"] == "singular"

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import comb, prod
@@ -224,6 +225,10 @@ def hilbert_values(draw):
     vals = draw(st.lists(st.integers(-3, 40), min_size=k0, max_size=k0)) + [
         sum(h * comb(k - k0, i) for i, h in enumerate(heads)) for k in range(k0, w + 1)
     ]
+    if k0 > 2 and draw(st.booleans()):
+        # degree 2 as for n+1 independent partials of a cubic, so that the
+        # position-1 check passes and the fit is reached
+        vals[2] = comb(n + 2, 2) - n - 1
     for k in draw(st.lists(st.integers(0, w), max_size=2)):
         vals[k] += draw(st.sampled_from([-1, 1]))
     return n, vals
@@ -235,8 +240,9 @@ def hilbert_values(draw):
 @example((2, [1, 3, 3, 1, 0]))  # smooth, the first zero at the last degree
 @example((3, [1, 4, 6, 6, 6, 6, 6]))  # delta 0, tau 6
 @example((2, [1, 2, 3, 4, 5, 6]))  # degree 1 > n-2
-@example((3, [10, 9, 8, 7, 6, 5]))  # negative degree
-@example((2, [1, 1, 4, 9, 16, 25]))  # no stabilization
+@example((3, [10, 9, 6, 9, 8, 7, 6, 5]))  # negative degree
+@example((3, [10, 9, 8, 7, 6, 5]))  # a dependent position 1
+@example((2, [1, 1, 3, 9, 16, 25]))  # no stabilization
 def test_hilbert_fit_matches_the_reference_fit(case):
     n, vals = case
     f = FERMAT_CUBICS[n]
@@ -262,8 +268,21 @@ def test_hilbert_fit_matches_the_reference_fit(case):
             assert hd.values == dict(enumerate(expected)) and (hd.n, hd.d) == (n, 3)
             assert all(type(c) is Fraction for c in hd.poly)
             got = (hd.poly, hd.k0, hd.delta, hd.degree_sigma, hd.tjurina)
+    primes = default_primes(f, 1)
+    # the n+1 partials of the Fermat cubic are independent over Q, so a
+    # degree-2 value other than theirs refuses the working primes
+    position_one = comb(n + 2, 2) - n - 1
+    if 0 not in vals[:3] and vals[2] != position_one:
+        assert asked == [0, 1, 2]
+        assert got == (
+            "BadPrimeError",
+            f"degree 2 of the Jacobian algebra has dimension {position_one}, got {vals[2]}; "
+            f"the working primes {list(primes)} are bad for this polynomial",
+            None,
+        )
+        return
     assert asked == list(range(last + 1))
-    assert got == reference_hilbert_fit(n, expected, default_primes(f, 1))
+    assert got == reference_hilbert_fit(n, expected, primes)
 
 
 # -- the proven stop of the Hilbert side ----------------------------------
@@ -368,10 +387,16 @@ def test_coordinate_forms_do_not_prove_the_cusp_regular():
     f = CUSP_POLY
     modulus = prod(default_primes(f, 1))
     vals = [hilbert_fit(f).values[k] for k in range(5)]
+    partials = _partials(f, modulus)
+
+    def rank(block):
+        return rank_mod_p(block, modulus).rank
+
     coordinate = [[0] * (f.n - i + 1) for i in range(1, f.n)]
-    assert _certified_forms(_section_dimensions(f, modulus, vals, coordinate), f.n, 3) is None
-    seeded = _section_forms(f, modulus)
-    assert _certified_forms(_section_dimensions(f, modulus, vals, seeded), f.n, 3) == 1
+    hf = _section_dimensions(f, modulus, vals, coordinate, partials, rank)
+    assert _certified_forms(hf, f.n, 3) is None
+    hf = _section_dimensions(f, modulus, vals, _section_forms(f, modulus), partials, rank)
+    assert _certified_forms(hf, f.n, 3) == 1
 
 
 @pytest.mark.parametrize(
@@ -699,7 +724,8 @@ def test_stopping_at_the_first_empty_piece_is_exact(f, primes):
         fields.append(QQ)
     q_max = (f.n + 1) * (f.degree - 1)
     for field in fields:
-        betas = _betti_over_field(f, q_max, field)
+        # a proven stop below q_max leaves out only Betti numbers that are 0
+        betas, _ = _betti_over_field(f, q_max, field)
         if betas is not None:
             # for k < d-1 the piece is all of S_k, whose Koszul complex is
             # exact from position 1 on: no Betti number below the strand
@@ -714,11 +740,8 @@ def test_stopping_at_the_first_empty_piece_is_exact(f, primes):
 
 @pytest.mark.parametrize("f, primes", STOP_RULE_INPUTS, ids=str)
 def test_pruned_koszul_blocks_keep_the_rank_of_the_full_block(monkeypatch, f, primes):
-    # every Koszul rank of the pass, in its order: each degree q from
-    # p = min(q, n+1) down to 2
     n, d = f.n, f.degree
     q_max = (n + 1) * (d - 1)
-    order = [(p, q) for q in range(q_max + 1) for p in range(min(q, n + 1), 1, -1)]
     fields = [Field(prod(primes or default_primes(f)))]
     if n == 2:
         fields.append(QQ)
@@ -742,7 +765,7 @@ def test_pruned_koszul_blocks_keep_the_rank_of_the_full_block(monkeypatch, f, pr
             monkeypatch.setattr(oracle, name, record)
         monkeypatch.setattr(oracle, "_quotient_piece", piece)
         try:
-            betas = _betti_over_field(f, q_max, field)
+            betas, top = _betti_over_field(f, q_max, field)
         except _NonUnitPivot:
             assert primes and field.modulus is not None  # QQ then covers it
             continue
@@ -751,6 +774,9 @@ def test_pruned_koszul_blocks_keep_the_rank_of_the_full_block(monkeypatch, f, pr
         if betas is None:
             assert ranked == []  # an empty piece ends the pass before any rank
             continue
+        # every Koszul rank of the pass up to its ranked bound, in its
+        # order: each degree q from p = min(q, n+1) down to 2
+        order = [(p, q) for q in range(top + 1) for p in range(min(q, n + 1), 1, -1)]
         assert len(ranked) == len(order)
         for (p, q), (rows, rank) in zip(order, ranked):
             # the full transposed block: one row per e_S tensor b, none left out
@@ -774,6 +800,120 @@ def test_a_singular_input_whose_pair_splits_ranks_its_koszul_blocks_over_q(monke
     report = cross_check(f, primes=[37, 41])
     assert report.deviations == []
     assert report.hilbert.tjurina == report.rule_report.tau == 1
+
+
+# -- the proven stop of the Betti side ------------------------------------
+
+
+def _record_pieces(monkeypatch):
+    """Record (k, modulus) of every quotient piece the Betti side builds."""
+    built = []
+    real = oracle._quotient_piece
+
+    def record(f, k, gens, field, **kwargs):
+        built.append((k, field.modulus))
+        return real(f, k, gens, field, **kwargs)
+
+    monkeypatch.setattr(oracle, "_quotient_piece", record)
+    return built
+
+
+def _betti_outcome(f, **kwargs):
+    """graded_betti's table, or its error by type and message."""
+    try:
+        return graded_betti(f, **kwargs)
+    except (ValueError, BadPrimeError, IncompleteTableError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_the_betti_side_stops_at_the_table_regularity_plus_n_plus_two(monkeypatch):
+    # J_f is m-regular for m = reg + 1, so beta_{p,q} = 0 for q > m-1+p and
+    # the last degree ranked is m+n+1; a smooth input still ends at its
+    # first empty piece, reg + 1
+    built = _record_pieces(monkeypatch)
+    singular = below_default = 0
+    for f, primes in dict.fromkeys([*golden_inputs(), (HSPOG, None)]):
+        built.clear()
+        try:
+            table = graded_betti(f, primes=primes)
+        except ConeError:
+            continue  # the cone golden has no table
+        reg = full_report(table).reg
+        last = built[-1][0]
+        if table == koszul_smooth_table(f.n, f.degree):
+            assert last == reg + 1, f
+            continue
+        assert last == reg + 1 + f.n + 1, f
+        singular += 1
+        below_default += last < (f.n + 1) * (f.degree - 1)
+    # the five singular corpus inputs, the cusp fixture among them, and
+    # the hspog surface; only the nodal cubic curve's stop is the default
+    assert (singular, below_default) == (6, 5)
+
+
+def test_the_proven_stop_gives_the_table_of_the_default_bound(monkeypatch):
+    # the goldens, the hspog surface and 40 seeded sparse curves and
+    # surfaces of degree 3 or 4, with the certificate and without it
+    rng = random.Random(2026)
+    inputs = list(dict.fromkeys([*golden_inputs(), (HSPOG, None)]))
+    for _ in range(40):
+        n, d = rng.choice((2, 3)), rng.choice((3, 4))
+        monos = rng.sample(grevlex_exponents(n, d), rng.randint(3, 6))
+        inputs.append((Polynomial(n, {m: rng.choice((1, -1, 2)) for m in monos}), None))
+    proven = [_betti_outcome(f, primes=primes) for f, primes in inputs]
+    _no_certificate(monkeypatch)
+    assert proven == [_betti_outcome(f, primes=primes) for f, primes in inputs]
+    assert sum(isinstance(t, BettiTable) and t != koszul_smooth_table(t.n, t.d) for t in proven) > 20
+
+
+def test_a_bound_below_the_proven_stop_is_unchanged(monkeypatch):
+    # every max_degree from d up to the default bound: below m+n+1 no
+    # proof can end the pass, so each bound gives the table or the error
+    # it gave without the certificate
+    cases = [
+        (f, q, full_report(graded_betti(f)).reg + 1 + f.n + 1)
+        for f in (CUSP_POLY, HSPOG, parse("x0*x1*x2*x3 + x4^4", 4))
+        for q in range(f.degree, (f.n + 1) * (f.degree - 1) + 1)
+    ]
+    built = _record_pieces(monkeypatch)
+    proven = []
+    for f, q, top in cases:
+        built.clear()
+        proven.append(_betti_outcome(f, max_degree=q))
+        assert built[-1][0] == min(q, top), (f, q)
+    _no_certificate(monkeypatch)
+    assert proven == [_betti_outcome(f, max_degree=q) for f, q, _ in cases]
+    assert {type(t) for t in proven} == {BettiTable, tuple}  # errors are compared too
+
+
+def test_a_pinned_pair_that_splits_returns_the_rational_table(monkeypatch):
+    # mod 3*7 the hspog surface's pass splits: the rational rerun ranks
+    # every degree to the default bound, as there is no proof over Q
+    built = _record_pieces(monkeypatch)
+    table = graded_betti(HSPOG, primes=[3, 7])
+    assert {m for _, m in built} == {21, None}
+    assert [k for k, m in built if m is None] == list(range(13))
+    built.clear()
+    assert table == graded_betti(HSPOG)
+    assert built[-1][0] == 8  # the derived primes prove m = 4
+    # a split in the certificate alone proves nothing: the pass mod N
+    # goes on to the default bound and gives the same table
+    real = oracle._section_dimensions
+
+    def splitting(*args):
+        hf = real(*args)
+
+        def split(i, k):
+            if i:
+                raise _NonUnitPivot("forced split in a section block")
+            return hf(i, k)
+
+        return split
+
+    monkeypatch.setattr(oracle, "_section_dimensions", splitting)
+    built.clear()
+    assert graded_betti(HSPOG) == table
+    assert [k for k, _ in built] == list(range(13)) and None not in {m for _, m in built}
 
 
 @pytest.mark.parametrize("f, primes", STOP_RULE_INPUTS, ids=str)
@@ -846,10 +986,13 @@ def test_a_repeated_pinned_prime_is_one_pass(monkeypatch):
         return real(f, k, gens, field, **kwargs)
 
     monkeypatch.setattr(oracle, "_quotient_piece", record)
-    assert graded_betti(f, primes=[37, 37]) == graded_betti(f, primes=[37])
-    # each call is one pass over every degree mod 37
-    q_max = (f.n + 1) * (f.degree - 1)
-    assert asked == [(k, 37) for k in range(q_max + 1)] * 2
+    table = graded_betti(f, primes=[37, 37])
+    assert table == graded_betti(f, primes=[37])
+    # each call is one pass mod 37, over every degree up to the proven
+    # stop m+n+1, m = reg + 1, one below the default bound (n+1)(d-1) = 6
+    top = full_report(table).reg + 1 + f.n + 1
+    assert top == 5
+    assert asked == [(k, 37) for k in range(top + 1)] * 2
     # 3 kills every partial of the Fermat cubic: the one pass splits and
     # the rational pass gives the table of the derived primes
     fermat = FERMAT[(2, 3)]
@@ -862,9 +1005,10 @@ def test_one_pass_mod_the_product_gives_the_per_prime_results(f, primes):
     # Betti side: the product's pass is each prime's pass, or it splits
     pair = primes or default_primes(f)
     q_max = (n + 1) * (d - 1)
-    alone = [_betti_over_field(f, q_max, Field(p)) for p in pair]
+    # (each field draws its own forms, so only the Betti numbers compare)
+    alone = [_betti_over_field(f, q_max, Field(p))[0] for p in pair]
     try:
-        joint = _betti_over_field(f, q_max, Field(prod(pair)))
+        joint = _betti_over_field(f, q_max, Field(prod(pair)))[0]
     except _NonUnitPivot:
         assert primes  # derived primes never split on these inputs
     else:
@@ -976,7 +1120,7 @@ def test_a_split_never_leaves_the_oracle(monkeypatch):
 
 def test_betti_low_positions():
     f = CUSP_POLY
-    betas = _betti_over_field(f, 8, Field(1073741831))
+    betas, _ = _betti_over_field(f, 8, Field(1073741831))
     assert betas[(0, 0)] == 1
     assert betas[(1, f.degree - 1)] == f.n + 1
     assert not any(p == 1 and q != f.degree - 1 for p, q in betas)
@@ -1059,13 +1203,47 @@ def test_a_prime_killing_a_partial_splits_both_sides(f):
         assert fit.values == values, primes
         # a split proves no stop: only a smooth input's first zero ends it
         assert fit.stop == (fit.k0 if fit.delta is None else None), primes
+
+
+@pytest.mark.parametrize(
+    "f, primes",
+    # 3 kills the partial 3*x3^2; the second reaches its proven stop
+    [(CUSP_POLY, [3, 5]), (parse("x0*x1*x2*x3 + x4^4", 4), None)],
+    ids=str,
+)
+def test_the_hilbert_side_reduces_its_partials_once_per_pass(monkeypatch, f, primes):
+    expected = hilbert_fit(f, primes=primes)
+    reductions = []
+    real = oracle.reduce_mod
+
+    def record(m, p):
+        if sys._getframe(1).f_code.co_name == "_partials":
+            reductions.append(p)
+        return real(m, p)
+
+    monkeypatch.setattr(oracle, "reduce_mod", record)
+    assert hilbert_fit(f, primes=primes) == expected
+    assert reductions == [prod(primes or default_primes(f, 1))]
+    # a killed partial sends every degree to Q, so the values are those of
+    # the derived primes, and no stop is proven
+    if primes:
+        assert expected.values == hilbert_fit(f).values and expected.stop is None
+
+
+def test_a_lone_prime_with_dependent_partials_is_refused_by_both_sides():
     # 5 kills no partial of this curve, smooth over Q, but leaves them
-    # dependent: the lone prime is refused at position 1, a pair is not
+    # dependent: degree 2 of the Jacobian algebra comes out 4, not 3
     g = parse("x0^3+(x1+x2)^3+5*x2^3", 2)
     assert all(_partials(g, 5))
+    with pytest.raises(BadPrimeError, match=r"has dimension 3, got 4; .* primes \[5\] are bad"):
+        hilbert_fit(g, primes=[5])
     with pytest.raises(BadPrimeError, match=r"position 1 .* primes \[5\] are bad"):
         graded_betti(g, primes=[5])
+    # a second prime restores the Q answer on both sides
+    assert hilbert_fit(g, primes=[5, 7]).delta is None
     assert graded_betti(g, primes=[5, 7]) == koszul_smooth_table(2, 3)
+    # a cone's partials are dependent over Q as well, so it passes
+    assert hilbert_fit(parse("x0*x1*x2", 3)).values[2] == 7
 
 
 def test_a_prime_killing_a_partial_takes_no_modular_rank(monkeypatch):
