@@ -515,15 +515,20 @@ def _quotient_piece(f, k, gens, field, *, below=None):
 
 
 def _betti_over_field(f: Polynomial, q_max: int, field):
-    """Graded Betti numbers beta_{p,q} for p = 0..n+1, q = 0..top, and
-    the bound top that was ranked; or None, with no Betti numbers, at the
-    first quotient piece that is 0 over the field (see graded_betti).
+    """Graded Betti numbers beta_{p,q} for p = 0..n+1, q = 0..top[p], and
+    top, the last degree ranked at each position; or None, with no Betti
+    numbers, at the first quotient piece that is 0 over the field (see
+    graded_betti).
 
-    Over Z/N the pass proves its own stop (see _regularity_attempts):
-    once J_f is proven m-regular, beta_{p,q} = 0 for q > m-1+p, so the
-    table is complete at top = m+n+1, whose Betti numbers are provably 0;
-    a bound below m+n+1 is kept, as is q_max over Q.  The sections'
-    blocks are echeloned by rref, the Betti side's entry to the kernel.
+    Over Z/N the pass proves its own stop (see _regularity_attempts).
+    Once J_f is proven m-regular at piece k = m+1, beta_{p,q} = 0 for
+    q - p >= m: no later piece is built, and only the band q - p <= m is
+    ranked, up to q = m+n+1, so top[p] = m+p.  A block in the band reads
+    pieces up to m+1 and nothing more, and the Betti numbers on its edge,
+    q - p = m, are provably 0 (graded_betti checks them).  Without a
+    proof, as below a bound of m+n+1 or over Q, top[p] = q_max: the same
+    loop with no band.  The sections' blocks are echeloned by rref, the
+    Betti side's entry to the kernel.
 
     K_p = Lambda^p(C^{n+1}) tensor M shifted so the differential
     d(e_S tensor m) = sum_j (-1)^j e_{S \\ s_j} tensor x_{s_j} m preserves
@@ -541,20 +546,21 @@ def _betti_over_field(f: Polynomial, q_max: int, field):
     leading column, enters with sign +1: a row whose leading column is a
     basis column leads with 1, which the kernel stores unscaled.
 
-    Each degree q is ranked from p = min(q, n+1) down to 2, and d_p's
-    block leaves out the row at every pivot column c of d_(p+1)'s.  That
-    pivot row, e_c plus later coordinates, lies in im d_(p+1), which d_p
-    kills, so row c of d_p's block is a combination of later rows; by
-    induction from the last row the kept rows span the same space.  Only
-    beta_{p,q} kept rows then reduce to zero.  Each piece's Jacobian
-    block is pruned by the record of the piece d-1 degrees down (see
-    _jacobian_block)."""
+    Each degree q is ranked from p = min(q, n+1) down to max(2, q-m),
+    and d_p's block leaves out the row at every pivot column c of
+    d_(p+1)'s.  That pivot row, e_c plus later coordinates, lies in
+    im d_(p+1), which d_p kills, so row c of d_p's block is a combination
+    of later rows; by induction from the last row the kept rows span the
+    same space.  Only beta_{p,q} kept rows then reduce to zero.  Each
+    piece's Jacobian block is pruned by the record of the piece d-1
+    degrees down (see _jacobian_block)."""
     n, d = f.n, f.degree
     gens = _partials(f, field.modulus)
     pieces, starts, size = [], [], []
     attempt = None if field.modulus is None else _regularity_attempts(
         f, field.modulus, size, gens, lambda m: len(rref(m.data, field)), lambda k, j: k + n, q_max
     )
+    m = q_max  # no proof: every q - p <= q_max is ranked
     for k in range(q_max + 1):
         j = k - d + 1
         below = (pieces[j].lead, starts[j]) if j >= 0 else None
@@ -565,8 +571,7 @@ def _betti_over_field(f: Polynomial, q_max: int, field):
         if not size[k]:
             return None, k
         if attempt and (proof := attempt(k)):
-            q_max = proof[1]  # J_f is (k-1)-regular: beta_{p,q} = 0 for q > k-2+p
-        if k == q_max:
+            m, q_max = k - 1, proof[1]  # J_f is m-regular: beta_{p,q} = 0 for q - p >= m
             break
 
     @cache
@@ -629,18 +634,18 @@ def _betti_over_field(f: Polynomial, q_max: int, field):
 
     betas = {}
     for q in range(q_max + 1):
-        p_max = min(q, n + 1)
+        low, p_max = max(0, q - m), min(q, n + 1)  # the band: q - p <= m
         rank = [0] * (n + 3)  # rank[p] = rank d_{p,q}
-        if q:
+        if q and low <= 1:
             rank[1] = size[q]
         skip = set()
-        for p in range(p_max, 1, -1):
+        for p in range(p_max, max(low, 2) - 1, -1):
             rank[p], skip = rank_of(p, q, skip)
-        for p in range(p_max + 1):
+        for p in range(low, p_max + 1):
             b = comb(n + 1, p) * size[q - p] - rank[p] - rank[p + 1]
             if b:
                 betas[(p, q)] = b
-    return betas, q_max
+    return betas, [min(q_max, m + p) for p in range(n + 2)]
 
 
 def cone_check(f: Polynomial):
@@ -672,7 +677,11 @@ def graded_betti(f: Polynomial, max_degree=None, primes=None) -> BettiTable:
     n (the alternating count of a complete resolution of the torsion
     module S/J is 0) raises an incomplete-table error instead of silently
     truncating.  The bound checked is the one ranked: ``max_degree`` or
-    (n+1)(d-1), or m+n+1 below it once J_f is proven m-regular.
+    (n+1)(d-1) at every position.  Once J_f is proven m-regular mod the
+    working primes (see _betti_over_field), it is the edge of the band
+    instead, degree m+p at position p, where every Betti number is
+    provably 0: a nonzero one there contradicts the proof, so the working
+    primes agreed on a wrong rank, and raises BadPrimeError.
     """
     n, d = _validate(f)
     q_max = max_degree if max_degree is not None else (n + 1) * (d - 1)
@@ -682,9 +691,9 @@ def graded_betti(f: Polynomial, max_degree=None, primes=None) -> BettiTable:
 
     plist = _working_primes(f, primes, 0)
     try:
-        betas, q_max = _betti_over_field(f, q_max, Field(prod(plist)))
+        betas, top = _betti_over_field(f, q_max, Field(prod(plist)))
     except _NonUnitPivot:
-        betas, q_max = _betti_over_field(f, q_max, QQ)
+        betas, top = _betti_over_field(f, q_max, QQ)
     if betas is None:
         return koszul_smooth_table(n, d)
 
@@ -697,7 +706,13 @@ def graded_betti(f: Polynomial, max_degree=None, primes=None) -> BettiTable:
             f"the working primes {plist} are bad for this polynomial"
         )
 
-    boundary = {p: b for (p, q), b in betas.items() if q == q_max}
+    boundary = {p: b for (p, q), b in betas.items() if q == top[p]}
+    q_max, m = top[-1], top[0]  # m < q_max exactly when J_f is proven m-regular
+    if boundary and m < q_max:
+        raise BadPrimeError(
+            f"J_f is proven {m}-regular, but positions {sorted(boundary)} have nonzero "
+            f"Betti numbers at q - p = {m}; the working primes {plist} are bad for this polynomial"
+        )
     if boundary:
         raise IncompleteTableError(
             f"nonzero Betti numbers at the degree bound {q_max} in positions "

@@ -292,6 +292,22 @@ def _no_certificate(monkeypatch):
     monkeypatch.setattr(oracle, "_certified_forms", lambda hf, n, m: None)
 
 
+def _fake_proof(monkeypatch, part):
+    """Make one side's certificate prove J_f (d-1)-regular with one form
+    at its first chance, degree k = d, whatever the values: the side
+    whose modulus is the product of the primes derived from part ``part``
+    of the input digest, 0 for the Betti side and 1 for the Hilbert side
+    (see default_primes).  The other side's attempts are left as they are."""
+    real = oracle._regularity_attempts
+
+    def attempts(f, modulus, vals, partials, rank, reach, bound):
+        if modulus != prod(default_primes(f, part)):
+            return real(f, modulus, vals, partials, rank, reach, bound)
+        return lambda k: (1, reach(k, 1)) if k == f.degree else None
+
+    monkeypatch.setattr(oracle, "_regularity_attempts", attempts)
+
+
 def test_the_proven_stop_is_the_table_regularity_plus_one():
     # J_f is (reg + 1)-regular and no less, and generic forms prove the
     # least such degree; a smooth input stops at its first zero value, reg + 1
@@ -414,14 +430,37 @@ def test_a_smooth_input_attempts_no_certificate(monkeypatch, f, primes):
 
 
 def test_cross_check_flags_a_stop_below_the_table_regularity(monkeypatch):
-    # a certificate that passes at every attempt proves the cusp
-    # 2-regular, below its reg + 1 = 3: the values are still right there
-    monkeypatch.setattr(oracle, "_certified_forms", lambda hf, n, m: 1)
+    # a Hilbert-side certificate that passes at its first attempt proves
+    # the cusp 2-regular, below its reg + 1 = 3: the values are still
+    # right there, and the Betti side proves its own stop
+    _fake_proof(monkeypatch, 1)
     report = cross_check(CUSP_POLY)
     assert report.hilbert.stop == 2
     assert report.deviations == [
         "regularity disagrees: hilbert proves a stop at degree 2, below the table's reg + 1 = 3"
     ]
+
+
+def test_a_betti_proof_below_the_table_regularity_is_a_bad_prime_error(monkeypatch, capsys):
+    # a Betti-side certificate that passes at its first attempt proves the
+    # cusp 2-regular, below its reg + 1 = 3: the edge q - p = 2 of the band
+    # then holds the table's Betti numbers there, and no larger bound helps
+    _fake_proof(monkeypatch, 0)
+    message = (
+        "J_f is proven 2-regular, but positions [2, 3] have nonzero Betti numbers at "
+        f"q - p = 2; the working primes {list(default_primes(CUSP_POLY))} are bad for this polynomial"
+    )
+    with pytest.raises(BadPrimeError) as exc:
+        graded_betti(CUSP_POLY)
+    assert str(exc.value) == message
+    report = cross_check(CUSP_POLY)
+    assert report.hilbert == hilbert_fit(CUSP_POLY) and report.table is None
+    assert report.deviations == [f"graded_betti failed: {message}"]
+    path = str(REPO / "fixtures" / "triangle_cusp_threefold.poly")
+    assert cli.main(["inspect-poly", path, "--format", "json"]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out)["deviations"] == report.deviations
+    assert err == f"error: graded_betti failed: {message}\n"
 
 
 def test_graded_betti_cusp_threefold():
@@ -774,9 +813,13 @@ def test_pruned_koszul_blocks_keep_the_rank_of_the_full_block(monkeypatch, f, pr
         if betas is None:
             assert ranked == []  # an empty piece ends the pass before any rank
             continue
-        # every Koszul rank of the pass up to its ranked bound, in its
-        # order: each degree q from p = min(q, n+1) down to 2
-        order = [(p, q) for q in range(top + 1) for p in range(min(q, n + 1), 1, -1)]
+        # every Koszul rank of the pass in its band q - p <= m, in its
+        # order: each degree q up to top[n+1] from p = min(q, n+1) down to
+        # max(2, q-m), where m = top[0], or the bound without a proof
+        m = top[0]
+        order = [
+            (p, q) for q in range(top[-1] + 1) for p in range(min(q, n + 1), max(2, q - m) - 1, -1)
+        ]
         assert len(ranked) == len(order)
         for (p, q), (rows, rank) in zip(order, ranked):
             # the full transposed block: one row per e_S tensor b, none left out
@@ -826,10 +869,11 @@ def _betti_outcome(f, **kwargs):
         return type(exc).__name__, str(exc)
 
 
-def test_the_betti_side_stops_at_the_table_regularity_plus_n_plus_two(monkeypatch):
-    # J_f is m-regular for m = reg + 1, so beta_{p,q} = 0 for q > m-1+p and
-    # the last degree ranked is m+n+1; a smooth input still ends at its
-    # first empty piece, reg + 1
+def test_the_betti_side_stops_at_the_table_regularity_plus_two(monkeypatch):
+    # J_f is m-regular for m = reg + 1, proven at piece m+1, the last one
+    # built: beta_{p,q} = 0 for q - p >= m, and the band q - p <= m reads
+    # no later piece; a smooth input still ends at its first empty piece,
+    # reg + 1
     built = _record_pieces(monkeypatch)
     singular = below_default = 0
     for f, primes in dict.fromkeys([*golden_inputs(), (HSPOG, None)]):
@@ -843,44 +887,51 @@ def test_the_betti_side_stops_at_the_table_regularity_plus_n_plus_two(monkeypatc
         if table == koszul_smooth_table(f.n, f.degree):
             assert last == reg + 1, f
             continue
-        assert last == reg + 1 + f.n + 1, f
+        assert last == reg + 2, f
         singular += 1
-        below_default += last < (f.n + 1) * (f.degree - 1)
+        below_default += last + f.n < (f.n + 1) * (f.degree - 1)
     # the five singular corpus inputs, the cusp fixture among them, and
-    # the hspog surface; only the nodal cubic curve's stop is the default
+    # the hspog surface; only the nodal cubic curve's band reaches the
+    # default bound, at m+n+1 = last+n
     assert (singular, below_default) == (6, 5)
 
 
 def test_the_proven_stop_gives_the_table_of_the_default_bound(monkeypatch):
-    # the goldens, the hspog surface and 40 seeded sparse curves and
-    # surfaces of degree 3 or 4, with the certificate and without it
+    # the goldens, the hspog surface, 40 seeded sparse curves and
+    # surfaces of degree 3 or 4 and ten cubic threefolds, where the band
+    # leaves out the most, with the certificate and without it
     rng = random.Random(2026)
     inputs = list(dict.fromkeys([*golden_inputs(), (HSPOG, None)]))
     for _ in range(40):
         n, d = rng.choice((2, 3)), rng.choice((3, 4))
         monos = rng.sample(grevlex_exponents(n, d), rng.randint(3, 6))
         inputs.append((Polynomial(n, {m: rng.choice((1, -1, 2)) for m in monos}), None))
+    for _ in range(10):
+        monos = rng.sample(grevlex_exponents(4, 3), rng.randint(5, 8))
+        inputs.append((Polynomial(4, {m: rng.choice((1, -1, 2)) for m in monos}), None))
     proven = [_betti_outcome(f, primes=primes) for f, primes in inputs]
     _no_certificate(monkeypatch)
     assert proven == [_betti_outcome(f, primes=primes) for f, primes in inputs]
-    assert sum(isinstance(t, BettiTable) and t != koszul_smooth_table(t.n, t.d) for t in proven) > 20
+    assert sum(isinstance(t, BettiTable) and t != koszul_smooth_table(t.n, t.d) for t in proven) > 30
+    assert all(isinstance(t, BettiTable) for t in proven[-10:])  # every threefold has a table
 
 
 def test_a_bound_below_the_proven_stop_is_unchanged(monkeypatch):
     # every max_degree from d up to the default bound: below m+n+1 no
     # proof can end the pass, so each bound gives the table or the error
-    # it gave without the certificate
+    # it gave without the certificate; from m+n+1 on the last piece is
+    # the proof's, m+1
     cases = [
-        (f, q, full_report(graded_betti(f)).reg + 1 + f.n + 1)
+        (f, q, full_report(graded_betti(f)).reg + 1)
         for f in (CUSP_POLY, HSPOG, parse("x0*x1*x2*x3 + x4^4", 4))
         for q in range(f.degree, (f.n + 1) * (f.degree - 1) + 1)
     ]
     built = _record_pieces(monkeypatch)
     proven = []
-    for f, q, top in cases:
+    for f, q, m in cases:
         built.clear()
         proven.append(_betti_outcome(f, max_degree=q))
-        assert built[-1][0] == min(q, top), (f, q)
+        assert built[-1][0] == (q if q < m + f.n + 1 else m + 1), (f, q)
     _no_certificate(monkeypatch)
     assert proven == [_betti_outcome(f, max_degree=q) for f, q, _ in cases]
     assert {type(t) for t in proven} == {BettiTable, tuple}  # errors are compared too
@@ -895,7 +946,7 @@ def test_a_pinned_pair_that_splits_returns_the_rational_table(monkeypatch):
     assert [k for k, m in built if m is None] == list(range(13))
     built.clear()
     assert table == graded_betti(HSPOG)
-    assert built[-1][0] == 8  # the derived primes prove m = 4
+    assert built[-1][0] == 5  # the derived primes prove m = 4 at piece m+1
     # a split in the certificate alone proves nothing: the pass mod N
     # goes on to the default bound and gives the same table
     real = oracle._section_dimensions
@@ -988,10 +1039,10 @@ def test_a_repeated_pinned_prime_is_one_pass(monkeypatch):
     monkeypatch.setattr(oracle, "_quotient_piece", record)
     table = graded_betti(f, primes=[37, 37])
     assert table == graded_betti(f, primes=[37])
-    # each call is one pass mod 37, over every degree up to the proven
-    # stop m+n+1, m = reg + 1, one below the default bound (n+1)(d-1) = 6
-    top = full_report(table).reg + 1 + f.n + 1
-    assert top == 5
+    # each call is one pass mod 37, over every piece up to the proof's,
+    # m+1 for m = reg + 1, three below the default bound (n+1)(d-1) = 6
+    top = full_report(table).reg + 2
+    assert top == 3
     assert asked == [(k, 37) for k in range(top + 1)] * 2
     # 3 kills every partial of the Fermat cubic: the one pass splits and
     # the rational pass gives the table of the derived primes
