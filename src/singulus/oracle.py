@@ -196,7 +196,10 @@ def _jacobian_block(gens, deg: int, n: int, k: int, p=None, below=None):
     some g = m + lower there, and m*g_i = g*g_i - lower*g_i lies in the
     span of the rows of earlier generators and of rows t*g_i with t < m.
     By induction the row space, and so every rank and every reduced
-    echelon form, is that of the full block.
+    echelon form, is that of the full block.  Both sides prune every block
+    of their passes this way: the pieces of the full ring, and the blocks
+    of each section ring of the certificate, each by its own ring's record
+    (see _section_dimensions).
     """
     col_of = grevlex_columns(n, k)
     data, starts = [], [0] * len(gens)
@@ -265,10 +268,10 @@ def milnor_dimension(f: Polynomial, k: int, primes=None, *, leads=None, partials
 
 def _section_forms(f: Polynomial, modulus: int) -> list[list[int]]:
     """The coefficients a_t of h_i = x_(n-i+1) - sum_(t <= n-i) a_t x_t
-    for i = 1..n-1, each drawn from [1, modulus) by the stream seeded with
+    for i = 1..n, each drawn from [1, modulus) by the stream seeded with
     part 2 of the input digest."""
     rng = random.Random(_seed_of(f, 2))
-    return [[rng.randrange(1, modulus) for _ in range(f.n - i + 1)] for i in range(1, f.n)]
+    return [[rng.randrange(1, modulus) for _ in range(f.n - i + 1)] for i in range(1, f.n + 1)]
 
 
 def _restrict(gens, a, modulus):
@@ -297,9 +300,21 @@ def _section_dimensions(f: Polynomial, modulus: int, vals: list, forms, partials
     the h_i given by ``forms`` (see _section_forms).  HF_0 reads the full
     ring's values ``vals``.  S/(h_1..h_i) is the polynomial ring in
     x_0..x_(n-i), so HF_i is that of the ``partials`` mod the modulus (see
-    _partials) with x_n, .., x_(n-i+1) substituted in turn; each of its
-    blocks is full and ranked mod the modulus by ``rank``, each side's own
-    entry to the kernel, so a split raises _NonUnitPivot."""
+    _partials) with x_n, .., x_(n-i+1) substituted in turn.  Each of its
+    blocks is ranked mod the modulus by ``rank``, each side's own entry to
+    the kernel, which returns the Pivots; a split raises _NonUnitPivot.
+
+    Each block is pruned by the record of the block of the same ring d-1
+    degrees down (see _jacobian_block): same generators, same modulus.
+    That record is made on demand, through this same function, so the
+    records chain as the full ring's do.  S/(J_f, h_1..h_i) is a standard
+    graded algebra, and adding a form only shrinks it, so once a block
+    reads HF_i(k) = 0, HF_i'(k') = 0 for every i' >= i and k' >= k; those
+    values are returned without a block, and leave no record, as every
+    block d-1 degrees above them is 0 too."""
+    deg = f.degree - 1
+    records = {}  # (i, k) -> the record of HF_i's degree-k block
+    vanished = []  # (i, k) where a block read HF_i(k) = 0
 
     @cache
     def gens(i):
@@ -309,8 +324,15 @@ def _section_dimensions(f: Polynomial, modulus: int, vals: list, forms, partials
     def hf(i, k):
         if i == 0:
             return vals[k]
-        block = _jacobian_block(gens(i), f.degree - 1, f.n - i, k, modulus)[0]
-        return dim_degree_piece(f.n - i, k) - rank(block)
+        # hf(i, k - deg) makes the record that prunes this block, or is 0
+        if any(a <= i and b <= k for a, b in vanished) or (k >= 2 * deg and not hf(i, k - deg)):
+            return 0
+        block, starts = _jacobian_block(gens(i), deg, f.n - i, k, modulus, records.get((i, k - deg)))
+        pivots = rank(block)
+        records[i, k] = pivots.lead, starts
+        if pivots.rank == block.cols:
+            vanished.append((i, k))
+        return block.cols - pivots.rank
 
     return hf
 
@@ -324,17 +346,18 @@ def _certified_forms(hf, n: int, m: int):
     for every i < j and (S/(J, h_1..h_j))_m = 0.  In Hilbert functions
     (see _section_dimensions) the first condition reads
     HF_(i+1)(m+1) = HF_i(m+1) - HF_i(m).  Forms that pass prove it;
-    unlucky forms can only fail.  j <= n-1 suffices, as a reduced f has
-    a singular locus of dimension at most n-2.  A split in the forms'
-    ranks (see linalg) proves nothing either."""
+    unlucky forms can only fail.  The criterion holds for any homogeneous
+    ideal, so j runs up to n, and a non-reduced f, whose singular locus
+    has dimension n-1, is proven too.  A split in the forms' ranks (see
+    linalg) proves nothing either."""
     try:
-        for i in range(n - 1):
+        for i in range(n):
             low, high = hf(i, m), hf(i, m + 1)
             if low == 0:
                 return i
             if high < low or hf(i + 1, m + 1) != high - low:
                 return None
-        return n - 1 if hf(n - 1, m) == 0 else None
+        return n if hf(n, m) == 0 else None
     except _NonUnitPivot:
         return None
 
@@ -349,10 +372,11 @@ def _regularity_attempts(f: Polynomial, modulus: int, vals: list, partials, rank
     regular sequence, each new value k >= d tries to prove J_f
     (k-1)-regular (see _certified_forms) mod the side's modulus, with
     forms drawn from the input digest, the side's ``partials`` mod the
-    modulus and each section block ranked by ``rank``.  attempt(k) returns
-    (j, reach(k, j)) when j forms prove it and reach(k, j), the last
-    degree the side must then compute, is within ``bound``; otherwise
-    None.  Reach grows with k and j, so the attempts end at the first
+    modulus and each section block echeloned by ``rank``, which returns
+    the Pivots that prune the block d-1 degrees up (see
+    _section_dimensions).  attempt(k) returns (j, reach(k, j)) when j
+    forms prove it and reach(k, j), the last degree the side must then
+    compute, is within ``bound``; otherwise None.  Reach grows with k and j, so the attempts end at the first
     proof, at the first k whose reach is past the bound for every j, and
     at once when ``partials`` is None (a factor of the modulus kills one).
     A split in the forms' ranks certifies nothing at that degree."""
@@ -434,7 +458,7 @@ def hilbert_fit(f: Polynomial, window=None, primes=None) -> HilbertData:
     vals = []
     leads = {}  # degree -> record; degree k reads degree k-d+1
     attempt = _regularity_attempts(
-        f, modulus, vals, partials, lambda m: rank_mod_p(m, modulus).rank,
+        f, modulus, vals, partials, lambda m: rank_mod_p(m, modulus),
         lambda k, j: max(k, k + j - 2), w,
     )
     stop, last = None, w
@@ -558,7 +582,7 @@ def _betti_over_field(f: Polynomial, q_max: int, field):
     gens = _partials(f, field.modulus)
     pieces, starts, size = [], [], []
     attempt = None if field.modulus is None else _regularity_attempts(
-        f, field.modulus, size, gens, lambda m: len(rref(m.data, field)), lambda k, j: k + n, q_max
+        f, field.modulus, size, gens, lambda m: rref(m.data, field), lambda k, j: k + n, q_max
     )
     m = q_max  # no proof: every q - p <= q_max is ranked
     for k in range(q_max + 1):

@@ -5,6 +5,7 @@ import sys
 from fractions import Fraction
 from itertools import combinations
 from math import comb, prod
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -312,15 +313,15 @@ def test_the_proven_stop_is_the_table_regularity_plus_one():
     # J_f is (reg + 1)-regular and no less, and generic forms prove the
     # least such degree; a smooth input stops at its first zero value, reg + 1
     compared = 0
-    for f, primes in [*golden_inputs(), (HSPOG, None)]:
-        hd = hilbert_fit(f, primes=primes)
+    for f, primes in [*golden_inputs(), (HSPOG, None), *((f, None) for f in seeded_forms())]:
         try:
+            hd = hilbert_fit(f, primes=primes)
             table = graded_betti(f, primes=primes)
-        except ConeError:
-            continue  # the cone golden has no table
+        except ValueError:
+            continue  # the cone golden and three seeded forms have no table
         assert hd.stop == full_report(table).reg + 1, f
         compared += 1
-    assert compared == 13
+    assert compared == 13 + 47
 
 
 def test_the_proven_stop_changes_no_other_field(monkeypatch):
@@ -406,9 +407,9 @@ def test_coordinate_forms_do_not_prove_the_cusp_regular():
     partials = _partials(f, modulus)
 
     def rank(block):
-        return rank_mod_p(block, modulus).rank
+        return rank_mod_p(block, modulus)
 
-    coordinate = [[0] * (f.n - i + 1) for i in range(1, f.n)]
+    coordinate = [[0] * (f.n - i + 1) for i in range(1, f.n + 1)]
     hf = _section_dimensions(f, modulus, vals, coordinate, partials, rank)
     assert _certified_forms(hf, f.n, 3) is None
     hf = _section_dimensions(f, modulus, vals, _section_forms(f, modulus), partials, rank)
@@ -896,19 +897,27 @@ def test_the_betti_side_stops_at_the_table_regularity_plus_two(monkeypatch):
     assert (singular, below_default) == (6, 5)
 
 
-def test_the_proven_stop_gives_the_table_of_the_default_bound(monkeypatch):
-    # the goldens, the hspog surface, 40 seeded sparse curves and
-    # surfaces of degree 3 or 4 and ten cubic threefolds, where the band
-    # leaves out the most, with the certificate and without it
+def seeded_forms():
+    """40 seeded sparse curves and surfaces of degree 3 or 4, then ten
+    cubic threefolds."""
     rng = random.Random(2026)
-    inputs = list(dict.fromkeys([*golden_inputs(), (HSPOG, None)]))
+    forms = []
     for _ in range(40):
         n, d = rng.choice((2, 3)), rng.choice((3, 4))
         monos = rng.sample(grevlex_exponents(n, d), rng.randint(3, 6))
-        inputs.append((Polynomial(n, {m: rng.choice((1, -1, 2)) for m in monos}), None))
+        forms.append(Polynomial(n, {m: rng.choice((1, -1, 2)) for m in monos}))
     for _ in range(10):
         monos = rng.sample(grevlex_exponents(4, 3), rng.randint(5, 8))
-        inputs.append((Polynomial(4, {m: rng.choice((1, -1, 2)) for m in monos}), None))
+        forms.append(Polynomial(4, {m: rng.choice((1, -1, 2)) for m in monos}))
+    return forms
+
+
+def test_the_proven_stop_gives_the_table_of_the_default_bound(monkeypatch):
+    # the goldens, the hspog surface and the seeded forms, whose cubic
+    # threefolds are where the band leaves out the most, with the
+    # certificate and without it
+    inputs = list(dict.fromkeys([*golden_inputs(), (HSPOG, None)]))
+    inputs += [(f, None) for f in seeded_forms()]
     proven = [_betti_outcome(f, primes=primes) for f, primes in inputs]
     _no_certificate(monkeypatch)
     assert proven == [_betti_outcome(f, primes=primes) for f, primes in inputs]
@@ -1006,6 +1015,198 @@ def test_no_kept_row_reduces_to_zero_on_a_regular_sequence(f):
         pivots = rank_mod_p(block, p)
         assert pivots.rank == block.rows, k
         leads[k] = pivots.lead, starts
+
+
+# -- the certificate's section blocks --------------------------------------
+
+# a cubic fourfold whose first section vanishes from degree 5 on, so the
+# attempt at m = 5 reads HF_1(6) = 0 without a block
+FOURFOLD = parse("x0*x1*x2 + x3^3 + x4^3 + x5^3", 5)
+
+
+def section_inputs():
+    return [*STOP_RULE_INPUTS, (FOURFOLD, None), *((f, None) for f in seeded_forms())]
+
+
+def _record_sections(monkeypatch, n, split=False):
+    """Record what the certificates of an input in x_0..x_n do, each
+    side's pass its own series 1, 2, ..: ``built``, in order, every
+    section block as a namespace of its series, i, k, generators, block,
+    starts and the Pivots its rank returned (None if it split); ``read``,
+    every value HF_i(k) an attempt reads, as (series, i, k, value,
+    modulus, forms).  With ``split`` every block built on demand, for the
+    record that prunes the block of the value read, raises _NonUnitPivot
+    instead, and ``forced`` lists those (series, i, k)."""
+    log = {"built": [], "read": [], "forced": []}
+    reading, series = [], []
+    real_block, real_sections = oracle._jacobian_block, oracle._section_dimensions
+
+    def block(gens, deg, r, k, p=None, below=None):
+        out = real_block(gens, deg, r, k, p, below)
+        if r < n:  # a section ring, in fewer variables than S
+            if split and (n - r, k) != reading[-1]:
+                log["forced"].append((len(series), n - r, k))
+                raise _NonUnitPivot("forced split in a lower section block")
+            log["built"].append(
+                SimpleNamespace(series=len(series), i=n - r, k=k, gens=gens, block=out[0], starts=out[1], pivots=None)
+            )
+        return out
+
+    def sections(f, modulus, vals, forms, partials, rank):
+        series.append(modulus)
+        this = len(series)
+
+        def ranking(m):
+            log["built"][-1].pivots = pivots = rank(m)
+            return pivots
+
+        hf = real_sections(f, modulus, vals, forms, partials, ranking)
+
+        def value(i, k):
+            reading.append((i, k))
+            try:
+                log["read"].append((this, i, k, hf(i, k), modulus, forms))
+            finally:
+                reading.pop()
+            return log["read"][-1][3]
+
+        return value
+
+    monkeypatch.setattr(oracle, "_jacobian_block", block)
+    monkeypatch.setattr(oracle, "_section_dimensions", sections)
+    return log
+
+
+def _fit_outcome(f, **kwargs):
+    """hilbert_fit's data, or its error by type and message."""
+    try:
+        return hilbert_fit(f, **kwargs)
+    except (ValueError, BadPrimeError, WindowTooSmallError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def section_value(f, modulus, forms, i, k):
+    """HF_i(k) from the full block of the partials mod the modulus, the
+    first i forms substituted."""
+    gens = _partials(f, modulus)
+    for a in forms[:i]:
+        gens = oracle._restrict(gens, a, modulus)
+    block = _jacobian_block(gens, f.degree - 1, f.n - i, k, modulus)[0]
+    return block.cols - rank_mod_p(block, modulus).rank
+
+
+def test_pruned_section_blocks_keep_the_values_of_the_full_blocks(monkeypatch):
+    # both sides' certificates, each mod its own N: every section block,
+    # on-demand lower ones included, is pruned by the record of its own
+    # ring's block d-1 degrees down and has the rank of the full block of
+    # the same generators, and every value an attempt reads, a zero
+    # deduced without a block included, is the full block's
+    pruned = deduced = 0
+    for f, primes in section_inputs():
+        log = _record_sections(monkeypatch, f.n)
+        _fit_outcome(f, primes=primes)
+        _betti_outcome(f, primes=primes)
+        monkeypatch.undo()
+        deg, built = f.degree - 1, [b for b in log["built"] if b.pivots is not None]  # not split
+        records = {(b.series, b.i, b.k): (b.pivots.lead, b.starts) for b in built}
+        for b in built:
+            modulus, r = b.block.modulus, f.n - b.i
+            below = records.get((b.series, b.i, b.k - deg))
+            assert b.block.data == _jacobian_block(b.gens, deg, r, b.k, modulus, below)[0].data, (f, b.i, b.k)
+            full = _jacobian_block(b.gens, deg, r, b.k, modulus)[0]
+            assert b.pivots.rank == rank_mod_p(full, modulus).rank, (f, b.i, b.k)
+            pruned += full.rows - b.block.rows
+        for series, i, k, value, modulus, forms in log["read"]:
+            assert value == section_value(f, modulus, forms, i, k), (f, i, k)
+            deduced += i > 0 and (series, i, k) not in records
+    assert pruned > 0 and deduced > 0
+
+
+def test_no_section_block_is_built_past_a_vanished_section(monkeypatch):
+    # once a block reads HF_i(k) = 0, no block of that pass is built at any
+    # i' >= i and k' >= k: S/(J_f, h_1..h_i') is 0 there
+    vanished = 0
+    for f, primes in section_inputs():
+        log = _record_sections(monkeypatch, f.n)
+        _fit_outcome(f, primes=primes)
+        _betti_outcome(f, primes=primes)
+        monkeypatch.undo()
+        built = log["built"]
+        for t, b in enumerate(built):
+            if b.pivots is not None and b.pivots.rank == b.block.cols:
+                vanished += 1
+                later = [(c.i, c.k) for c in built[t + 1 :] if c.series == b.series and c.i >= b.i and c.k >= b.k]
+                assert later == [], (f, b.i, b.k)
+        if f == FOURFOLD:
+            blocks = {(b.series, b.i, b.k) for b in built}
+            for series in (1, 2):  # the Hilbert side, then the Betti side
+                assert (series, 1, 5) in blocks and (series, 1, 6) not in blocks
+                assert (series, 1, 6, 0) in {r[:4] for r in log["read"]}
+    assert vanished > 0
+
+
+def test_a_split_in_a_lower_section_block_proves_nothing(monkeypatch):
+    # a split forced in every block built on demand fails each attempt it
+    # meets, and the fits and tables are those of a run without the
+    # certificate; the Betti pass mod N is never rerun over Q
+    inputs = [FOURFOLD, *seeded_forms()]
+    split = []
+    for f in inputs:
+        log = _record_sections(monkeypatch, f.n, split=True)
+        real = oracle._certified_forms
+
+        def certified(hf, n, m, log=log, real=real):
+            before = len(log["forced"])
+            j = real(hf, n, m)
+            assert j is None or len(log["forced"]) == before, m
+            return j
+
+        monkeypatch.setattr(oracle, "_certified_forms", certified)
+        pieces = _record_pieces(monkeypatch)
+        fit, table = _fit_outcome(f), _betti_outcome(f)
+        assert None not in {m for _, m in pieces}, f
+        split.append((fit, table, len(log["forced"])))
+        monkeypatch.undo()
+    _no_certificate(monkeypatch)
+    for f, (fit, table, forced) in zip(inputs, split):
+        plain = _fit_outcome(f)
+        if isinstance(fit, HilbertData) and fit.delta is not None:
+            fit = dataclasses.replace(fit, stop=None)  # a later attempt may prove a stop
+        assert fit == plain, f
+        assert table == _betti_outcome(f), f
+    assert sum(forced > 0 for *_, forced in split) > 10
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["2*x0^2*x1^3*x3-x1^2*x2^2*x3^2+x1^2*x2^2*x3*x4", "x0*x1^2*x2^2*x4-x1^2*x2^3*x4+2*x0*x1^2*x2*x3*x4"],
+)
+def test_n_forms_prove_a_non_reduced_input_regular(monkeypatch, text):
+    # f lies in (x1^2), so its singular locus is a hyperplane, dimension
+    # n-1: only j = n forms prove J_f 6-regular, on both sides, within a
+    # window of 12 and a bound of 11 (the reaches m+n-1 = 9 and m+n+1 = 11),
+    # and the refusal and the table are those of a run without a proof
+    f = parse(text, 4)
+    proofs = []
+    real = oracle._certified_forms
+
+    def record(hf, n, m):
+        proofs.append((m, real(hf, n, m)))
+        return proofs[-1][1]
+
+    def outcomes():
+        with pytest.raises(ValueError) as exc:
+            hilbert_fit(f, window=12)
+        return str(exc.value), graded_betti(f, max_degree=11)
+
+    monkeypatch.setattr(oracle, "_certified_forms", record)
+    proven = outcomes()
+    assert [proof for proof in proofs if proof[1] is not None] == [(6, 4), (6, 4)]
+    assert proven[0] == "Hilbert polynomial has degree 3 > n-2 = 2; the input is not a reduced hypersurface"
+    # the default window and bound stop at the same proof
+    assert outcomes() == proven == (_fit_outcome(f)[1], graded_betti(f))
+    _no_certificate(monkeypatch)
+    assert outcomes() == proven
 
 
 def test_pipelines_stop_at_the_first_empty_piece(monkeypatch):
