@@ -234,13 +234,17 @@ def rref(rows, field) -> Pivots:
 
 # -- working primes ----------------------------------------------------
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13, the least strong pseudoprime to every base above
+# (1287836182261 * 2575672364521): below it the test is exact
+_MR_EXACT_BELOW = 3317044064679887385961981
 
 
 @lru_cache(maxsize=64)
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin; deterministic for n < 3.3e24 with the fixed bases.
-    Cached: a pinned prime is checked again at every degree."""
+    """Miller-Rabin with the fixed bases 2..41, exact for n below
+    _MR_EXACT_BELOW.  Cached: a pinned prime is checked again at every
+    degree."""
     if n < 2:
         return False
     for q in _MR_BASES:

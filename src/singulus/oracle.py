@@ -44,6 +44,7 @@ from .linalg import (
     QQ,
     Field,
     SparseMatrix,
+    _MR_EXACT_BELOW,
     _NonUnitPivot,
     deterministic_primes,
     is_probable_prime,
@@ -110,12 +111,15 @@ def _working_primes(f: Polynomial, primes, part: int) -> list[int]:
     """The distinct pinned primes in first-seen order, each
     Miller-Rabin-tested, or else the pair derived from part ``part`` of
     the input digest (see default_primes).  Distinct, because the
-    pipelines work mod their product, which must be squarefree.  Pinned
-    primes are never replaced: a bad one raises BadPrimeError at the first
-    block reduced mod the product (see reduce_mod)."""
+    pipelines work mod their product, which must be squarefree, so a
+    pinned prime must lie below _MR_EXACT_BELOW, where the test is exact.
+    Pinned primes are never replaced: a bad one raises BadPrimeError at
+    the first block reduced mod the product (see reduce_mod)."""
     if not primes:
         return list(default_primes(f, part))
     for p in primes:
+        if p >= _MR_EXACT_BELOW:
+            raise ValueError(f"{p} is too large: pinned primes must be below {_MR_EXACT_BELOW}")
         if not is_probable_prime(p):
             raise ValueError(f"{p} is not prime")
     return list(dict.fromkeys(primes))
@@ -184,9 +188,7 @@ def _jacobian_block(gens, deg: int, n: int, k: int, p=None, below=None):
     Z/p when a modulus p is given: rows = generators m*g_i over the
     degree-k monomial columns (decreasing order), generator by generator.
     Returns the matrix and ``starts``, the index of each generator's first
-    row.  The Hilbert side ranks these rows for the partials of f and for
-    their restrictions to hyperplanes; the Betti side echelons them into
-    the quotient piece.
+    row.
 
     ``below`` is the record (Pivots.lead, starts) of the block of the same
     generators over the same field, ``deg`` degrees down.  The row m*g_i
@@ -196,10 +198,7 @@ def _jacobian_block(gens, deg: int, n: int, k: int, p=None, below=None):
     some g = m + lower there, and m*g_i = g*g_i - lower*g_i lies in the
     span of the rows of earlier generators and of rows t*g_i with t < m.
     By induction the row space, and so every rank and every reduced
-    echelon form, is that of the full block.  Both sides prune every block
-    of their passes this way: the pieces of the full ring, and the blocks
-    of each section ring of the certificate, each by its own ring's record
-    (see _section_dimensions).
+    echelon form, is that of the full block.
     """
     col_of = grevlex_columns(n, k)
     data, starts = [], [0] * len(gens)
@@ -219,13 +218,36 @@ def _jacobian_block(gens, deg: int, n: int, k: int, p=None, below=None):
     return SparseMatrix._from_rows(len(col_of), data, p), starts
 
 
+def _pruned_blocks(gens, deg: int, n: int, modulus, rank):
+    """block(k): the Pivots ``rank`` gives the degree-k block of ``gens``
+    over Z/modulus, or over Q for no modulus (see _jacobian_block), pruned
+    by the record the block ``deg`` degrees down left, if it left one.
+    Every pruned block of both sides is built here: the full ring's, and
+    each section ring's of the certificate.  A block keeps its own record
+    until the block ``deg`` degrees up reads it; a block that raises leaves
+    none, and the record it read stays.  ``gens`` None, a partial killed
+    mod the modulus (see _partials), raises _NonUnitPivot at every block."""
+    records = {}  # degree -> (Pivots.lead, starts)
+
+    def block(k):
+        if gens is None:
+            raise _NonUnitPivot(f"a factor of {modulus} kills a partial")
+        matrix, starts = _jacobian_block(gens, deg, n, k, modulus, records.get(k - deg))
+        pivots = rank(matrix)
+        records.pop(k - deg, None)
+        records[k] = pivots.lead, starts
+        return pivots
+
+    return block
+
+
 def _jacobian_matrix(f: Polynomial, k: int) -> SparseMatrix:
     """The full degree-k block of the partials over Q, every generator
     m*f_i: the reference the pruned blocks are tested against."""
     return _jacobian_block(_partial_terms(f), f.degree - 1, f.n, k)[0]
 
 
-def milnor_dimension(f: Polynomial, k: int, primes=None, *, leads=None, partials=()) -> int:
+def milnor_dimension(f: Polynomial, k: int, primes=None, *, chain=None) -> int:
     """dim of the degree-k piece of the Jacobian algebra S/J_f.
 
     Pinned primes are used as given; primes derived from the input are
@@ -234,33 +256,21 @@ def milnor_dimension(f: Polynomial, k: int, primes=None, *, leads=None, partials
     The block is ranked once, mod the product N of the working primes, or
     over Q when the pass splits, a killed partial included (see _partials).
     It is built mod N first, so a pinned prime dividing a denominator raises.
-
-    ``partials`` are the partials mod N as _partials gives them, which
-    hilbert_fit reduces once for every degree, or None when a factor of N
-    kills one there; by default they are reduced here.  ``leads`` maps
-    earlier degrees to records of their blocks mod N, read only here.
-    When it is given, the degree-(k-d+1) record prunes the block (see
-    _jacobian_block) and this degree's is added, if the pass finished.
-    Without ``leads`` every block is full."""
+    ``chain`` is hilbert_fit's _pruned_blocks of the partials mod N, which
+    prunes each degree by the one d-1 below; without it the block is full."""
     n, d = _validate(f)
     if k < 0:
         raise ValueError("degree must be non-negative")
     if k < d - 1:
         return dim_degree_piece(n, k)
-    plist = _working_primes(f, primes, 1)
-    modulus = prod(plist)
-    leads = {} if leads is None else leads
-    below = leads.get(k - d + 1)
     try:
-        if partials is None:
-            raise _NonUnitPivot(f"a factor of {modulus} kills a partial")
-        gens = partials or _partials(f, modulus)
-        block, starts = _jacobian_block(gens, d - 1, n, k, modulus, below)
-        pivots = rank_mod_p(block, modulus)
+        if chain is None:
+            modulus = prod(_working_primes(f, primes, 1))
+            chain = _pruned_blocks(_partials(f, modulus), d - 1, n, modulus, lambda m: rank_mod_p(m, modulus))
+        rank = chain(k).rank
     except _NonUnitPivot:
-        return dim_degree_piece(n, k) - rank_rational(_jacobian_matrix(f, k)).rank
-    leads[k] = pivots.lead, starts
-    return dim_degree_piece(n, k) - pivots.rank
+        rank = rank_rational(_jacobian_matrix(f, k)).rank
+    return dim_degree_piece(n, k) - rank
 
 
 # -- Hilbert function fit -----------------------------------------------
@@ -300,25 +310,25 @@ def _section_dimensions(f: Polynomial, modulus: int, vals: list, forms, partials
     the h_i given by ``forms`` (see _section_forms).  HF_0 reads the full
     ring's values ``vals``.  S/(h_1..h_i) is the polynomial ring in
     x_0..x_(n-i), so HF_i is that of the ``partials`` mod the modulus (see
-    _partials) with x_n, .., x_(n-i+1) substituted in turn.  Each of its
-    blocks is ranked mod the modulus by ``rank``, each side's own entry to
-    the kernel, which returns the Pivots; a split raises _NonUnitPivot.
+    _partials) with x_n, .., x_(n-i+1) substituted in turn.  Each ring's
+    blocks are its own _pruned_blocks, ranked mod the modulus by ``rank``,
+    each side's own entry to the kernel; a split raises _NonUnitPivot.
 
-    Each block is pruned by the record of the block of the same ring d-1
-    degrees down (see _jacobian_block): same generators, same modulus.
-    That record is made on demand, through this same function, so the
-    records chain as the full ring's do.  S/(J_f, h_1..h_i) is a standard
-    graded algebra, and adding a form only shrinks it, so once a block
-    reads HF_i(k) = 0, HF_i'(k') = 0 for every i' >= i and k' >= k; those
-    values are returned without a block, and leave no record, as every
-    block d-1 degrees above them is 0 too."""
+    A block's pruning record is made on demand, through this same
+    function.  S/(J_f, h_1..h_i) is a standard graded algebra, and adding
+    a form only shrinks it, so once a block reads HF_i(k) = 0,
+    HF_i'(k') = 0 for every i' >= i and k' >= k; those values are returned
+    without a block."""
     deg = f.degree - 1
-    records = {}  # (i, k) -> the record of HF_i's degree-k block
     vanished = []  # (i, k) where a block read HF_i(k) = 0
 
     @cache
     def gens(i):
         return partials if i == 0 else _restrict(gens(i - 1), forms[i - 1], modulus)
+
+    @cache
+    def blocks(i):
+        return _pruned_blocks(gens(i), deg, f.n - i, modulus, rank)
 
     @cache
     def hf(i, k):
@@ -327,12 +337,10 @@ def _section_dimensions(f: Polynomial, modulus: int, vals: list, forms, partials
         # hf(i, k - deg) makes the record that prunes this block, or is 0
         if any(a <= i and b <= k for a, b in vanished) or (k >= 2 * deg and not hf(i, k - deg)):
             return 0
-        block, starts = _jacobian_block(gens(i), deg, f.n - i, k, modulus, records.get((i, k - deg)))
-        pivots = rank(block)
-        records[i, k] = pivots.lead, starts
-        if pivots.rank == block.cols:
+        value = dim_degree_piece(f.n - i, k) - blocks(i)(k).rank
+        if not value:
             vanished.append((i, k))
-        return block.cols - pivots.rank
+        return value
 
     return hf
 
@@ -362,24 +370,21 @@ def _certified_forms(hf, n: int, m: int):
         return None
 
 
-def _regularity_attempts(f: Polynomial, modulus: int, vals: list, partials, rank, reach, bound):
+def _regularity_attempts(f: Polynomial, modulus: int, vals: list, partials, rank):
     """Each side's attempts to prove where it may stop: returns
-    attempt(k), called once for each new value vals[k] of the side (its
-    HF_0, see _section_dimensions).
+    attempt(k), called for each new value vals[k] of the side (its HF_0,
+    see _section_dimensions) until the caller's last degree would pass
+    its bound.
 
     Once a value has left the series of a complete intersection, where
     the values of f stay in every degree exactly when the partials are a
     regular sequence, each new value k >= d tries to prove J_f
     (k-1)-regular (see _certified_forms) mod the side's modulus, with
     forms drawn from the input digest, the side's ``partials`` mod the
-    modulus and each section block echeloned by ``rank``, which returns
-    the Pivots that prune the block d-1 degrees up (see
-    _section_dimensions).  attempt(k) returns (j, reach(k, j)) when j
-    forms prove it and reach(k, j), the last degree the side must then
-    compute, is within ``bound``; otherwise None.  Reach grows with k and j, so the attempts end at the first
-    proof, at the first k whose reach is past the bound for every j, and
-    at once when ``partials`` is None (a factor of the modulus kills one).
-    A split in the forms' ranks certifies nothing at that degree."""
+    modulus and section blocks ranked by ``rank``.  attempt(k) returns
+    the number j of forms that prove it, at most once, or None; never
+    anything when ``partials`` is None (a factor of the modulus kills
+    one).  A split in the forms' ranks certifies nothing at that degree."""
     n, d = f.n, f.degree
     hf = None  # HF_i, built at the first attempt
     left = False  # whether a value has left the complete-intersection series
@@ -395,16 +400,10 @@ def _regularity_attempts(f: Polynomial, modulus: int, vals: list, partials, rank
         )
         if not left or k < d:  # J_f is generated in degree d-1 <= m = k-1
             return None
-        if reach(k, 1) > bound:
-            live = False
-            return None
         hf = hf or _section_dimensions(f, modulus, vals, _section_forms(f, modulus), partials, rank)
         j = _certified_forms(hf, n, k - 1)
-        if j is None:
-            return None
-        live = False
-        last = reach(k, j)
-        return (j, last) if last <= bound else None
+        live = j is None
+        return j
 
     return attempt
 
@@ -456,15 +455,15 @@ def hilbert_fit(f: Polynomial, window=None, primes=None) -> HilbertData:
     except _NonUnitPivot:
         partials = None  # every degree goes to Q, and nothing is certified
     vals = []
-    leads = {}  # degree -> record; degree k reads degree k-d+1
-    attempt = _regularity_attempts(
-        f, modulus, vals, partials, lambda m: rank_mod_p(m, modulus),
-        lambda k, j: max(k, k + j - 2), w,
-    )
+
+    def rank(m):  # rank_mod_p is looked up at each call: perfbench rebinds it
+        return rank_mod_p(m, modulus)
+
+    chain = _pruned_blocks(partials, d - 1, n, modulus, rank)
+    attempt = _regularity_attempts(f, modulus, vals, partials, rank)
     stop, last = None, w
     for k in range(w + 1):
-        vals.append(milnor_dimension(f, k, primes=plist, leads=leads, partials=partials))
-        leads.pop(k - d + 1, None)
+        vals.append(milnor_dimension(f, k, primes=plist, chain=chain))
         if vals[-1] == 0:
             values = dict(enumerate(vals + [0] * (w - k)))
             return HilbertData(n, d, values, (), k, None, None, None, stop=k)
@@ -476,8 +475,8 @@ def hilbert_fit(f: Polynomial, window=None, primes=None) -> HilbertData:
                     f"degree {k} of the Jacobian algebra has dimension {expected}, "
                     f"got {vals[k]}; the working primes {plist} are bad for this polynomial"
                 )
-        if proof := attempt(k):
-            stop, (j, last) = k - 1, proof
+        if stop is None and (j := attempt(k)) is not None and k + j - 2 <= w:
+            stop, last = k - 1, max(k, k + j - 2)
         if k == last:
             break
     if stop is not None:
@@ -522,22 +521,6 @@ def hilbert_fit(f: Polynomial, window=None, primes=None) -> HilbertData:
 # -- graded Betti numbers via Koszul homology ----------------------------
 
 
-def _quotient_piece(f, k, gens, field, *, below=None):
-    """The degree-k piece of M(f) over the field, as the reduced echelon
-    form of the degree-k block of ``gens``, the partials over the field
-    (see _partials), in its own grevlex columns, pruned by ``below``, the
-    record of the piece d-1 degrees down (see _jacobian_block); without
-    it the block is full.  Returns the echelon and the block's starts,
-    which with the echelon's lead make the record that prunes the piece
-    d-1 degrees up.
-
-    The non-pivot columns are a monomial basis of the piece.  Each pivot
-    row is its tail, as rref stores it: minus the normal form of the pivot
-    monomial."""
-    block, starts = _jacobian_block(gens, f.degree - 1, f.n, k, field.modulus, below)
-    return rref(block.data, field), starts
-
-
 def _betti_over_field(f: Polynomial, q_max: int, field):
     """Graded Betti numbers beta_{p,q} for p = 0..n+1, q = 0..top[p], and
     top, the last degree ranked at each position; or None, with no Betti
@@ -551,8 +534,12 @@ def _betti_over_field(f: Polynomial, q_max: int, field):
     pieces up to m+1 and nothing more, and the Betti numbers on its edge,
     q - p = m, are provably 0 (graded_betti checks them).  Without a
     proof, as below a bound of m+n+1 or over Q, top[p] = q_max: the same
-    loop with no band.  The sections' blocks are echeloned by rref, the
-    Betti side's entry to the kernel.
+    loop with no band.
+
+    Piece k of M is the reduced echelon form (rref) of the degree-k
+    Jacobian block over the field, from _pruned_blocks, as are the
+    certificate's section blocks.  Its non-pivot columns are a monomial
+    basis of the piece; each pivot row is minus the pivot's normal form.
 
     K_p = Lambda^p(C^{n+1}) tensor M shifted so the differential
     d(e_S tensor m) = sum_j (-1)^j e_{S \\ s_j} tensor x_{s_j} m preserves
@@ -575,27 +562,24 @@ def _betti_over_field(f: Polynomial, q_max: int, field):
     d_(p+1)'s.  That pivot row, e_c plus later coordinates, lies in
     im d_(p+1), which d_p kills, so row c of d_p's block is a combination
     of later rows; by induction from the last row the kept rows span the
-    same space.  Only beta_{p,q} kept rows then reduce to zero.  Each
-    piece's Jacobian block is pruned by the record of the piece d-1
-    degrees down (see _jacobian_block)."""
+    same space.  Only beta_{p,q} kept rows then reduce to zero."""
     n, d = f.n, f.degree
     gens = _partials(f, field.modulus)
-    pieces, starts, size = [], [], []
-    attempt = None if field.modulus is None else _regularity_attempts(
-        f, field.modulus, size, gens, lambda m: rref(m.data, field), lambda k, j: k + n, q_max
-    )
+
+    def echelon(m):  # rref is looked up at each call: perfbench rebinds it
+        return rref(m.data, field)
+
+    block = _pruned_blocks(gens, d - 1, n, field.modulus, echelon)
+    pieces, size = [], []
+    attempt = None if field.modulus is None else _regularity_attempts(f, field.modulus, size, gens, echelon)
     m = q_max  # no proof: every q - p <= q_max is ranked
     for k in range(q_max + 1):
-        j = k - d + 1
-        below = (pieces[j].lead, starts[j]) if j >= 0 else None
-        piece, first = _quotient_piece(f, k, gens, field, below=below)
-        pieces.append(piece)
-        starts.append(first)
+        pieces.append(block(k))
         size.append(dim_degree_piece(n, k) - len(pieces[k]))
         if not size[k]:
             return None, k
-        if attempt and (proof := attempt(k)):
-            m, q_max = k - 1, proof[1]  # J_f is m-regular: beta_{p,q} = 0 for q - p >= m
+        if attempt and k + n <= q_max and attempt(k) is not None:
+            m, q_max = k - 1, k + n  # J_f is m-regular: beta_{p,q} = 0 for q - p >= m
             break
 
     @cache

@@ -355,6 +355,26 @@ def test_inspect_poly_bad_pinned_prime_exits_1(expr, primes, reason):
     assert reason in res.stderr
 
 
+@pytest.mark.parametrize(
+    "pseudoprime, reason",
+    [
+        # psi_12 = 399165290221 * 798330580441, a strong pseudoprime to
+        # every base 2..37: base 41 finds it composite
+        ("318665857834031151167461", "318665857834031151167461 is not prime"),
+        # psi_13 = 1287836182261 * 2575672364521 passes every base 2..41
+        ("3317044064679887385961981", "pinned primes must be below 3317044064679887385961981"),
+    ],
+    ids=["psi12", "psi13"],
+)
+def test_inspect_poly_refuses_a_strong_pseudoprime(pseudoprime, reason):
+    res = run_cli("inspect-poly", "--expr", "x0*x1*x2+x3^3", "--prime", "399165290221", "--prime", pseudoprime)
+    assert res.returncode == 1
+    assert "Traceback" not in res.stderr
+    lines = res.stderr.splitlines()
+    assert [line.split(":")[1] for line in lines] == [" hilbert_fit failed", " graded_betti failed"]
+    assert all(line.endswith(reason) for line in lines)
+
+
 def test_inspect_poly_lone_prime_with_dependent_partials_fails_both_sides():
     # smooth over Q; mod 5 the partials are dependent, so each side refuses
     # the prime: the Hilbert side at degree 2, the Betti side at position 1

@@ -406,5 +406,7 @@ def test_deterministic_primes():
 def test_is_probable_prime_known_values():
     assert is_probable_prime(M61)
     assert not is_probable_prime(561)  # Carmichael
+    # psi_12, a strong pseudoprime to the bases 2..37, falls to base 41
+    assert not is_probable_prime(399165290221 * 798330580441)
     assert not is_probable_prime(1)
     assert is_probable_prime(2)

@@ -38,7 +38,7 @@ from singulus.oracle import (
     _jacobian_block,
     _jacobian_matrix,
     _partials,
-    _quotient_piece,
+    _pruned_blocks,
     _section_dimensions,
     _section_forms,
     cross_check,
@@ -85,6 +85,11 @@ def jacobian_mod(f, k, p):
     reduced mod p otherwise."""
     m = _jacobian_matrix(f, k)
     return m if p is None else reduce_mod(m, p)
+
+
+def echelon(field):
+    """The Betti side's rank for _pruned_blocks: rref over the field."""
+    return lambda m: rref(m.data, field)
 
 
 def kills_a_partial(f, p) -> bool:
@@ -301,10 +306,10 @@ def _fake_proof(monkeypatch, part):
     (see default_primes).  The other side's attempts are left as they are."""
     real = oracle._regularity_attempts
 
-    def attempts(f, modulus, vals, partials, rank, reach, bound):
+    def attempts(f, modulus, vals, partials, rank):
         if modulus != prod(default_primes(f, part)):
-            return real(f, modulus, vals, partials, rank, reach, bound)
-        return lambda k: (1, reach(k, 1)) if k == f.degree else None
+            return real(f, modulus, vals, partials, rank)
+        return lambda k: 1 if k == f.degree else None
 
     monkeypatch.setattr(oracle, "_regularity_attempts", attempts)
 
@@ -681,8 +686,8 @@ def test_multiplication_matrices_commute():
     # surface's have several terms, so a negated or scaled tail shows there
     field = Field(1073741831)
     for f in [parse("x0*x1*x2 + x0^3 + x1^3", 2), parse("x0^2*x1*x2+x2^4+2*x0^3*x3", 3)]:
-        gens = _partials(f, field.modulus)
-        pieces = [_quotient_piece(f, k, gens, field)[0] for k in range(5)]
+        block = _pruned_blocks(_partials(f, field.modulus), f.degree - 1, f.n, field.modulus, echelon(field))
+        pieces = [block(k) for k in range(5)]
         for k in range(3):
             for i in range(f.n + 1):
                 for j in range(i + 1, f.n + 1):
@@ -787,12 +792,18 @@ def test_pruned_koszul_blocks_keep_the_rank_of_the_full_block(monkeypatch, f, pr
         fields.append(QQ)
     for field in fields:
         pieces, ranked = [], []
-        real_piece = oracle._quotient_piece
+        real_blocks = oracle._pruned_blocks
 
-        def piece(*args, **kwargs):
-            result = real_piece(*args, **kwargs)
-            pieces.append(result[0])
-            return result
+        def blocks(gens, deg, r, modulus, rank):
+            block = real_blocks(gens, deg, r, modulus, rank)
+            if r < n:
+                return block  # a section ring of the certificate
+
+            def piece(k):
+                pieces.append(block(k))
+                return pieces[-1]
+
+            return piece
 
         for name in ("rank_mod_p", "rank_rational"):
             real = getattr(oracle, name)
@@ -803,7 +814,7 @@ def test_pruned_koszul_blocks_keep_the_rank_of_the_full_block(monkeypatch, f, pr
                 return pivots
 
             monkeypatch.setattr(oracle, name, record)
-        monkeypatch.setattr(oracle, "_quotient_piece", piece)
+        monkeypatch.setattr(oracle, "_pruned_blocks", blocks)
         try:
             betas, top = _betti_over_field(f, q_max, field)
         except _NonUnitPivot:
@@ -850,15 +861,32 @@ def test_a_singular_input_whose_pair_splits_ranks_its_koszul_blocks_over_q(monke
 
 
 def _record_pieces(monkeypatch):
-    """Record (k, modulus) of every quotient piece the Betti side builds."""
-    built = []
-    real = oracle._quotient_piece
+    """Record (k, modulus) of every quotient piece the Betti side builds:
+    each degree asked of the full ring's _pruned_blocks in a Betti pass,
+    before it is built."""
+    built, passes = [], []
+    real_pass, real_blocks = oracle._betti_over_field, oracle._pruned_blocks
 
-    def record(f, k, gens, field, **kwargs):
-        built.append((k, field.modulus))
-        return real(f, k, gens, field, **kwargs)
+    def betti_pass(f, q_max, field):
+        passes.append(f.n)
+        try:
+            return real_pass(f, q_max, field)
+        finally:
+            passes.pop()
 
-    monkeypatch.setattr(oracle, "_quotient_piece", record)
+    def blocks(gens, deg, n, modulus, rank):
+        block = real_blocks(gens, deg, n, modulus, rank)
+        if not passes or n < passes[-1]:
+            return block  # the Hilbert side's, or a section ring's
+
+        def piece(k):
+            built.append((k, modulus))
+            return block(k)
+
+        return piece
+
+    monkeypatch.setattr(oracle, "_betti_over_field", betti_pass)
+    monkeypatch.setattr(oracle, "_pruned_blocks", blocks)
     return built
 
 
@@ -979,19 +1007,40 @@ def test_a_pinned_pair_that_splits_returns_the_rational_table(monkeypatch):
 @pytest.mark.parametrize("f, primes", STOP_RULE_INPUTS, ids=str)
 def test_pruned_rows_span_the_full_block(f, primes):
     # each degree pruned by the pruned echelon d-1 degrees down, as the
-    # pipelines chain them, over every working prime of both sides
+    # pipelines chain them, over every working prime of both sides, on
+    # the full ring and on the ring of the first section form
     n, d = f.n, f.degree
     fields = [Field(p) for p in primes or default_primes(f) + default_primes(f, 1)]
     if n == 2:
         fields.append(QQ)
+    top = (n + 1) * (d - 2) + n + 3
     for field in fields:
-        leads = {}
-        for k in range((n + 1) * (d - 2) + n + 3):
-            gens = _partials(f, field.modulus)
-            block, starts = _jacobian_block(gens, d - 1, n, k, field.modulus, leads.get(k - d + 1))
-            pivots = rref(block.data, field)
-            assert pivots == rref(jacobian_mod(f, k, field.modulus).data, field), k
-            leads[k] = pivots.lead, starts
+        gens = _partials(f, field.modulus)
+        block = _pruned_blocks(gens, d - 1, n, field.modulus, echelon(field))
+        for k in range(top):
+            assert block(k) == rref(jacobian_mod(f, k, field.modulus).data, field), k
+        if field.modulus is None:
+            continue
+        # a degree asked before the one d-1 below it gets the full block's
+        # Pivots, lead included, and so prunes the degree d-1 above it
+        late = 3 * (d - 1)
+        full = rref(_jacobian_block(gens, d - 1, n, late, field.modulus)[0].data, field)
+        block = _pruned_blocks(gens, d - 1, n, field.modulus, echelon(field))
+        pivots = block(late)
+        assert pivots == full and pivots.lead == full.lead
+        assert block(late + d - 1) == rref(jacobian_mod(f, late + d - 1, field.modulus).data, field)
+        section = oracle._restrict(gens, _section_forms(f, field.modulus)[0], field.modulus)
+        block = _pruned_blocks(section, d - 1, n - 1, field.modulus, echelon(field))
+        for k in range(top):
+            full = _jacobian_block(section, d - 1, n - 1, k, field.modulus)[0]
+            assert block(k) == rref(full.data, field), k
+
+
+def test_a_killed_partial_raises_at_every_block():
+    block = _pruned_blocks(None, 2, 2, 37 * 41, echelon(Field(37 * 41)))
+    for k in range(6):
+        with pytest.raises(_NonUnitPivot):
+            block(k)
 
 
 @pytest.mark.parametrize(
@@ -1009,12 +1058,19 @@ def test_no_kept_row_reduces_to_zero_on_a_regular_sequence(f):
     # there, so every row the F5 criterion keeps is a pivot
     p = 41
     n, d = f.n, f.degree
-    leads = {}
-    for k in range((n + 1) * (d - 2) + 1):
-        block, starts = _jacobian_block(_partials(f, p), d - 1, n, k, p, leads.get(k - d + 1))
-        pivots = rank_mod_p(block, p)
-        assert pivots.rank == block.rows, k
-        leads[k] = pivots.lead, starts
+    kept = []
+    real = oracle._jacobian_block
+
+    def build(*args):
+        out = real(*args)
+        kept.append(out[0].rows)
+        return out
+
+    block = _pruned_blocks(_partials(f, p), d - 1, n, p, lambda m: rank_mod_p(m, p))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_jacobian_block", build)
+        for k in range((n + 1) * (d - 2) + 1):
+            assert block(k).rank == kept[-1], k
 
 
 # -- the certificate's section blocks --------------------------------------
@@ -1211,33 +1267,26 @@ def test_n_forms_prove_a_non_reduced_input_regular(monkeypatch, text):
 
 def test_pipelines_stop_at_the_first_empty_piece(monkeypatch):
     f = FERMAT[(2, 3)]
-    asked = {"milnor_dimension": [], "_quotient_piece": []}
-    for name in asked:
-        real = getattr(oracle, name)
+    asked = []
+    real = oracle.milnor_dimension
 
-        def record(*args, name=name, real=real, **kwargs):
-            asked[name].append(args[1])  # the degree k
-            return real(*args, **kwargs)
+    def record(f, k, *args, **kwargs):
+        asked.append(k)
+        return real(f, k, *args, **kwargs)
 
-        monkeypatch.setattr(oracle, name, record)
+    monkeypatch.setattr(oracle, "milnor_dimension", record)
+    built = _record_pieces(monkeypatch)
     hd = hilbert_fit(f)
     assert hd.k0 == 4 and max(hd.values) == 7
-    assert asked["milnor_dimension"] == [0, 1, 2, 3, 4]
+    assert asked == [0, 1, 2, 3, 4]
     assert graded_betti(f) == koszul_smooth_table(2, 3)
     # one pass over degrees 0..k0, shared by both Betti primes
-    assert asked["_quotient_piece"] == [0, 1, 2, 3, 4]
+    assert [k for k, _ in built] == [0, 1, 2, 3, 4]
 
 
 def test_a_repeated_pinned_prime_is_one_pass(monkeypatch):
     f = parse(CURVE_37, 2)
-    asked = []
-    real = oracle._quotient_piece
-
-    def record(f, k, gens, field, **kwargs):
-        asked.append((k, field.modulus))
-        return real(f, k, gens, field, **kwargs)
-
-    monkeypatch.setattr(oracle, "_quotient_piece", record)
+    asked = _record_pieces(monkeypatch)
     table = graded_betti(f, primes=[37, 37])
     assert table == graded_betti(f, primes=[37])
     # each call is one pass mod 37, over every piece up to the proof's,
@@ -1571,6 +1620,24 @@ def test_cross_check_consistent_cases():
     assert not smooth.deviations
     assert smooth.rule_report.verdict.kind == "smooth"
     assert smooth.hilbert.delta is None
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["-x0*x1*x2^3*x4+x0^2*x1*x2*x4^2+x1^2*x2*x3*x4^2", "2*x0^5*x4+2*x1^4*x2*x4+x0^2*x1^2*x3*x4"],
+)
+def test_a_plus_one_generated_threefold_past_the_threshold_has_dimension_n_minus_2(text):
+    # n = 4, d = 6 lies past 4(5 + sqrt 5)/5 ~ 5.79, the least degree where
+    # the plus-one generated shape forces dim Sigma = n - 2 = 2; both sides
+    # agree, and the rule engine's hspog check holds the guarantee
+    report = cross_check(parse(text, 4))
+    assert report.deviations == []
+    assert report.table == BettiTable.of(4, 6, {1: [1, 1, 2, 2, 3], 2: [4]})
+    hd = report.hilbert
+    assert (hd.delta, hd.degree_sigma, hd.stop) == (2, 14, 7)
+    assert "HSPOG" in report.rule_report.flags
+    hspog = next(c for c in report.rule_report.checks if c.name == "hspog")
+    assert hspog.status == "pass" and hspog.witness["dim_guaranteed"] is True
 
 
 @pytest.mark.parametrize(
