@@ -113,8 +113,9 @@ def _working_primes(f: Polynomial, primes, part: int) -> list[int]:
     the input digest (see default_primes).  Distinct, because the
     pipelines work mod their product, which must be squarefree, so a
     pinned prime must lie below _MR_EXACT_BELOW, where the test is exact.
-    Pinned primes are never replaced: a bad one raises BadPrimeError at
-    the first block reduced mod the product (see reduce_mod)."""
+    Pinned primes are never replaced: the first one, in the given order,
+    that divides a denominator of a partial raises BadPrimeError naming
+    it."""
     if not primes:
         return list(default_primes(f, part))
     for p in primes:
@@ -122,6 +123,9 @@ def _working_primes(f: Polynomial, primes, part: int) -> list[int]:
             raise ValueError(f"{p} is too large: pinned primes must be below {_MR_EXACT_BELOW}")
         if not is_probable_prime(p):
             raise ValueError(f"{p} is not prime")
+    for p in primes:
+        if _divides_a_denominator(f, p):
+            raise BadPrimeError(f"a coefficient of a partial has a denominator divisible by {p}", prime=p)
     return list(dict.fromkeys(primes))
 
 
@@ -226,7 +230,24 @@ def _pruned_blocks(gens, deg: int, n: int, modulus, rank):
     each section ring's of the certificate.  A block keeps its own record
     until the block ``deg`` degrees up reads it; a block that raises leaves
     none, and the record it read stays.  ``gens`` None, a partial killed
-    mod the modulus (see _partials), raises _NonUnitPivot at every block."""
+    mod the modulus (see _partials), raises _NonUnitPivot at every block.
+
+    Over Z/modulus each generator whose grevlex-leading coefficient is a
+    unit is made monic first, so every row m*g_i leads with 1 and a row
+    that makes a pivot needs no inverse.  A unit multiple spans the same
+    rows over each prime field, and reducing u*r gives u times the reduced
+    r, so the records, ranks, rref pieces and splits are those of the
+    generators as given."""
+    if gens is not None and modulus is not None:
+        col = grevlex_columns(n, deg)
+        monic = []
+        for terms in gens:
+            lc = min(terms, key=lambda t: col[t[0]])[1] if terms else 1
+            if lc != 1 and gcd(lc, modulus) == 1:
+                inv = pow(lc, -1, modulus)
+                terms = [(e, c * inv % modulus) for e, c in terms]
+            monic.append(terms)
+        gens = monic
     records = {}  # degree -> (Pivots.lead, starts)
 
     def block(k):
@@ -255,7 +276,7 @@ def milnor_dimension(f: Polynomial, k: int, primes=None, *, chain=None) -> int:
 
     The block is ranked once, mod the product N of the working primes, or
     over Q when the pass splits, a killed partial included (see _partials).
-    It is built mod N first, so a pinned prime dividing a denominator raises.
+    A pinned prime dividing a denominator raises first (see _working_primes).
     ``chain`` is hilbert_fit's _pruned_blocks of the partials mod N, which
     prunes each degree by the one d-1 below; without it the block is full."""
     n, d = _validate(f)

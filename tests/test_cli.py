@@ -375,6 +375,17 @@ def test_inspect_poly_refuses_a_strong_pseudoprime(pseudoprime, reason):
     assert all(line.endswith(reason) for line in lines)
 
 
+@pytest.mark.parametrize("expr", ["1/3*x0^4+1/5*x1^4+x2^4", "1/15*x0^4+x1^4+x2^4"])
+def test_inspect_poly_names_the_first_pinned_prime_dividing_a_denominator(expr):
+    # both 5 and 3 divide a denominator: 5 comes first on the command line
+    res = run_cli("inspect-poly", "--expr", expr, "--prime", "5", "--prime", "3")
+    assert res.returncode == 1
+    assert "Traceback" not in res.stderr
+    lines = res.stderr.splitlines()
+    assert [line.split(":")[1] for line in lines] == [" hilbert_fit failed", " graded_betti failed"]
+    assert all(line.endswith("divisible by 5") for line in lines)
+
+
 def test_inspect_poly_lone_prime_with_dependent_partials_fails_both_sides():
     # smooth over Q; mod 5 the partials are dependent, so each side refuses
     # the prime: the Hilbert side at degree 2, the Betti side at position 1

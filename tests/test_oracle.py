@@ -4,7 +4,7 @@ import random
 import sys
 from fractions import Fraction
 from itertools import combinations
-from math import comb, prod
+from math import comb, gcd, prod
 from types import SimpleNamespace
 
 import pytest
@@ -73,6 +73,12 @@ from _helpers import (
 CUSP_POLY = parse("x0*x1*x2 + x3^3", 3)
 # the hspog surface: delta 1, degree 5
 HSPOG = parse("x0^2*x1*x2+x2^4+2*x0^3*x3", 3)
+# the quintic surface: delta 0, tau 4
+QUINTIC = parse(
+    "-4*x0^4*x1+7*x0^3*x1^2-2*x1^4*x2+x0*x1*x2^3+x0^2*x1^2*x3+x0*x1^3*x3+3*x0^2*x2*x3^2"
+    "-9*x1^2*x2*x3^2+x0*x2^2*x3^2-2*x2^3*x3^2+5*x0^2*x3^3+3*x0*x2*x3^3+6*x1*x2*x3^3+6*x2*x3^4-7*x3^5",
+    3,
+)
 # singular mod 37 (7^3 + 27 = 10*37), smooth over Q and mod 41
 CURVE_37 = "x0^3+x1^3+x2^3+7*x0*x1*x2"
 FERMAT = {(n, d): parse("+".join(f"x{i}^{d}" for i in range(n + 1)), n) for n, d in
@@ -1043,6 +1049,107 @@ def test_a_killed_partial_raises_at_every_block():
             block(k)
 
 
+def leading_coefficient(terms, n, deg):
+    """The coefficient of the grevlex-leading term of a generator in
+    x_0..x_n of degree ``deg``: the term at the smallest column."""
+    col = grevlex_columns(n, deg)
+    return min(terms, key=lambda t: col[t[0]])[1]
+
+
+@pytest.mark.parametrize(
+    "f, sections",
+    [
+        # the fermat-smooth corpus, whose partials lead with d: smooth, so
+        # no certificate is attempted
+        *((parse("+".join(f"x{i}^{d}" for i in range(n + 1)), n), False) for n, d in [(3, 4), (4, 4), (5, 3)]),
+        # singular, so both sides rank section blocks
+        (parse("x0*x1*x2*x3+x4^4", 4), True),
+    ],
+    ids=str,
+)
+def test_every_jacobian_row_mod_n_leads_with_1(f, sections, monkeypatch):
+    real_blocks, real_rank, real_rref = oracle._pruned_blocks, oracle.rank_mod_p, oracle.rref
+    rings, rows = [], []
+
+    def blocks(gens, deg, n, modulus, rank):
+        rings.append(n)
+        return real_blocks(gens, deg, n, modulus, rank)
+
+    def rank_mod_p(m, p):
+        rows.extend(m.data)
+        return real_rank(m, p)
+
+    def echelon(data, field):
+        if field.modulus is not None:
+            rows.extend(data)
+        return real_rref(data, field)
+
+    monkeypatch.setattr(oracle, "_pruned_blocks", blocks)
+    for side, name, wrapper in [(hilbert_fit, "rank_mod_p", rank_mod_p), (graded_betti, "rref", echelon)]:
+        rings.clear()
+        rows.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(oracle, name, wrapper)
+            side(f)
+        assert rows and all(row[min(row)] == 1 for row in rows if row), side.__name__
+        assert (min(rings) < f.n) == sections, side.__name__
+
+
+@pytest.mark.parametrize("f, section", [(CUSP_POLY, False), (QUINTIC, False), (HSPOG, True)], ids=str)
+def test_monic_generators_leave_every_record_as_it_was(f, section):
+    # each degree's Pivots and lead from _pruned_blocks, which makes the
+    # generators monic, against the same chain built by hand on the
+    # generators as given, and against _pruned_blocks on the generators
+    # times random units
+    n, d = f.n, f.degree
+    modulus = prod(default_primes(f, 1))
+    gens = _partials(f, modulus)
+    if section:
+        gens, n = oracle._restrict(gens, _section_forms(f, modulus)[0], modulus), n - 1
+    assert any(leading_coefficient(terms, n, d - 1) != 1 for terms in gens)
+    rng = random.Random(7)
+    units = [rng.randrange(1, modulus) for _ in gens]
+    assert all(gcd(u, modulus) == 1 for u in units)
+    scaled = [[(e, u * c % modulus) for e, c in terms] for u, terms in zip(units, gens)]
+
+    def rank(m):
+        return rank_mod_p(m, modulus)
+
+    chains = [_pruned_blocks(gens, d - 1, n, modulus, rank), _pruned_blocks(scaled, d - 1, n, modulus, rank)]
+    records = {}
+    for k in range(3 * (d - 1) + 1):  # three generations of records
+        matrix, starts = _jacobian_block(gens, d - 1, n, k, modulus, records.pop(k - d + 1, None))
+        want = rank(matrix)
+        records[k] = want.lead, starts
+        for block in chains:
+            got = block(k)
+            assert got == want and got.lead == want.lead, k
+
+
+def test_a_non_unit_leading_coefficient_leaves_its_generator_as_given(monkeypatch):
+    # d_0 = 111*x0^2 + x1*x2 and 111 = 3*37 is no unit mod 37*41; each
+    # pass mod 37*41 splits and reruns over Q
+    f = parse("37*x0^3+x0*x1*x2+x1^3+x2^3", 2)
+    primes = [37, 41]
+    real = oracle._jacobian_block
+    seen = []
+
+    def build(gens, deg, n, k, p=None, below=None):
+        if p is not None:
+            seen.append(gens)
+        return real(gens, deg, n, k, p, below)
+
+    monkeypatch.setattr(oracle, "_jacobian_block", build)
+    hd, table = hilbert_fit(f, primes=primes), graded_betti(f, primes=primes)
+    assert seen
+    for gens in seen:
+        assert gens[0] == [((2, 0, 0), 111), ((0, 1, 1), 1)]
+        assert [leading_coefficient(terms, 2, 2) for terms in gens[1:]] == [1, 1]
+    monkeypatch.undo()
+    assert hd == hilbert_fit(f) and [hd.values[k] for k in range(5)] == [1, 3, 3, 1, 0]
+    assert table == graded_betti(f) == BettiTable.of(2, 3, {1: [2, 2, 2], 2: [4]})
+
+
 @pytest.mark.parametrize(
     "f",
     [
@@ -1563,6 +1670,25 @@ def test_a_prime_killing_a_partial_takes_no_modular_rank(monkeypatch):
     # the block is still built mod 15: 3 also divides a denominator here
     with pytest.raises(BadPrimeError, match="divisible by 3"):
         hilbert_fit(parse("3*x0^3 + x1^3 + 1/9*x2^3", 2), primes=[3, 5])
+
+
+@pytest.mark.parametrize(
+    "expr, primes",
+    [
+        ("1/15*x0^4+x1^4+x2^4", [5, 3]),
+        ("1/3*x0^4+1/5*x1^4+x2^4", [5, 3]),
+        ("1/3*x0^4+1/5*x1^4+x2^4", [3, 5]),
+    ],
+)
+def test_a_bad_pinned_prime_is_the_first_one_given(expr, primes):
+    # every pinned prime here divides a denominator; the error names the
+    # first one given, never their product
+    f = parse(expr, 2)
+    sides = [hilbert_fit, graded_betti, lambda f, primes: milnor_dimension(f, 3, primes=primes)]
+    for side in sides:
+        with pytest.raises(BadPrimeError, match=f"divisible by {primes[0]}$") as err:
+            side(f, primes=primes)
+        assert err.value.prime == primes[0]
 
 
 def test_prime_disagreement_runs_the_rational_fallback(monkeypatch):
