@@ -189,8 +189,19 @@ def _emit(doc: dict, fmt: str):
         sys.stdout.write(render_report_text(doc))
 
 
+def _join_expr_values(argv):
+    # argparse reads "-x0^3+x1^3" after --expr as an option: join such a
+    # value to the flag, the --expr=value form; "--format" stays an option
+    out = []
+    for a in argv:
+        if out and out[-1] == "--expr" and a[:1] == "-" and a[:2] != "--":
+            a = out.pop() + "=" + a
+        out.append(a)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_join_expr_values(sys.argv[1:] if argv is None else argv))
     try:
         if args.command == "analyze-betti":
             return cmd_analyze_betti(args)

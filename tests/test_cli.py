@@ -278,6 +278,22 @@ def test_inspect_poly_has_no_sqfree_trials_option(capsys):
     assert "unrecognized arguments: --sqfree-trials=3" in capsys.readouterr().err
 
 
+def test_inspect_poly_expr_may_start_with_a_minus():
+    # argparse alone reads "-x0^3..." as an option and exits 1
+    joined = run_cli("inspect-poly", "--expr=-x0^3+x1^3+x2^3", "--format", "json")
+    spaced = run_cli("inspect-poly", "--expr", "-x0^3+x1^3+x2^3", "--format", "json")
+    assert joined.returncode == 0
+    assert (spaced.returncode, spaced.stdout, spaced.stderr) == (0, joined.stdout, joined.stderr)
+    assert json.loads(spaced.stdout)["input"]["expression"] == "-x0^3+x1^3+x2^3"
+
+
+def test_inspect_poly_expr_followed_by_an_option_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["inspect-poly", "--expr", "--format", "json"])
+    assert exc.value.code == 1
+    assert "argument --expr: expected one argument" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "expr, message",
     [

@@ -58,7 +58,7 @@ from singulus.polynomials import (
 )
 from singulus.rules import full_report, hilbert_function_from_table, koszul_smooth_table
 from singulus.tables import BettiTable
-from test_golden import CASES, REPO
+from test_golden import CASES, REPO, THEOREM_CASES
 from _helpers import (
     cusp_threefold_table,
     dense_rational_rank,
@@ -614,9 +614,10 @@ def test_default_primes_are_input_derived_and_stable():
 
 
 def golden_inputs():
-    """(polynomial, pinned primes or None) of each inspect-poly golden case."""
-    for argv in CASES.values():
-        if argv[0] == "inspect-poly":
+    """(polynomial, pinned primes or None) of each inspect-poly golden case
+    of the benchmark corpus and the fixtures."""
+    for name, argv in CASES.items():
+        if argv[0] == "inspect-poly" and name not in THEOREM_CASES:
             if "--expr" in argv:
                 text = argv[argv.index("--expr") + 1]
             else:
