@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import combinations
 from math import comb, factorial, gcd, prod
-from operator import add, neg
+from operator import neg
 
 from .errors import (
     BadPrimeError,
@@ -58,7 +58,7 @@ from .polynomials import (
     _seed_of,
     dim_degree_piece,
     grevlex_columns,
-    grevlex_exponents,
+    pack,
 )
 from .rules import (
     _newton_fit,
@@ -134,11 +134,12 @@ def _working_primes(f: Polynomial, primes, part: int) -> list[int]:
 
 @lru_cache(maxsize=64)
 def _partial_terms(f: Polynomial):
-    """Each partial derivative as (exponents, coefficient) pairs; integral
-    coefficients become plain ints.  Every degree of both pipelines asks
-    for them, so they are cached; callers must not change the lists."""
+    """Each partial derivative as (packed exponents, coefficient) pairs (see
+    pack); integral coefficients become plain ints.  Every degree of both
+    pipelines asks for them, so they are cached; callers must not change
+    the lists."""
     return [
-        [(e, c.numerator if c.denominator == 1 else c) for e, c in f.partial(i).terms.items()]
+        [(pack(e), c.numerator if c.denominator == 1 else c) for e, c in f.partial(i).terms.items()]
         for i in range(f.n + 1)
     ]
 
@@ -175,24 +176,23 @@ def _partials(f: Polynomial, modulus=None):
     _NonUnitPivot, the one way out of a pass mod N (see linalg)."""
     if modulus is None:
         return _partial_terms(f)
-    monos = grevlex_exponents(f.n, f.degree - 1)
-    top = len(monos) - 1
+    keys = list(reversed(grevlex_columns(f.n, f.degree - 1)))  # in column order
     block = reduce_mod(_jacobian_matrix(f, f.degree - 1), modulus)
     out = []
     for terms, row in zip(_partial_terms(f), block.data):
         if terms and gcd(modulus, *row.values()) > 1:
             raise _NonUnitPivot(f"a factor of {modulus} kills a partial")
-        out.append([(monos[top - c], v) for c, v in row.items()])
+        out.append([(keys[c], v) for c, v in row.items()])
     return out
 
 
 def _jacobian_block(gens, deg: int, n: int, k: int, p=None, below=None):
     """Degree-k piece of the ideal of generators g_i of degree ``deg`` in
-    x_0..x_n, each given as a list of (exponents, coefficient) terms, over
-    Z/p when a modulus p is given: rows = generators m*g_i over the
-    degree-k monomial columns (decreasing order), generator by generator.
-    Returns the matrix and ``starts``, the index of each generator's first
-    row.
+    x_0..x_n, each given as a list of (packed exponents, coefficient)
+    terms, over Z/p when a modulus p is given: rows = generators m*g_i over
+    the degree-k monomial columns (decreasing order), generator by
+    generator; the key of m*e is the sum of their keys (see pack).  Returns
+    the matrix and ``starts``, the index of each generator's first row.
 
     ``below`` is the record (Pivots.lead, starts) of the block of the same
     generators over the same field, ``deg`` degrees down.  The row m*g_i
@@ -207,17 +207,15 @@ def _jacobian_block(gens, deg: int, n: int, k: int, p=None, below=None):
     col_of = grevlex_columns(n, k)
     data, starts = [], [0] * len(gens)
     if k >= deg:
-        mults = grevlex_exponents(n, k - deg)
-        mcol = grevlex_columns(n, k - deg)
         lead, first = below or ({}, [0] * len(gens))  # no row is left out
         for i, terms in enumerate(gens):
             starts[i], s = len(data), first[i]
-            for m in mults:
-                if lead.get(mcol[m], s) < s:
+            for m, mc in grevlex_columns(n, k - deg).items():
+                if lead.get(mc, s) < s:
                     continue
                 row = {}
                 for e, c in terms:
-                    row[col_of[tuple(map(add, e, m))]] = c
+                    row[col_of[e + m]] = c
                 data.append(row)
     return SparseMatrix._from_rows(len(col_of), data, p), starts
 
@@ -308,20 +306,21 @@ def _section_forms(f: Polynomial, modulus: int) -> list[list[int]]:
 def _restrict(gens, a, modulus):
     """Term lists in x_0..x_r, r = len(a), on the hyperplane
     x_r = sum_t a_t x_t: term lists in x_0..x_(r-1) mod the modulus."""
-    r = len(a)
-    powers = [{(0,) * r: 1}]  # powers of sum_t a_t x_t
+    shift = 16 * len(a)  # e >> shift is the exponent of x_r (see pack)
+    powers = [{0: 1}]  # powers of sum_t a_t x_t
     out = []
     for terms in gens:
         acc = defaultdict(int)
         for e, c in terms:
-            while len(powers) <= e[r]:
+            while len(powers) <= e >> shift:
                 nxt = defaultdict(int)
                 for u, b in powers[-1].items():
                     for t, at in enumerate(a):
-                        nxt[u[:t] + (u[t] + 1,) + u[t + 1 :]] += b * at
+                        nxt[u + (1 << 16 * t)] += b * at
                 powers.append({u: v % modulus for u, v in nxt.items()})
-            for u, b in powers[e[r]].items():
-                acc[tuple(map(add, e[:r], u))] += c * b
+            low = e & ((1 << shift) - 1)
+            for u, b in powers[e >> shift].items():
+                acc[low + u] += c * b
         out.append([(e, x) for e, v in acc.items() if (x := v % modulus)])
     return out
 
@@ -605,23 +604,16 @@ def _betti_over_field(f: Polynomial, q_max: int, field):
 
     @cache
     def basis(k):
-        """The basis columns of piece k, its non-pivot columns."""
-        return [c for c in range(dim_degree_piece(n, k)) if c not in pieces[k]]
+        """(column, key) of each basis column of piece k, its non-pivot
+        columns in increasing order, with its monomial's packed key."""
+        return [(c, key) for key, c in reversed(grevlex_columns(n, k).items()) if c not in pieces[k]]
 
     @cache
     def images(s, k):
         """(nu, tail) for each basis column b of piece k: nu is the column
         of x_s b in degree k+1, tail its pivot tail there or None."""
-        col_of = grevlex_columns(n, k + 1)
-        exps = grevlex_exponents(n, k)
-        top = len(exps) - 1
-        nxt = pieces[k + 1]
-        out = []
-        for c in basis(k):
-            e = exps[top - c]
-            nu = col_of[e[:s] + (e[s] + 1,) + e[s + 1 :]]
-            out.append((nu, nxt.get(nu)))
-        return out
+        col_of, step, nxt = grevlex_columns(n, k + 1), 1 << 16 * s, pieces[k + 1]
+        return [(nu, nxt.get(nu)) for nu in (col_of[key + step] for _, key in basis(k))]
 
     subset_cache = {p: list(combinations(range(n + 1), p)) for p in range(n + 2)}
     # N - v, not -v: a matrix tagged with N holds residues in [1, N)
@@ -642,7 +634,7 @@ def _betti_over_field(f: Polynomial, q_max: int, field):
                 for j, s in enumerate(s_set)
             ]
             base = si * own
-            for b, c in enumerate(cols):
+            for b, (c, _) in enumerate(cols):
                 if base + c in skip:
                     continue
                 row = {}

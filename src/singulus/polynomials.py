@@ -221,16 +221,27 @@ def grevlex_exponents(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple([h + (e,) for e in range(k, -1, -1) for h in grevlex_exponents(n - 1, k - e)])
 
 
+def pack(e) -> int:
+    """The int key of an exponent vector, e_i in bits 16i..16i+15: while every
+    exponent is below 2^16, the key of a product is the sum of the keys."""
+    return sum(k << 16 * i for i, k in enumerate(e))
+
+
 @lru_cache(maxsize=None)
-def grevlex_columns(n: int, k: int) -> dict[tuple[int, ...], int]:
-    """Column of each degree-k exponent vector in a matrix whose columns
-    run in decreasing grevlex: the largest monomial is column 0, so a row's
-    smallest column is its leading monomial.  The oracle's blocks use this
-    layout at every degree, so the index is cached with the basis; callers
-    must not change it."""
-    monos = grevlex_exponents(n, k)
-    top = len(monos) - 1
-    return {e: top - i for i, e in enumerate(monos)}
+def grevlex_columns(n: int, k: int) -> dict[int, int]:
+    """Column of each degree-k monomial, keyed by pack, in a matrix whose
+    columns run in decreasing grevlex: the largest monomial is column 0, so
+    a row's smallest column is its leading monomial.  The keys run in
+    increasing grevlex, built as grevlex_exponents is, from the cached
+    smaller indexes; callers must not change them.  A degree from 2^16 on
+    raises ValueError before anything is enumerated."""
+    if not 0 <= k < 1 << 16:
+        raise ValueError(f"degree must be in [0, 2^16), got {k}")
+    if n == 0:
+        return {k: 0}
+    step = 1 << 16 * n  # pack of x_n: t is x_n^(k-j) in front of the run of degree j
+    keys = [h + t for j, t in enumerate(range(k * step, -1, -step)) for h in grevlex_columns(n - 1, j)]
+    return dict(zip(keys, range(len(keys) - 1, -1, -1)))
 
 
 def dim_degree_piece(n: int, k: int) -> int:

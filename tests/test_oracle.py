@@ -53,6 +53,7 @@ from singulus.polynomials import (
     grevlex_columns,
     grevlex_exponents,
     infer_variable_count,
+    pack,
     parse,
     squarefree_check,
 )
@@ -141,6 +142,13 @@ def test_milnor_dimension_rejects_bad_input():
         milnor_dimension(parse("x0^3 + x1", 2), 2)
     with pytest.raises(ValueError):
         milnor_dimension(parse("x0^2+x1^2+x2^2", 2), 2)
+
+
+def test_milnor_dimension_refuses_a_degree_past_the_packed_keys():
+    # the block's columns are packed exponents, 16 bits each: degree 2^16
+    # is refused before any of its 2*10^9 monomials is enumerated
+    with pytest.raises(ValueError, match="degree must be in"):
+        milnor_dimension(parse("x0^3+x1^3+x2^3", 2), 1 << 16)
 
 
 def test_hilbert_fit_cusp_threefold():
@@ -678,7 +686,7 @@ def mult_matrix(n, pieces, i, k, field) -> SparseMatrix:
     data = [{} for _ in dst_index]
     for j, c in enumerate(src_basis):
         mu = monos[len(monos) - 1 - c]
-        nu = col_of[mu[:i] + (mu[i] + 1,) + mu[i + 1 :]]
+        nu = col_of[pack(mu[:i] + (mu[i] + 1,) + mu[i + 1 :])]
         if nu in dst_index:
             data[dst_index[nu]][j] = 1
         else:
@@ -1052,7 +1060,8 @@ def test_a_killed_partial_raises_at_every_block():
 
 def leading_coefficient(terms, n, deg):
     """The coefficient of the grevlex-leading term of a generator in
-    x_0..x_n of degree ``deg``: the term at the smallest column."""
+    x_0..x_n of degree ``deg``, given as (packed exponents, coefficient)
+    terms: the term at the smallest column."""
     col = grevlex_columns(n, deg)
     return min(terms, key=lambda t: col[t[0]])[1]
 
@@ -1144,7 +1153,7 @@ def test_a_non_unit_leading_coefficient_leaves_its_generator_as_given(monkeypatc
     hd, table = hilbert_fit(f, primes=primes), graded_betti(f, primes=primes)
     assert seen
     for gens in seen:
-        assert gens[0] == [((2, 0, 0), 111), ((0, 1, 1), 1)]
+        assert gens[0] == [(pack((2, 0, 0)), 111), (pack((0, 1, 1)), 1)]
         assert [leading_coefficient(terms, 2, 2) for terms in gens[1:]] == [1, 1]
     monkeypatch.undo()
     assert hd == hilbert_fit(f) and [hd.values[k] for k in range(5)] == [1, 3, 3, 1, 0]

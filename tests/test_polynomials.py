@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from singulus.errors import PolynomialSyntaxError
 from singulus.polynomials import (
     Polynomial,
+    grevlex_columns,
     grevlex_exponents,
     infer_variable_count,
+    pack,
     parse,
     squarefree_check,
 )
@@ -198,6 +200,44 @@ def test_grevlex_exponents_match_sorted_monomials():
 def test_grevlex_exponents_rejects_negative_degree():
     with pytest.raises(ValueError):
         grevlex_exponents(2, -1)
+
+
+# two exponent vectors of one length, whose sum stays below 2^16
+_exponent_pairs = st.integers(0, 5).flatmap(
+    lambda n: st.tuples(*[st.lists(st.integers(0, (1 << 15) - 1), min_size=n + 1, max_size=n + 1)] * 2)
+)
+
+
+@given(_exponent_pairs)
+def test_the_key_of_a_product_is_the_sum_of_the_keys(pair):
+    a, b = pair
+    assert pack(a) + pack(b) == pack([i + j for i, j in zip(a, b)])
+
+
+def test_packed_keys_are_distinct_within_a_degree():
+    for n in range(6):
+        for k in range(8):
+            monos = grevlex_exponents(n, k)
+            assert len({pack(e) for e in monos}) == len(monos), (n, k)
+
+
+def test_grevlex_columns_run_in_increasing_grevlex_from_the_last_column():
+    # built from the cached smaller indexes, so build them from an empty
+    # cache with the smaller ones asked for later, as grevlex_exponents is
+    grid = [(n, k) for n in range(6) for k in range(9)]
+    grevlex_columns.cache_clear()
+    for n, k in grid[::-1]:
+        monos = grevlex_exponents(n, k)
+        top = len(monos) - 1
+        assert list(grevlex_columns(n, k).items()) == [(pack(e), top - i) for i, e in enumerate(monos)]
+
+
+def test_grevlex_columns_refuse_a_degree_whose_keys_would_overlap():
+    before = grevlex_columns.cache_info().currsize
+    for k in (-1, 1 << 16, 1 << 40):
+        with pytest.raises(ValueError, match="degree must be in"):
+            grevlex_columns(2, k)
+    assert grevlex_columns.cache_info().currsize == before  # nothing was enumerated
 
 
 def _random_poly(draw, n, max_degree=4, max_terms=5):
