@@ -77,8 +77,8 @@ CASES = {
 # the paper's theorem where it first bites: an hspog surface (delta 1,
 # degree 5), an hspog threefold past the threshold (delta 2, degree 14),
 # whose expression starts with "-", and a threefold of degree 80 with a
-# proven stop 13; the oracle's tests do not rerun these, as without the
-# proven stop the last takes minutes
+# proven stop 13; the oracle's tests leave these out of golden_inputs, as
+# checking the hspog threefold against its full blocks alone takes minutes
 THEOREM_CASES = {
     "hspog_surface": _inspect("x0^2*x1*x2+x2^4+2*x0^3*x3"),
     "hspog_threefold": _inspect("-x0*x1*x2^3*x4+x0^2*x1*x2*x4^2+x1^2*x2*x3*x4^2"),
