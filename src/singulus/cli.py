@@ -189,12 +189,17 @@ def _emit(doc: dict, fmt: str):
         sys.stdout.write(render_report_text(doc))
 
 
+# --expr and every abbreviation of it argparse accepts: no other option
+# of any subcommand starts with "--e"
+_EXPR_FLAGS = ("--e", "--ex", "--exp", "--expr")
+
+
 def _join_expr_values(argv):
     # argparse reads "-x0^3+x1^3" after --expr as an option: join such a
     # value to the flag, the --expr=value form; "--format" stays an option
     out = []
     for a in argv:
-        if out and out[-1] == "--expr" and a[:1] == "-" and a[:2] != "--":
+        if out and out[-1] in _EXPR_FLAGS and a[:1] == "-" and a[:2] != "--":
             a = out.pop() + "=" + a
         out.append(a)
     return out

@@ -238,13 +238,17 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # psi_13, the least strong pseudoprime to every base above
 # (1287836182261 * 2575672364521): below it the test is exact
 _MR_EXACT_BELOW = 3317044064679887385961981
+# psi_4, the least strong pseudoprime to the bases 2, 3, 5 and 7
+# (151 * 751 * 28351): below it those four are exact, and every derived
+# prime lies below 2^31 < psi_4
+_PSI_4 = 3215031751
 
 
 @lru_cache(maxsize=64)
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin with the fixed bases 2..41, exact for n below
-    _MR_EXACT_BELOW.  Cached: a pinned prime is checked again at every
-    degree."""
+    """Miller-Rabin, exact for n below _MR_EXACT_BELOW: the bases 2, 3, 5
+    and 7 for n below psi_4, and 2..41 from there on.  Cached: a pinned
+    prime is checked again at every degree."""
     if n < 2:
         return False
     for q in _MR_BASES:
@@ -255,7 +259,7 @@ def is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[:4] if n < _PSI_4 else _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -541,6 +541,19 @@ def hilbert_fit(f: Polynomial, window=None, primes=None) -> HilbertData:
 # -- graded Betti numbers via Koszul homology ----------------------------
 
 
+def _koszul_rank(ncols: int, rows: list, leads: set, modulus):
+    """The rank of a Koszul block and its pivot columns, in one kernel
+    call.  ``leads`` are the distinct leading columns of the rows settled
+    by them, each a pivot the kernel would store unreduced; ``rows`` go
+    to the kernel: the empty rows of a settled block, or every row of a
+    block where two rows share a lead.  So ``len(leads) + len(rows)`` is
+    the block's row count."""
+    matrix = SparseMatrix._from_rows(ncols, rows, modulus)
+    # the kernel is looked up at each call: perfbench rebinds it
+    pivots = rank_rational(matrix) if modulus is None else rank_mod_p(matrix, modulus)
+    return len(leads) + pivots.rank, leads.union(pivots)
+
+
 def _betti_over_field(f: Polynomial, q_max: int, field):
     """Graded Betti numbers beta_{p,q} for p = 0..n+1, q = 0..top[p], and
     top, the last degree ranked at each position; or None, with no Betti
@@ -582,7 +595,22 @@ def _betti_over_field(f: Polynomial, q_max: int, field):
     d_(p+1)'s.  That pivot row, e_c plus later coordinates, lies in
     im d_(p+1), which d_p kills, so row c of d_p's block is a combination
     of later rows; by induction from the last row the kept rows span the
-    same space.  Only beta_{p,q} kept rows then reduce to zero."""
+    same space.  Only beta_{p,q} kept rows then reduce to zero.
+
+    Most blocks are ranked by their rows' leading columns alone.  The
+    faces of e_S sit in disjoint column ranges, and index(T) grows as
+    the index left out of S falls, so a row's leading column is in the
+    face S less its last index if x_s b is nonzero there, else in the
+    next: nu for a basis column, the first column of the tail for a
+    pivot, nothing where x_s b lies in J_f.  If the kept rows' leading
+    columns are all distinct, the kernel would store each nonzero row as
+    a pivot at its lead with no subtraction: the rank is the count of
+    nonzero rows and the pivot columns are the leads, and no row body is
+    built.  The kernel still gets the block's empty rows, so rows less
+    rank is beta_{p,q} in every call.  A block where two kept rows share
+    a lead is built and ranked whole, and so is one that reads a tail
+    leading with a value that is not a unit mod N, where the kernel may
+    split."""
     n, d = f.n, f.degree
     gens = _partials(f, field.modulus)
 
@@ -615,10 +643,55 @@ def _betti_over_field(f: Polynomial, q_max: int, field):
         col_of, step, nxt = grevlex_columns(n, k + 1), 1 << 16 * s, pieces[k + 1]
         return [(nu, nxt.get(nu)) for nu in (col_of[key + step] for _, key in basis(k))]
 
+    @cache
+    def leads(s, k):
+        """The leading column of the image of x_s b in degree k+1, for each
+        basis column b of piece k: nu, the first column of nu's pivot tail,
+        or None where x_s b lies in J_f.  None for the whole list where a tail
+        leads with a value that is not a unit mod N: only the kernel may
+        settle such a row."""
+        out = []
+        for nu, tail in images(s, k):
+            if tail is None:
+                out.append(nu)
+            elif not tail:
+                out.append(None)
+            else:
+                c = min(tail)
+                if field.modulus is not None and gcd(tail[c], field.modulus) != 1:
+                    return None
+                out.append(c)
+        return out
+
     subset_cache = {p: list(combinations(range(n + 1), p)) for p in range(n + 2)}
     # N - v, not -v: a matrix tagged with N holds residues in [1, N)
     negate = neg if field.modulus is None else field.modulus.__sub__
     minus_one = negate(1)
+
+    def settled_by_leads(faces, k, cols, skip):
+        """The distinct leading columns of the kept rows of a block and its
+        empty rows; None at the first column two rows share, or for a
+        face whose leads the kernel must settle (see leads)."""
+        seen, empty = set(), []
+        for base, s_faces in faces:
+            # smallest shift first: S less its last index, then the others
+            lead_lists = [(shift, leads(s, k)) for shift, _, s in reversed(s_faces)]
+            if any(lead is None for _, lead in lead_lists):
+                return None
+            for b, (c, _) in enumerate(cols):
+                if base + c in skip:
+                    continue
+                for shift, lead in lead_lists:
+                    x = lead[b]
+                    if x is not None:
+                        x += shift
+                        if x in seen:
+                            return None
+                        seen.add(x)
+                        break
+                else:
+                    empty.append({})
+        return seen, empty
 
     def rank_of(p, q, skip):
         """The rank of d_p in degree q and the pivot columns of its block,
@@ -626,19 +699,27 @@ def _betti_over_field(f: Polynomial, q_max: int, field):
         k = q - p
         own, width = dim_degree_piece(n, k), dim_degree_piece(n, k + 1)
         t_index = {t: i for i, t in enumerate(subset_cache[p - 1])}
-        cols = basis(k)
+        ncols, cols = len(t_index) * width, basis(k)
+        # (row offset of e_S, [(column offset, odd sign, s) of each face])
+        faces = [
+            (
+                si * own,
+                [(t_index[s_set[:j] + s_set[j + 1 :]] * width, (p - 1 - j) % 2, s) for j, s in enumerate(s_set)],
+            )
+            for si, s_set in enumerate(subset_cache[p])
+        ]
+        settled = settled_by_leads(faces, k, cols, skip)
+        if settled is not None:
+            pivots, empty = settled
+            return _koszul_rank(ncols, empty, pivots, field.modulus)
         data = []
-        for si, s_set in enumerate(subset_cache[p]):
-            faces = [
-                (t_index[s_set[:j] + s_set[j + 1 :]] * width, (p - 1 - j) % 2, images(s, k))
-                for j, s in enumerate(s_set)
-            ]
-            base = si * own
+        for base, s_faces in faces:
+            s_faces = [(shift, odd, images(s, k)) for shift, odd, s in s_faces]
             for b, (c, _) in enumerate(cols):
                 if base + c in skip:
                     continue
                 row = {}
-                for shift, odd, image in faces:
+                for shift, odd, image in s_faces:
                     nu, tail = image[b]
                     if tail is None:
                         row[shift + nu] = minus_one if odd else 1
@@ -646,12 +727,7 @@ def _betti_over_field(f: Polynomial, q_max: int, field):
                         for cc, v in tail.items():
                             row[shift + cc] = v if odd else negate(v)
                 data.append(row)
-        matrix = SparseMatrix._from_rows(len(t_index) * width, data, field.modulus)
-        if field.modulus is None:
-            pivots = rank_rational(matrix)
-        else:
-            pivots = rank_mod_p(matrix, field.modulus)
-        return pivots.rank, set(pivots)
+        return _koszul_rank(ncols, data, set(), field.modulus)
 
     betas = {}
     for q in range(q_max + 1):

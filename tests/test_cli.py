@@ -287,6 +287,15 @@ def test_inspect_poly_expr_may_start_with_a_minus():
     assert json.loads(spaced.stdout)["input"]["expression"] == "-x0^3+x1^3+x2^3"
 
 
+@pytest.mark.parametrize("flag", ["--e", "--ex", "--exp"])
+def test_inspect_poly_expr_abbreviations_may_start_with_a_minus(flag):
+    # argparse accepts each abbreviation of --expr, so each takes the value
+    joined = run_cli("inspect-poly", "--expr=-x0^3+x1^3+x2^3", "--format", "json")
+    spaced = run_cli("inspect-poly", flag, "-x0^3+x1^3+x2^3", "--format", "json")
+    assert joined.returncode == 0
+    assert (spaced.returncode, spaced.stdout, spaced.stderr) == (0, joined.stdout, joined.stderr)
+
+
 def test_inspect_poly_expr_followed_by_an_option_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["inspect-poly", "--expr", "--format", "json"])

@@ -403,6 +403,30 @@ def test_deterministic_primes():
         assert 2**30 <= p < 2**31 and is_probable_prime(p)
 
 
+def strong_probable_prime(n, bases) -> bool:
+    """n passes the strong Fermat test to every base: the reference for
+    is_probable_prime, for odd n above every base."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    return all(
+        pow(a, d, n) in (1, n - 1) or any(pow(a, d << r, n) == n - 1 for r in range(1, s)) for a in bases
+    )
+
+
+def test_four_bases_agree_with_thirteen_below_psi_4():
+    every = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    rng = random.Random(2718)
+    sample = [rng.randrange(2**30 + 1, 2**31, 2) for _ in range(2000)]
+    got = [is_probable_prime(n) for n in sample]
+    assert got == [strong_probable_prime(n, every) for n in sample]
+    assert 100 < sum(got) < 1900  # primes and composites both
+    # psi_4 = 151 * 751 * 28351 passes the four bases; from psi_4 on all 13 run
+    psi_4 = 3215031751
+    assert strong_probable_prime(psi_4, every[:4]) and not strong_probable_prime(psi_4, every)
+    assert not is_probable_prime(psi_4)
+
+
 def test_is_probable_prime_known_values():
     assert is_probable_prime(M61)
     assert not is_probable_prime(561)  # Carmichael

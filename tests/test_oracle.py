@@ -25,6 +25,7 @@ from singulus.linalg import (
     Pivots,
     SparseMatrix,
     _NonUnitPivot,
+    _echelon,
     is_probable_prime,
     rank_mod_p,
     rank_rational,
@@ -584,7 +585,10 @@ def test_every_koszul_block_holds_residues(monkeypatch):
 
     monkeypatch.setattr(oracle, "rank_mod_p", record)
     assert graded_betti(CUSP_POLY) == cusp_threefold_table()
-    assert blocks
+    # the cusp's blocks are all settled by their leads, so the kernel gets
+    # only their empty rows; the hspog surface has blocks built whole
+    graded_betti(HSPOG)
+    assert any(values for *_, values in blocks)
     for modulus, p, values in blocks:
         assert modulus == p and all(0 < v < p for v in values)
 
@@ -798,6 +802,15 @@ def test_stopping_at_the_first_empty_piece_is_exact(f, primes):
         assert betas == betti_echeloning_every_piece(f, q_max, field)
 
 
+def monomial_layout(n, piece, k, copies) -> list[int]:
+    """Where each basis position of ``copies`` copies of piece k sits in
+    the layout of _betti_over_field: copy t's i-th non-pivot column c at
+    t * dim S_k + c.  The map keeps the order of positions."""
+    own = dim_degree_piece(n, k)
+    basis = [c for c in range(own) if c not in piece]
+    return [t * own + c for t in range(copies) for c in basis]
+
+
 @pytest.mark.parametrize("f, primes", STOP_RULE_INPUTS, ids=str)
 def test_pruned_koszul_blocks_keep_the_rank_of_the_full_block(monkeypatch, f, primes):
     n, d = f.n, f.degree
@@ -805,8 +818,9 @@ def test_pruned_koszul_blocks_keep_the_rank_of_the_full_block(monkeypatch, f, pr
     fields = [Field(prod(primes or default_primes(f)))]
     if n == 2:
         fields.append(QQ)
+    built_whole = 0
     for field in fields:
-        pieces, ranked = [], []
+        pieces, ranked, kernel_calls = [], [], []
         real_blocks = oracle._pruned_blocks
 
         def blocks(gens, deg, r, modulus, rank):
@@ -824,11 +838,20 @@ def test_pruned_koszul_blocks_keep_the_rank_of_the_full_block(monkeypatch, f, pr
             real = getattr(oracle, name)
 
             def record(m, *args, real=real, **kwargs):
-                pivots = real(m, *args, **kwargs)
-                ranked.append((m.rows, pivots.rank))
-                return pivots
+                kernel_calls.append(m.rows)
+                return real(m, *args, **kwargs)
 
             monkeypatch.setattr(oracle, name, record)
+        real_rank = oracle._koszul_rank
+
+        def record_block(ncols, rows, leads, modulus):
+            # the whole block: rows settled by their leads and rows for the
+            # kernel; a block whose rows go to the kernel is built whole
+            rank, pivots = real_rank(ncols, rows, leads, modulus)
+            ranked.append((len(rows) + len(leads), rank, pivots, any(rows)))
+            return rank, pivots
+
+        monkeypatch.setattr(oracle, "_koszul_rank", record_block)
         monkeypatch.setattr(oracle, "_pruned_blocks", blocks)
         try:
             betas, top = _betti_over_field(f, q_max, field)
@@ -838,7 +861,7 @@ def test_pruned_koszul_blocks_keep_the_rank_of_the_full_block(monkeypatch, f, pr
         finally:
             monkeypatch.undo()
         if betas is None:
-            assert ranked == []  # an empty piece ends the pass before any rank
+            assert ranked == kernel_calls == []  # an empty piece ends the pass before any rank
             continue
         # every Koszul rank of the pass in its band q - p <= m, in its
         # order: each degree q up to top[n+1] from p = min(q, n+1) down to
@@ -847,14 +870,29 @@ def test_pruned_koszul_blocks_keep_the_rank_of_the_full_block(monkeypatch, f, pr
         order = [
             (p, q) for q in range(top[-1] + 1) for p in range(min(q, n + 1), max(2, q - m) - 1, -1)
         ]
-        assert len(ranked) == len(order)
-        for (p, q), (rows, rank) in zip(order, ranked):
+        assert len(ranked) == len(kernel_calls) == len(order)  # one kernel call per block
+        above = None  # (q, pivot columns) of d_(p+1) in the same degree
+        for (p, q), (rows, rank, pivots, whole) in zip(order, ranked):
+            k = q - p
             # the full transposed block: one row per e_S tensor b, none left out
             full = koszul_block(n, pieces, p, q, field)
             full_t = SparseMatrix(full.cols, full.rows, {(c, r): v for (r, c), v in entries(full).items()}, field.modulus)
             assert rank == rank_over(full_t, field), (p, q, field.modulus)
+            # the kept block leaves out the rows at the pivot columns of d_(p+1)
+            skip = above[1] if above and above[0] == q else set()
+            row_at = monomial_layout(n, pieces[k], k, comb(n + 1, p))
+            col_at = monomial_layout(n, pieces[k + 1], k + 1, comb(n + 1, p - 1))
+            kept = [row for r, row in enumerate(full_t.data) if row_at[r] not in skip]
+            assert rows == len(kept) == full_t.rows - len(skip), (p, q, field.modulus)
+            kept_pivots = _echelon(kept, field.modulus)
+            assert pivots == {col_at[c] for c in kept_pivots}, (p, q, field.modulus)
             # only the rows of the homology reduce to zero
             assert rows - rank == betas.get((p, q), 0), (p, q, field.modulus)
+            above = q, pivots
+            built_whole += whole
+        assert not all(whole for *_, whole in ranked)  # some blocks are settled by their leads
+    if f == HSPOG:
+        assert built_whole  # and some share a lead, so are built and ranked whole
 
 
 def test_a_singular_input_whose_pair_splits_ranks_its_koszul_blocks_over_q(monkeypatch):
