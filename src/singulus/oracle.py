@@ -15,11 +15,10 @@ once; nothing proves that away, and the comparison of the two pipelines,
 four primes in all, is the check.  Where the two prime fields would part
 ways the pass mod N splits (see linalg), and so it does where a factor of
 N divides every coefficient of a nonzero partial (see _partials); either
-way the same sparse elimination kernel reruns over the rationals: the one
-degree on the Hilbert side, the whole Betti side.  "Certified" means one
-thing here: a stop of either side proven by a regularity certificate, mod
-the side's own N (see _regularity_attempts); the rational rerun after a
-split is never certified and ranks up to the default degrees.
+way that side reruns whole over the rationals, with the same sparse
+elimination kernel.  "Certified" means one thing here: a stop of either
+side proven by a regularity certificate over the pass's own field, mod
+the side's N or, after a split, over Q (see _regularity_attempts).
 """
 
 from __future__ import annotations
@@ -227,8 +226,7 @@ def _pruned_blocks(gens, deg: int, n: int, modulus, rank):
     Every pruned block of both sides is built here: the full ring's, and
     each section ring's of the certificate.  A block keeps its own record
     until the block ``deg`` degrees up reads it; a block that raises leaves
-    none, and the record it read stays.  ``gens`` None, a partial killed
-    mod the modulus (see _partials), raises _NonUnitPivot at every block.
+    none, and the record it read stays.
 
     Over Z/modulus each generator whose grevlex-leading coefficient is a
     unit is made monic first, so every row m*g_i leads with 1 and a row
@@ -236,7 +234,7 @@ def _pruned_blocks(gens, deg: int, n: int, modulus, rank):
     rows over each prime field, and reducing u*r gives u times the reduced
     r, so the records, ranks, rref pieces and splits are those of the
     generators as given."""
-    if gens is not None and modulus is not None:
+    if modulus is not None:
         col = grevlex_columns(n, deg)
         monic = []
         for terms in gens:
@@ -249,8 +247,6 @@ def _pruned_blocks(gens, deg: int, n: int, modulus, rank):
     records = {}  # degree -> (Pivots.lead, starts)
 
     def block(k):
-        if gens is None:
-            raise _NonUnitPivot(f"a factor of {modulus} kills a partial")
         matrix, starts = _jacobian_block(gens, deg, n, k, modulus, records.get(k - deg))
         pivots = rank(matrix)
         records.pop(k - deg, None)
@@ -275,18 +271,19 @@ def milnor_dimension(f: Polynomial, k: int, primes=None, *, chain=None) -> int:
     The block is ranked once, mod the product N of the working primes, or
     over Q when the pass splits, a killed partial included (see _partials).
     A pinned prime dividing a denominator raises first (see _working_primes).
-    ``chain`` is hilbert_fit's _pruned_blocks of the partials mod N, which
-    prunes each degree by the one d-1 below; without it the block is full."""
+    ``chain`` is a Hilbert pass's _pruned_blocks, which prunes each degree
+    by the one d-1 below; a split there raises to the pass.  Without it
+    the block is full."""
     n, d = _validate(f)
     if k < 0:
         raise ValueError("degree must be non-negative")
     if k < d - 1:
         return dim_degree_piece(n, k)
+    if chain is not None:
+        return dim_degree_piece(n, k) - chain(k).rank
     try:
-        if chain is None:
-            modulus = prod(_working_primes(f, primes, 1))
-            chain = _pruned_blocks(_partials(f, modulus), d - 1, n, modulus, lambda m: rank_mod_p(m, modulus))
-        rank = chain(k).rank
+        modulus = prod(_working_primes(f, primes, 1))
+        rank = _pruned_blocks(_partials(f, modulus), d - 1, n, modulus, lambda m: rank_mod_p(m, modulus))(k).rank
     except _NonUnitPivot:
         rank = rank_rational(_jacobian_matrix(f, k)).rank
     return dim_degree_piece(n, k) - rank
@@ -295,17 +292,23 @@ def milnor_dimension(f: Polynomial, k: int, primes=None, *, chain=None) -> int:
 # -- Hilbert function fit -----------------------------------------------
 
 
-def _section_forms(f: Polynomial, modulus: int) -> list[list[int]]:
+# over Q the forms stay small: drawn from [1, N), they make Fractions grow
+_RATIONAL_FORMS_BELOW = 100
+
+
+def _section_forms(f: Polynomial, modulus) -> list[list[int]]:
     """The coefficients a_t of h_i = x_(n-i+1) - sum_(t <= n-i) a_t x_t
-    for i = 1..n, each drawn from [1, modulus) by the stream seeded with
-    part 2 of the input digest."""
-    rng = random.Random(_seed_of(f, 2))
-    return [[rng.randrange(1, modulus) for _ in range(f.n - i + 1)] for i in range(1, f.n + 1)]
+    for i = 1..n, each drawn from [1, modulus), or over Q from
+    [1, _RATIONAL_FORMS_BELOW), by the stream seeded with part 2 of the
+    input digest."""
+    rng, top = random.Random(_seed_of(f, 2)), modulus or _RATIONAL_FORMS_BELOW
+    return [[rng.randrange(1, top) for _ in range(f.n - i + 1)] for i in range(1, f.n + 1)]
 
 
 def _restrict(gens, a, modulus):
     """Term lists in x_0..x_r, r = len(a), on the hyperplane
-    x_r = sum_t a_t x_t: term lists in x_0..x_(r-1) mod the modulus."""
+    x_r = sum_t a_t x_t: term lists in x_0..x_(r-1), reduced mod the
+    modulus unless it is None."""
     shift = 16 * len(a)  # e >> shift is the exponent of x_r (see pack)
     powers = [{0: 1}]  # powers of sum_t a_t x_t
     out = []
@@ -317,21 +320,21 @@ def _restrict(gens, a, modulus):
                 for u, b in powers[-1].items():
                     for t, at in enumerate(a):
                         nxt[u + (1 << 16 * t)] += b * at
-                powers.append({u: v % modulus for u, v in nxt.items()})
+                powers.append({u: v % modulus for u, v in nxt.items()} if modulus else nxt)
             low = e & ((1 << shift) - 1)
             for u, b in powers[e >> shift].items():
                 acc[low + u] += c * b
-        out.append([(e, x) for e, v in acc.items() if (x := v % modulus)])
+        out.append([(e, x) for e, v in acc.items() if (x := v % modulus if modulus else v)])
     return out
 
 
-def _section_dimensions(f: Polynomial, modulus: int, vals: list, forms, partials, rank):
+def _section_dimensions(f: Polynomial, modulus, vals: list, forms, partials, rank):
     """HF_i(k) = dim (S/(J_f, h_1..h_i))_k as a cached function of (i, k),
     the h_i given by ``forms`` (see _section_forms).  HF_0 reads the full
     ring's values ``vals``.  S/(h_1..h_i) is the polynomial ring in
-    x_0..x_(n-i), so HF_i is that of the ``partials`` mod the modulus (see
-    _partials) with x_n, .., x_(n-i+1) substituted in turn.  Each ring's
-    blocks are its own _pruned_blocks, ranked mod the modulus by ``rank``,
+    x_0..x_(n-i), so HF_i is that of the ``partials`` over the pass's
+    field (see _partials) with x_n, .., x_(n-i+1) substituted in turn.
+    Each ring's blocks are its own _pruned_blocks, ranked by ``rank``,
     each side's own entry to the kernel; a split raises _NonUnitPivot.
 
     A block's pruning record is made on demand, through this same
@@ -390,7 +393,7 @@ def _certified_forms(hf, n: int, m: int):
         return None
 
 
-def _regularity_attempts(f: Polynomial, modulus: int, vals: list, partials, rank):
+def _regularity_attempts(f: Polynomial, modulus, vals: list, partials, rank):
     """Each side's attempts to prove where it may stop: returns
     attempt(k), called for each new value vals[k] of the side (its HF_0,
     see _section_dimensions) until the caller's last degree would pass
@@ -399,21 +402,16 @@ def _regularity_attempts(f: Polynomial, modulus: int, vals: list, partials, rank
     Once a value has left the series of a complete intersection, where
     the values of f stay in every degree exactly when the partials are a
     regular sequence, each new value k >= d tries to prove J_f
-    (k-1)-regular (see _certified_forms) mod the side's modulus, with
-    forms drawn from the input digest, the side's ``partials`` mod the
-    modulus and section blocks ranked by ``rank``.  attempt(k) returns
-    the number j of forms that prove it, at most once, or None; never
-    anything when ``partials`` is None (a factor of the modulus kills
-    one).  A split in the forms' ranks certifies nothing at that degree."""
+    (k-1)-regular (see _certified_forms) over the pass's field, with
+    forms drawn from the input digest, the side's ``partials`` and
+    section blocks ranked by ``rank``.  attempt(k) returns the number j
+    of forms that prove it, or None; a split in their ranks proves none."""
     n, d = f.n, f.degree
     hf = None  # HF_i, built at the first attempt
     left = False  # whether a value has left the complete-intersection series
-    live = partials is not None
 
     def attempt(k):
-        nonlocal hf, left, live
-        if not live:
-            return None
+        nonlocal hf, left
         # that series: the coefficient of t^k in ((1 - t^(d-1)) / (1 - t))^(n+1)
         left = left or vals[k] != sum(
             (-1) ** i * comb(n + 1, i) * dim_degree_piece(n, k - i * (d - 1)) for i in range(n + 2)
@@ -421,11 +419,46 @@ def _regularity_attempts(f: Polynomial, modulus: int, vals: list, partials, rank
         if not left or k < d:  # J_f is generated in degree d-1 <= m = k-1
             return None
         hf = hf or _section_dimensions(f, modulus, vals, _section_forms(f, modulus), partials, rank)
-        j = _certified_forms(hf, n, k - 1)
-        live = j is None
-        return j
+        return _certified_forms(hf, n, k - 1)
 
     return attempt
+
+
+def _hilbert_over_field(f: Polynomial, w: int, plist, modulus):
+    """The values dim M(f)_k for k = 0..w over Z/modulus, or over Q for no
+    modulus, and the proven stop or None (see hilbert_fit); a split, a
+    killed partial included, raises _NonUnitPivot."""
+    n, d = f.n, f.degree
+    partials = _partials(f, modulus)
+    vals = []
+
+    def rank(m):  # the kernels are looked up at each call: perfbench rebinds them
+        return rank_rational(m) if modulus is None else rank_mod_p(m, modulus)
+
+    chain = _pruned_blocks(partials, d - 1, n, modulus, rank)
+    attempt = _regularity_attempts(f, modulus, vals, partials, rank)
+    stop, last = None, w
+    for k in range(w + 1):
+        vals.append(milnor_dimension(f, k, chain=chain))
+        if vals[-1] == 0:
+            return vals + [0] * (w - k), k
+        if k == d - 1 and vals[k] != dim_degree_piece(n, k) - n - 1:
+            # the n+1 partials are dependent mod N; only over Q may they be
+            expected = dim_degree_piece(n, k) - rank_rational(_jacobian_matrix(f, k)).rank
+            if vals[k] != expected:
+                raise BadPrimeError(
+                    f"degree {k} of the Jacobian algebra has dimension {expected}, "
+                    f"got {vals[k]}; the working primes {plist} are bad for this polynomial"
+                )
+        if stop is None and (j := attempt(k)) is not None:
+            stop, last = k - 1, max(k, k + j - 2)
+        if k == last:
+            break
+    if stop is not None:
+        # the values from stop on lie on a polynomial of degree < j
+        for _ in range(w + 1 - len(vals)):
+            vals.append(sum((-1) ** (i + 1) * comb(j, i) * vals[-i] for i in range(1, j + 1)))
+    return vals, stop if last <= w else None  # K past the window: all computed
 
 
 def hilbert_fit(f: Polynomial, window=None, primes=None) -> HilbertData:
@@ -446,15 +479,14 @@ def hilbert_fit(f: Polynomial, window=None, primes=None) -> HilbertData:
     the window: if S_k lies in J_f, so does S_{k+1} = S_1 S_k, and every
     later value is 0, so f is smooth with k0 = stop = k.  A zero needs no
     rational check, because a rank mod p is at most the rank over Q.
-    The working primes are resolved once, for every degree.
 
-    The partials are reduced mod the product N of the working primes once,
-    for every degree and for the certificate; when a factor of N kills one
-    (see _partials), every degree goes to Q and nothing is certified.  At
-    degree d-1 the value is that of n+1 independent partials unless they
-    are dependent over Q, as for a cone: a value that is neither means the
-    working primes agreed on a wrong rank, and raises BadPrimeError.  Only
-    on a mismatch is the block of the partials ranked over Q.
+    The values come from one pass mod the product N of the working
+    primes; a split, a partial killed mod N included, reruns it whole over
+    Q, certificate and all.  At degree d-1 the value is that of n+1
+    independent partials unless they are dependent over Q, as for a cone:
+    a value that is neither means the working primes agreed on a wrong
+    rank, and raises BadPrimeError.  Only on a mismatch is the block of
+    the partials ranked over Q.
 
     A proven stop ends it earlier on singular inputs (see
     _regularity_attempts): if J_f is m-regular with j forms, the values
@@ -469,40 +501,12 @@ def hilbert_fit(f: Polynomial, window=None, primes=None) -> HilbertData:
     if w < d + 1:
         raise ValueError("window upper bound is too small to say anything")
     plist = _working_primes(f, primes, 1)
-    modulus = prod(plist)
     try:
-        partials = _partials(f, modulus)
+        vals, stop = _hilbert_over_field(f, w, plist, prod(plist))
     except _NonUnitPivot:
-        partials = None  # every degree goes to Q, and nothing is certified
-    vals = []
-
-    def rank(m):  # rank_mod_p is looked up at each call: perfbench rebinds it
-        return rank_mod_p(m, modulus)
-
-    chain = _pruned_blocks(partials, d - 1, n, modulus, rank)
-    attempt = _regularity_attempts(f, modulus, vals, partials, rank)
-    stop, last = None, w
-    for k in range(w + 1):
-        vals.append(milnor_dimension(f, k, primes=plist, chain=chain))
-        if vals[-1] == 0:
-            values = dict(enumerate(vals + [0] * (w - k)))
-            return HilbertData(n, d, values, (), k, None, None, None, stop=k)
-        if k == d - 1 and vals[k] != dim_degree_piece(n, k) - n - 1:
-            # the n+1 partials are dependent mod N; only over Q may they be
-            expected = dim_degree_piece(n, k) - rank_rational(_jacobian_matrix(f, k)).rank
-            if vals[k] != expected:
-                raise BadPrimeError(
-                    f"degree {k} of the Jacobian algebra has dimension {expected}, "
-                    f"got {vals[k]}; the working primes {plist} are bad for this polynomial"
-                )
-        if stop is None and (j := attempt(k)) is not None and k + j - 2 <= w:
-            stop, last = k - 1, max(k, k + j - 2)
-        if k == last:
-            break
-    if stop is not None:
-        # the values from stop on lie on a polynomial of degree < j
-        for _ in range(w + 1 - len(vals)):
-            vals.append(sum((-1) ** (i + 1) * comb(j, i) * vals[-i] for i in range(1, j + 1)))
+        vals, stop = _hilbert_over_field(f, w, plist, None)
+    if stop is not None and not vals[stop]:  # the first zero value: f is smooth
+        return HilbertData(n, d, dict(enumerate(vals)), (), stop, None, None, None, stop=stop)
 
     rows = [vals]  # rows[i] is the i-th forward difference
     for _ in range(n):
@@ -560,14 +564,13 @@ def _betti_over_field(f: Polynomial, q_max: int, field):
     numbers, at the first quotient piece that is 0 over the field (see
     graded_betti).
 
-    Over Z/N the pass proves its own stop (see _regularity_attempts).
-    Once J_f is proven m-regular at piece k = m+1, beta_{p,q} = 0 for
-    q - p >= m: no later piece is built, and only the band q - p <= m is
-    ranked, up to q = m+n+1, so top[p] = m+p.  A block in the band reads
-    pieces up to m+1 and nothing more, and the Betti numbers on its edge,
-    q - p = m, are provably 0 (graded_betti checks them).  Without a
-    proof, as below a bound of m+n+1 or over Q, top[p] = q_max: the same
-    loop with no band.
+    The pass proves its own stop (see _regularity_attempts).  Once J_f is
+    proven m-regular at piece k = m+1, beta_{p,q} = 0 for q - p >= m: no
+    later piece is built, and only the band q - p <= m is ranked, up to
+    q = m+n+1, so top[p] = m+p.  A block in the band reads pieces up to
+    m+1 and nothing more, and the Betti numbers on its edge, q - p = m,
+    are provably 0 (graded_betti checks them).  Without a proof, as below
+    a bound of m+n+1, top[p] = q_max: the same loop with no band.
 
     Piece k of M is the reduced echelon form (rref) of the degree-k
     Jacobian block over the field, from _pruned_blocks, as are the
@@ -608,8 +611,8 @@ def _betti_over_field(f: Polynomial, q_max: int, field):
     nonzero rows and the pivot columns are the leads, and no row body is
     built.  The kernel still gets the block's empty rows, so rows less
     rank is beta_{p,q} in every call.  A block where two kept rows share
-    a lead is built and ranked whole, and so is one that reads a tail
-    leading with a value that is not a unit mod N, where the kernel may
+    a lead is built and ranked whole, and so is one where a kept row
+    leads with a value that is not a unit mod N, where the kernel may
     split."""
     n, d = f.n, f.degree
     gens = _partials(f, field.modulus)
@@ -619,14 +622,14 @@ def _betti_over_field(f: Polynomial, q_max: int, field):
 
     block = _pruned_blocks(gens, d - 1, n, field.modulus, echelon)
     pieces, size = [], []
-    attempt = None if field.modulus is None else _regularity_attempts(f, field.modulus, size, gens, echelon)
+    attempt = _regularity_attempts(f, field.modulus, size, gens, echelon)
     m = q_max  # no proof: every q - p <= q_max is ranked
     for k in range(q_max + 1):
         pieces.append(block(k))
         size.append(dim_degree_piece(n, k) - len(pieces[k]))
         if not size[k]:
             return None, k
-        if attempt and k + n <= q_max and attempt(k) is not None:
+        if k + n <= q_max and attempt(k) is not None:
             m, q_max = k - 1, k + n  # J_f is m-regular: beta_{p,q} = 0 for q - p >= m
             break
 
@@ -647,9 +650,9 @@ def _betti_over_field(f: Polynomial, q_max: int, field):
     def leads(s, k):
         """The leading column of the image of x_s b in degree k+1, for each
         basis column b of piece k: nu, the first column of nu's pivot tail,
-        or None where x_s b lies in J_f.  None for the whole list where a tail
-        leads with a value that is not a unit mod N: only the kernel may
-        settle such a row."""
+        or None where x_s b lies in J_f.  -1 where a tail leads with a value
+        that is not a unit mod N: only the kernel may settle a row that
+        leads there."""
         out = []
         for nu, tail in images(s, k):
             if tail is None:
@@ -658,9 +661,7 @@ def _betti_over_field(f: Polynomial, q_max: int, field):
                 out.append(None)
             else:
                 c = min(tail)
-                if field.modulus is not None and gcd(tail[c], field.modulus) != 1:
-                    return None
-                out.append(c)
+                out.append(c if field.modulus is None or gcd(tail[c], field.modulus) == 1 else -1)
         return out
 
     subset_cache = {p: list(combinations(range(n + 1), p)) for p in range(n + 2)}
@@ -670,20 +671,20 @@ def _betti_over_field(f: Polynomial, q_max: int, field):
 
     def settled_by_leads(faces, k, cols, skip):
         """The distinct leading columns of the kept rows of a block and its
-        empty rows; None at the first column two rows share, or for a
-        face whose leads the kernel must settle (see leads)."""
+        empty rows; None at the first column two rows share, or at a kept
+        row whose lead only the kernel may settle (see leads)."""
         seen, empty = set(), []
         for base, s_faces in faces:
             # smallest shift first: S less its last index, then the others
             lead_lists = [(shift, leads(s, k)) for shift, _, s in reversed(s_faces)]
-            if any(lead is None for _, lead in lead_lists):
-                return None
             for b, (c, _) in enumerate(cols):
                 if base + c in skip:
                     continue
                 for shift, lead in lead_lists:
                     x = lead[b]
                     if x is not None:
+                        if x < 0:
+                            return None
                         x += shift
                         if x in seen:
                             return None
@@ -774,11 +775,11 @@ def graded_betti(f: Polynomial, max_degree=None, primes=None) -> BettiTable:
     n (the alternating count of a complete resolution of the torsion
     module S/J is 0) raises an incomplete-table error instead of silently
     truncating.  The bound checked is the one ranked: ``max_degree`` or
-    (n+1)(d-1) at every position.  Once J_f is proven m-regular mod the
-    working primes (see _betti_over_field), it is the edge of the band
-    instead, degree m+p at position p, where every Betti number is
-    provably 0: a nonzero one there contradicts the proof, so the working
-    primes agreed on a wrong rank, and raises BadPrimeError.
+    (n+1)(d-1) at every position.  Once J_f is proven m-regular (see
+    _betti_over_field), it is the edge of the band instead, degree m+p at
+    position p, where every Betti number is provably 0: a nonzero one
+    there contradicts the proof, so the working primes agreed on a wrong
+    rank, and raises BadPrimeError.
     """
     n, d = _validate(f)
     q_max = max_degree if max_degree is not None else (n + 1) * (d - 1)

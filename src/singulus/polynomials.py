@@ -202,25 +202,6 @@ def _format_term(e: tuple[int, ...], c: Fraction) -> str:
     return mono if a == 1 else f"{a}*{mono}"
 
 
-@lru_cache(maxsize=None)
-def grevlex_exponents(n: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """Exponent vectors of all degree-k monomials in x0..xn, strictly
-    increasing in grevlex.
-
-    Increasing grevlex within one degree is decreasing lex order on the
-    reversed vector (e_n, ..., e_0).  So the last exponent e runs
-    downwards, and in front of each value come the degree-(k-e) vectors in
-    x0..x(n-1), already in order.  Both oracle pipelines ask for every
-    basis at every degree, so the result is cached, and so are the smaller
-    bases it is built from.
-    """
-    if k < 0:
-        raise ValueError("degree must be non-negative")
-    if n == 0:
-        return ((k,),)
-    return tuple([h + (e,) for e in range(k, -1, -1) for h in grevlex_exponents(n - 1, k - e)])
-
-
 def pack(e) -> int:
     """The int key of an exponent vector, e_i in bits 16i..16i+15: while every
     exponent is below 2^16, the key of a product is the sum of the keys."""
@@ -232,9 +213,12 @@ def grevlex_columns(n: int, k: int) -> dict[int, int]:
     """Column of each degree-k monomial, keyed by pack, in a matrix whose
     columns run in decreasing grevlex: the largest monomial is column 0, so
     a row's smallest column is its leading monomial.  The keys run in
-    increasing grevlex, built as grevlex_exponents is, from the cached
-    smaller indexes; callers must not change them.  A degree from 2^16 on
-    raises ValueError before anything is enumerated."""
+    increasing grevlex, which within one degree is decreasing lex order on
+    the reversed vector (e_n, ..., e_0): the exponent of x_n runs
+    downwards, and in front of each value come the cached indexes of the
+    smaller degrees in x_0..x_(n-1), already in order.  Callers must not
+    change them.  A degree from 2^16 on raises ValueError before anything
+    is enumerated."""
     if not 0 <= k < 1 << 16:
         raise ValueError(f"degree must be in [0, 2^16), got {k}")
     if n == 0:

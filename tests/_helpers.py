@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cmp_to_key, lru_cache
 from itertools import product
 from math import factorial
 
@@ -184,6 +184,20 @@ def grevlex_less(a, b) -> bool:
         return sum(a) < sum(b)
     diff = [x - y for x, y in zip(a, b) if x != y]
     return bool(diff) and diff[-1] > 0
+
+
+@lru_cache(maxsize=None)
+def grevlex_exponents(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Exponent vectors of all degree-k monomials in x0..xn, strictly
+    increasing in grevlex, built as polynomials.grevlex_columns orders its
+    keys: the last exponent e runs downwards, and in front of each value
+    come the degree-(k-e) vectors in x0..x(n-1), already in order.  Cached,
+    and so are the smaller bases it is built from."""
+    if k < 0:
+        raise ValueError("degree must be non-negative")
+    if n == 0:
+        return ((k,),)
+    return tuple([h + (e,) for e in range(k, -1, -1) for h in grevlex_exponents(n - 1, k - e)])
 
 
 def sorted_monomials(n: int, k: int) -> list[tuple[int, ...]]:

@@ -75,12 +75,15 @@ CASES = {
     "text_cone": ["inspect-poly", "--expr", "x0*x1*x2", "--n", "3"],
 }
 # the paper's theorem where it first bites: an hspog surface (delta 1,
-# degree 5), an hspog threefold past the threshold (delta 2, degree 14),
-# whose expression starts with "-", and a threefold of degree 80 with a
-# proven stop 13; the oracle's tests leave these out of golden_inputs, as
-# checking the hspog threefold against its full blocks alone takes minutes
+# degree 5), an irreducible hspog cubic surface (delta 1 = n-2, degree 1,
+# though hspog_dim_guarantee(3, 3) is false), an hspog threefold past the
+# threshold (delta 2, degree 14), whose expression starts with "-", and a
+# threefold of degree 80 with a proven stop 13; the oracle's tests leave
+# these out of golden_inputs, as checking the hspog threefold against its
+# full blocks alone takes minutes
 THEOREM_CASES = {
     "hspog_surface": _inspect("x0^2*x1*x2+x2^4+2*x0^3*x3"),
+    "hspog_cubic_surface": _inspect("-x2^3-x0*x2*x3+2*x1*x3^2"),
     "hspog_threefold": _inspect("-x0*x1*x2^3*x4+x0^2*x1*x2*x4^2+x1^2*x2*x3*x4^2"),
     "threefold_degree_80": _inspect("x0^5*x4+x1^5*x3+x2^6"),
 }

@@ -52,7 +52,6 @@ from singulus.polynomials import (
     Polynomial,
     dim_degree_piece,
     grevlex_columns,
-    grevlex_exponents,
     infer_variable_count,
     pack,
     parse,
@@ -66,6 +65,7 @@ from _helpers import (
     dense_rational_rank,
     entries,
     evaluate_polynomial,
+    grevlex_exponents,
     matmul,
     reference_hilbert_fit,
     residue,
@@ -81,6 +81,8 @@ QUINTIC = parse(
     "-9*x1^2*x2*x3^2+x0*x2^2*x3^2-2*x2^3*x3^2+5*x0^2*x3^3+3*x0*x2*x3^3+6*x1*x2*x3^3+6*x2*x3^4-7*x3^5",
     3,
 )
+# the delta = 2 threefold, degree 4, whose J_f is proven 8-regular
+DELTA_TWO = parse("-x0^3*x2*x3-x1*x2*x3^2*x4+x0*x1*x2^2*x4+x2^2*x3^3+2*x0^3*x1*x2+x1^2*x2^2*x4", 4)
 # singular mod 37 (7^3 + 27 = 10*37), smooth over Q and mod 41
 CURVE_37 = "x0^3+x1^3+x2^3+7*x0*x1*x2"
 FERMAT = {(n, d): parse("+".join(f"x{i}^{d}" for i in range(n + 1)), n) for n, d in
@@ -403,7 +405,7 @@ def test_a_window_below_the_proven_degrees_computes_every_degree(monkeypatch):
 def test_a_proven_stop_fills_the_window_past_its_last_computed_degree(monkeypatch):
     # the delta = 2 threefold: j = 3 forms prove J_f 8-regular, so degrees
     # up to K = 10 are ranked and 11..21 are filled from the values at 8..10
-    f = parse("-x0^3*x2*x3-x1*x2*x3^2*x4+x0*x1*x2^2*x4+x2^2*x3^3+2*x0^3*x1*x2+x1^2*x2^2*x4", 4)
+    f = DELTA_TWO
     asked = []
     real = oracle.milnor_dimension
 
@@ -900,11 +902,13 @@ def test_a_singular_input_whose_pair_splits_ranks_its_koszul_blocks_over_q(monke
     log = _record_splits(monkeypatch)
     table = graded_betti(f, primes=[37, 41])
     assert table == BettiTable.of(2, 3, {1: [2, 2, 2, 2], 2: [3, 3]})
-    # the pass mod 37*41 splits once; then the cone check and one
-    # rank_rational per (p, q) with 2 <= p <= min(q, 3), q <= 6
+    # the pass mod 37*41 splits once; the rerun over Q proves m = 3, so
+    # after the cone check it ranks one rank_rational per (p, q) of the
+    # band, 2 <= p <= min(q, 3) and q - p <= m, up to q = m + n + 1 = 6
     assert log["splits"] == [37 * 41]
     assert "rref" in log["rational"]
-    assert log["rational"].count("rank_rational") == 1 + 9
+    band = [(p, q) for q in range(7) for p in range(2, min(q, 3) + 1) if q - p <= 3]
+    assert log["rational"].count("rank_rational") == 1 + len(band) == 1 + 8
     report = cross_check(f, primes=[37, 41])
     assert report.deviations == []
     assert report.hilbert.tjurina == report.rule_report.tau == 1
@@ -1028,15 +1032,16 @@ def test_a_bound_below_the_proven_stop_is_unchanged(monkeypatch):
 
 
 def test_a_pinned_pair_that_splits_returns_the_rational_table(monkeypatch):
-    # mod 3*7 the hspog surface's pass splits: the rational rerun ranks
-    # every degree to the default bound, as there is no proof over Q
+    # mod 3*7 the hspog surface's pass splits: the rational rerun proves
+    # its own stop, m = 4, and builds pieces 0..m+1 only, as the derived
+    # primes do
     built = _record_pieces(monkeypatch)
     table = graded_betti(HSPOG, primes=[3, 7])
     assert {m for _, m in built} == {21, None}
-    assert [k for k, m in built if m is None] == list(range(13))
+    assert [k for k, m in built if m is None] == list(range(6))
     built.clear()
     assert table == graded_betti(HSPOG)
-    assert built[-1][0] == 5  # the derived primes prove m = 4 at piece m+1
+    assert [k for k, _ in built] == list(range(6))  # the derived primes prove m = 4 at piece m+1
     # a split in the certificate alone proves nothing: the pass mod N
     # goes on to the default bound and gives the same table
     real = oracle._section_dimensions
@@ -1055,6 +1060,76 @@ def test_a_pinned_pair_that_splits_returns_the_rational_table(monkeypatch):
     built.clear()
     assert graded_betti(HSPOG) == table
     assert [k for k, _ in built] == list(range(13)) and None not in {m for _, m in built}
+
+
+def test_a_forced_split_on_a_threefold_reruns_each_side_to_its_proven_stop(monkeypatch):
+    # mod 3*5 both passes split, and each side reruns whole over Q: the
+    # rerun's own certificate proves the derived primes' stop, m = 8, so
+    # the Betti side builds no rational piece past m+1
+    fit, table = hilbert_fit(DELTA_TWO), graded_betti(DELTA_TWO)
+    built = _record_pieces(monkeypatch)
+    hilbert_fields = []
+    real = oracle._hilbert_over_field
+
+    def hilbert_pass(f, w, plist, modulus):
+        hilbert_fields.append(modulus)
+        return real(f, w, plist, modulus)
+
+    monkeypatch.setattr(oracle, "_hilbert_over_field", hilbert_pass)
+    assert hilbert_fit(DELTA_TWO, primes=[3, 5]) == fit
+    assert hilbert_fields == [15, None] and fit.stop == 8
+    assert graded_betti(DELTA_TWO, primes=[3, 5]) == table
+    assert {m for _, m in built} == {15, None}
+    assert max(k for k, m in built if m is None) == fit.stop + 1
+
+
+def test_a_non_unit_lead_leaves_the_other_rows_of_its_block_settled(monkeypatch):
+    # mod 3*7 some pivot tails of this quartic curve's pieces lead with a
+    # value that is 0 mod 3 or 7 (found by a seeded search of curves and
+    # surfaces with pinned pairs).  A block whose images reach such a
+    # tail is still settled by its leads when no kept row leads there,
+    # and the table is the derived primes'
+    f, modulus = parse("-x0^4+2*x0^3*x1-x0^2*x1^2-x1^2*x2^2", 2), 21
+    pieces, settled, moduli = {}, [], set()
+    real_blocks, real_rank = oracle._pruned_blocks, oracle._koszul_rank
+
+    def blocks(gens, deg, n, mod, rank):
+        block = real_blocks(gens, deg, n, mod, rank)
+        if n < f.n:
+            return block  # a section ring's
+        moduli.add(mod)
+
+        def piece(k):
+            pieces[k] = block(k)
+            return pieces[k]
+
+        return piece
+
+    def koszul_rank(ncols, rows, leads, mod):
+        if not any(rows):
+            settled.append(sys._getframe(1).f_locals["k"])
+        return real_rank(ncols, rows, leads, mod)
+
+    monkeypatch.setattr(oracle, "_pruned_blocks", blocks)
+    monkeypatch.setattr(oracle, "_koszul_rank", koszul_rank)
+    table = graded_betti(f, primes=[3, 7])
+    monkeypatch.undo()
+    assert table == graded_betti(f)
+    assert moduli == {modulus}  # the pass mod 21 did not split
+
+    def reads_a_non_unit_lead(k):
+        """Whether x_s b, for a basis column b of piece k, is a pivot of
+        piece k+1 whose tail leads with a non-unit mod 21."""
+        nxt = grevlex_columns(f.n, k + 1)
+        tails = (
+            pieces[k + 1].get(nxt[key + (1 << 16 * s)])
+            for key, c in grevlex_columns(f.n, k).items()
+            if c not in pieces[k]
+            for s in range(f.n + 1)
+        )
+        return any(tail and gcd(tail[min(tail)], modulus) > 1 for tail in tails)
+
+    assert any(reads_a_non_unit_lead(k) for k in settled)
 
 
 @pytest.mark.parametrize("f, primes", STOP_RULE_INPUTS, ids=str)
@@ -1087,13 +1162,6 @@ def test_pruned_rows_span_the_full_block(f, primes):
         for k in range(top):
             full = _jacobian_block(section, d - 1, n - 1, k, field.modulus)[0]
             assert block(k) == rref(full.data, field), k
-
-
-def test_a_killed_partial_raises_at_every_block():
-    block = _pruned_blocks(None, 2, 2, 37 * 41, echelon(Field(37 * 41)))
-    for k in range(6):
-        with pytest.raises(_NonUnitPivot):
-            block(k)
 
 
 def leading_coefficient(terms, n, deg):
@@ -1297,22 +1365,24 @@ def _fit_outcome(f, **kwargs):
 
 
 def section_value(f, modulus, forms, i, k):
-    """HF_i(k) from the full block of the partials mod the modulus, the
-    first i forms substituted."""
+    """HF_i(k) from the full block of the partials mod the modulus, or over
+    Q for none, the first i forms substituted."""
     gens = _partials(f, modulus)
     for a in forms[:i]:
         gens = oracle._restrict(gens, a, modulus)
     block = _jacobian_block(gens, f.degree - 1, f.n - i, k, modulus)[0]
-    return block.cols - rank_mod_p(block, modulus).rank
+    return block.cols - rank_over(block, Field(modulus))
 
 
 def test_pruned_section_blocks_keep_the_values_of_the_full_blocks(monkeypatch):
-    # both sides' certificates, each mod its own N: every section block,
-    # on-demand lower ones included, is pruned by the record of its own
-    # ring's block d-1 degrees down and has the rank of the full block of
-    # the same generators, and every value an attempt reads, a zero
-    # deduced without a block included, is the full block's
+    # both sides' certificates, each over its own field, mod its own N or
+    # over Q after a split: every section block, on-demand lower ones
+    # included, is pruned by the record of its own ring's block d-1
+    # degrees down and has the rank of the full block of the same
+    # generators, and every value an attempt reads, a zero deduced without
+    # a block included, is the full block's
     pruned = deduced = 0
+    rational = set()
     for f, primes in section_inputs():
         log = _record_sections(monkeypatch, f.n)
         _fit_outcome(f, primes=primes)
@@ -1325,12 +1395,15 @@ def test_pruned_section_blocks_keep_the_values_of_the_full_blocks(monkeypatch):
             below = records.get((b.series, b.i, b.k - deg))
             assert b.block.data == _jacobian_block(b.gens, deg, r, b.k, modulus, below)[0].data, (f, b.i, b.k)
             full = _jacobian_block(b.gens, deg, r, b.k, modulus)[0]
-            assert b.pivots.rank == rank_mod_p(full, modulus).rank, (f, b.i, b.k)
+            assert b.pivots.rank == rank_over(full, Field(modulus)), (f, b.i, b.k)
             pruned += full.rows - b.block.rows
+            if modulus is None:
+                rational.add(f)
         for series, i, k, value, modulus, forms in log["read"]:
             assert value == section_value(f, modulus, forms, i, k), (f, i, k)
             deduced += i > 0 and (series, i, k) not in records
     assert pruned > 0 and deduced > 0
+    assert parse(SPLIT_NODE, 2) in rational  # its Betti pass splits, so its rerun proves over Q
 
 
 def test_no_section_block_is_built_past_a_vanished_section(monkeypatch):
@@ -1564,11 +1637,10 @@ def test_a_split_never_leaves_the_oracle(monkeypatch):
 
         monkeypatch.setattr(oracle, name, split)
     for (f, primes), (fit, table, deviations) in zip(cases, expected):
+        # each side reruns whole over Q, where its certificate proves the
+        # same stop
         got = hilbert_fit(f, primes=primes)
-        # the regularity certificate's ranks split too, so no stop is
-        # proven; a smooth input still stops at its first zero value
-        assert dataclasses.replace(got, stop=fit.stop) == fit
-        assert got.stop == (fit.stop if fit.delta is None else None)
+        assert got == fit
         assert graded_betti(f, primes=primes) == table
         report = cross_check(f, primes=primes)
         assert (report.hilbert, report.table, report.deviations) == (got, table, deviations)
@@ -1652,13 +1724,11 @@ def test_a_prime_killing_a_partial_splits_both_sides(f):
     for modulus in (3, 15):
         with pytest.raises(_NonUnitPivot):
             _partials(f, modulus)
-    table, values = graded_betti(f), hilbert_fit(f).values
+    table, fit = graded_betti(f), hilbert_fit(f)
     for primes in ([3], [3, 3], [3, 5]):
         assert graded_betti(f, primes=primes) == table, primes
-        fit = hilbert_fit(f, primes=primes)
-        assert fit.values == values, primes
-        # a split proves no stop: only a smooth input's first zero ends it
-        assert fit.stop == (fit.k0 if fit.delta is None else None), primes
+        # the rerun over Q proves the derived primes' stop
+        assert hilbert_fit(f, primes=primes) == fit, primes
 
 
 @pytest.mark.parametrize(
@@ -1680,10 +1750,10 @@ def test_the_hilbert_side_reduces_its_partials_once_per_pass(monkeypatch, f, pri
     monkeypatch.setattr(oracle, "reduce_mod", record)
     assert hilbert_fit(f, primes=primes) == expected
     assert reductions == [prod(primes or default_primes(f, 1))]
-    # a killed partial sends every degree to Q, so the values are those of
-    # the derived primes, and no stop is proven
+    # a killed partial reruns the whole pass over Q, so the data, stop
+    # included, are those of the derived primes
     if primes:
-        assert expected.values == hilbert_fit(f).values and expected.stop is None
+        assert expected == hilbert_fit(f)
 
 
 def test_a_lone_prime_with_dependent_partials_is_refused_by_both_sides():

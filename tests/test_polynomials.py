@@ -10,13 +10,12 @@ from singulus.errors import PolynomialSyntaxError
 from singulus.polynomials import (
     Polynomial,
     grevlex_columns,
-    grevlex_exponents,
     infer_variable_count,
     pack,
     parse,
     squarefree_check,
 )
-from _helpers import grevlex_less, sorted_monomials
+from _helpers import grevlex_exponents, grevlex_less, sorted_monomials
 
 
 def test_parse_fermat_cubic():
