@@ -393,6 +393,32 @@ def _certified_forms(hf, n: int, m: int):
         return None
 
 
+def _complete_intersection(n: int, d: int, k: int) -> int:
+    """dim (S/J_f)_k when the n+1 partials are a regular sequence: the
+    coefficient of t^k in ((1 - t^(d-1)) / (1 - t))^(n+1), 0 from
+    K = (n+1)(d-2)+1 on."""
+    return sum((-1) ** i * comb(n + 1, i) * dim_degree_piece(n, k - i * (d - 1)) for i in range(n + 2))
+
+
+def _smooth_stop(n: int, d: int, top: int, value):
+    """K = (n+1)(d-2)+1 if value(k), a side's dim (S/J_f)_k over its field,
+    is 0 at K, else None; None too when K is past ``top``.
+
+    Each pruned block reads only the record of the block d-1 degrees
+    below it (see _pruned_blocks), so the degrees k = K mod d-1 from d-1
+    up to K are a chain of their own: they are asked in ascending order,
+    up to the first value off the complete-intersection series.  A value
+    0 at K means S/J_f is Artinian over the field, so over Q too, as a
+    rank mod p is at most the rank over Q: the partials are a regular
+    sequence and every value is the series'.  The caller keeps the values
+    it got, so a walk that stops early costs at most one block it would
+    not have built."""
+    K = (n + 1) * (d - 2) + 1
+    if K <= top and all(value(k) == _complete_intersection(n, d, k) for k in reversed(range(K, d - 2, 1 - d))):
+        return K
+    return None
+
+
 def _regularity_attempts(f: Polynomial, modulus, vals: list, partials, rank):
     """Each side's attempts to prove where it may stop: returns
     attempt(k), called for each new value vals[k] of the side (its HF_0,
@@ -412,10 +438,7 @@ def _regularity_attempts(f: Polynomial, modulus, vals: list, partials, rank):
 
     def attempt(k):
         nonlocal hf, left
-        # that series: the coefficient of t^k in ((1 - t^(d-1)) / (1 - t))^(n+1)
-        left = left or vals[k] != sum(
-            (-1) ** i * comb(n + 1, i) * dim_degree_piece(n, k - i * (d - 1)) for i in range(n + 2)
-        )
+        left = left or vals[k] != _complete_intersection(n, d, k)
         if not left or k < d:  # J_f is generated in degree d-1 <= m = k-1
             return None
         hf = hf or _section_dimensions(f, modulus, vals, _section_forms(f, modulus), partials, rank)
@@ -436,10 +459,13 @@ def _hilbert_over_field(f: Polynomial, w: int, plist, modulus):
         return rank_rational(m) if modulus is None else rank_mod_p(m, modulus)
 
     chain = _pruned_blocks(partials, d - 1, n, modulus, rank)
+    value = cache(lambda k: milnor_dimension(f, k, chain=chain))
+    if (K := _smooth_stop(n, d, w, value)) is not None:
+        return [_complete_intersection(n, d, k) for k in range(w + 1)], K
     attempt = _regularity_attempts(f, modulus, vals, partials, rank)
     stop, last = None, w
     for k in range(w + 1):
-        vals.append(milnor_dimension(f, k, chain=chain))
+        vals.append(value(k))
         if vals[-1] == 0:
             return vals + [0] * (w - k), k
         if k == d - 1 and vals[k] != dim_degree_piece(n, k) - n - 1:
@@ -475,10 +501,15 @@ def hilbert_fit(f: Polynomial, window=None, primes=None) -> HilbertData:
     enough to leave three zeros even when stabilization happens at the
     bound itself.
 
-    The first zero value ends the computation, even at the last degree of
-    the window: if S_k lies in J_f, so does S_{k+1} = S_1 S_k, and every
-    later value is 0, so f is smooth with k0 = stop = k.  A zero needs no
+    A smooth f is proven first, from the degrees k = K mod d-1 up to
+    K = (n+1)(d-2)+1 alone (see _smooth_stop): a value 0 at K makes S/J_f
+    Artinian, so the partials are a regular sequence, every value is that
+    of the complete intersection and k0 = stop = K.  A zero needs no
     rational check, because a rank mod p is at most the rank over Q.
+    Where a value of that chain leaves the series, or K is past the
+    window, the degrees are computed in ascending order, the chain's
+    values reused, and the first zero value ends the computation: if S_k
+    lies in J_f, so does S_{k+1} = S_1 S_k.
 
     The values come from one pass mod the product N of the working
     primes; a split, a partial killed mod N included, reruns it whole over
@@ -561,8 +592,12 @@ def _koszul_rank(ncols: int, rows: list, leads: set, modulus):
 def _betti_over_field(f: Polynomial, q_max: int, field):
     """Graded Betti numbers beta_{p,q} for p = 0..n+1, q = 0..top[p], and
     top, the last degree ranked at each position; or None, with no Betti
-    numbers, at the first quotient piece that is 0 over the field (see
-    graded_betti).
+    numbers, and the degree of a quotient piece that is 0 over the field
+    (see graded_betti).  The pieces of degree k = K mod d-1 up to
+    K = (n+1)(d-2)+1 are built first (see _smooth_stop): piece K is 0
+    exactly when the partials are a regular sequence, and then no other
+    piece is built.  Otherwise the pieces are built in ascending order,
+    those already built reused, and the pass stops at the first empty one.
 
     The pass proves its own stop (see _regularity_attempts).  Once J_f is
     proven m-regular at piece k = m+1, beta_{p,q} = 0 for q - p >= m: no
@@ -620,7 +655,9 @@ def _betti_over_field(f: Polynomial, q_max: int, field):
     def echelon(m):  # rref is looked up at each call: perfbench rebinds it
         return rref(m.data, field)
 
-    block = _pruned_blocks(gens, d - 1, n, field.modulus, echelon)
+    block = cache(_pruned_blocks(gens, d - 1, n, field.modulus, echelon))
+    if (K := _smooth_stop(n, d, q_max, lambda k: dim_degree_piece(n, k) - len(block(k)))) is not None:
+        return None, K
     pieces, size = [], []
     attempt = _regularity_attempts(f, field.modulus, size, gens, echelon)
     m = q_max  # no proof: every q - p <= q_max is ranked
@@ -769,7 +806,10 @@ def graded_betti(f: Polynomial, max_degree=None, primes=None) -> BettiTable:
     A quotient piece that is 0 over the working field is 0 over Q, as a
     rank mod p is never above the rank over Q.  Then M(f) is Artinian,
     the partials are a regular sequence and the table is
-    koszul_smooth_table(n, d), whatever the bound.  Otherwise position
+    koszul_smooth_table(n, d), whatever the bound.  A smooth f is found
+    from the pieces of degree k = K mod d-1 alone, up to the one of
+    degree K = (n+1)(d-2)+1, where a regular sequence leaves 0 (see
+    _smooth_stop), so long as K is within the bound.  Otherwise position
     p = k+1 in degree q lands in column k with shift q - (d-1).  A Betti
     number on the degree bound, in any position, or a sigma_0 other than
     n (the alternating count of a complete resolution of the torsion

@@ -128,6 +128,30 @@ def brute_milnor_dimension(f, k):
     return len(monos) - dense_rational_rank(rows)
 
 
+def complete_intersection_series(n, d, top):
+    """The coefficients of (1 + t + .. + t^(d-2))^(n+1) up to t^top: the
+    values of S/J_f when the n+1 partials are a regular sequence."""
+    series = [1] + [0] * top
+    for _ in range(n + 1):
+        series = [sum(series[k - i] for i in range(min(k, d - 2) + 1)) for k in range(top + 1)]
+    return series
+
+
+def walked_degrees(n, d, value):
+    """The degrees k = K mod d-1 from d-1 up to K = (n+1)(d-2)+1, where a
+    regular sequence of partials leaves S/J_f = 0, up to the first whose
+    value(k) is off the complete-intersection series: those a side asks
+    before any other."""
+    K = (n + 1) * (d - 2) + 1
+    series = complete_intersection_series(n, d, K)
+    walk = []
+    for k in range(d - 1 + (K - d + 1) % (d - 1), K + 1, d - 1):
+        walk.append(k)
+        if value(k) != series[k]:
+            break
+    return walk
+
+
 def test_milnor_dimension_reference_values():
     assert milnor_dimension(CUSP_POLY, 2) == 6
     assert milnor_dimension(parse("x0^3+x1^3+x2^3", 2), 3) == 1
@@ -261,6 +285,8 @@ def hilbert_values(draw):
 @given(hilbert_values())
 @example((2, [1, 3, 3, 1, 0, 0]))  # smooth
 @example((2, [1, 3, 3, 1, 0]))  # smooth, the first zero at the last degree
+@example((2, [1, 3, 3, 7, 0, 0]))  # smooth by the walk, which never asks degree 3
+@example((3, [1, 4, 6, 5, 1, 0]))  # degree 3 of the walk is off the series
 @example((3, [1, 4, 6, 6, 6, 6, 6]))  # delta 0, tau 6
 @example((2, [1, 2, 3, 4, 5, 6]))  # degree 1 > n-2
 @example((3, [10, 9, 6, 9, 8, 7, 6, 5]))  # negative degree
@@ -269,10 +295,18 @@ def hilbert_values(draw):
 def test_hilbert_fit_matches_the_reference_fit(case):
     n, vals = case
     f = FERMAT_CUBICS[n]
-    # a Jacobian algebra that is 0 in some degree is 0 in every later one,
+    w = len(vals) - 1
+    # the degrees of K = n+2 mod 2 are asked first, up to K when it is in
+    # the window; values on the series down to 0 at K are a smooth cubic's
+    walk = walked_degrees(n, 3, vals.__getitem__) if n + 2 <= w else []
+    smooth = walk[-1:] == [n + 2] and vals[n + 2] == 0
+    # otherwise every degree is asked in order, the walk's values reused: a
+    # Jacobian algebra that is 0 in some degree is 0 in every later one,
     # so hilbert_fit asks for nothing past the first zero
-    last = vals.index(0) if 0 in vals else len(vals) - 1
-    expected = vals[: last + 1] + [0] * (len(vals) - 1 - last)
+    last = vals.index(0) if 0 in vals else w
+    expected = vals[: last + 1] + [0] * (w - last)
+    if smooth:
+        expected = complete_intersection_series(n, 3, w)
     asked = []
 
     def fake_milnor_dimension(f, k, primes=None, **kwargs):
@@ -295,8 +329,12 @@ def test_hilbert_fit_matches_the_reference_fit(case):
     # the n+1 partials of the Fermat cubic are independent over Q, so a
     # degree-2 value other than theirs refuses the working primes
     position_one = comb(n + 2, 2) - n - 1
+    if smooth:
+        assert asked == walk
+        assert got == reference_hilbert_fit(n, expected, primes) == ((), n + 2, None, None, None)
+        return
     if 0 not in vals[:3] and vals[2] != position_one:
-        assert asked == [0, 1, 2]
+        assert asked == walk + [k for k in range(3) if k not in walk]
         assert got == (
             "BadPrimeError",
             f"degree 2 of the Jacobian algebra has dimension {position_one}, got {vals[2]}; "
@@ -304,7 +342,7 @@ def test_hilbert_fit_matches_the_reference_fit(case):
             None,
         )
         return
-    assert asked == list(range(last + 1))
+    assert asked == walk + [k for k in range(last + 1) if k not in walk]
     assert got == reference_hilbert_fit(n, expected, primes)
 
 
@@ -416,7 +454,8 @@ def test_a_proven_stop_fills_the_window_past_its_last_computed_degree(monkeypatc
     monkeypatch.setattr(oracle, "milnor_dimension", record)
     hd = hilbert_fit(f)
     assert (hd.stop, hd.k0, hd.delta, hd.degree_sigma, max(hd.values)) == (8, 8, 2, 4, 21)
-    assert asked == list(range(11))
+    # each once: degree 4 of the walk to K = 16 is off the series
+    assert sorted(asked) == list(range(11))
     assert hd.values[11] == real(f, 11) == 323
 
 
@@ -741,7 +780,7 @@ def koszul_block(n, pieces, p, q, field) -> SparseMatrix:
     the full block, built from the multiplication maps between the pieces
     in basis positions."""
     k = q - p
-    size = [dim_degree_piece(n, j) - len(piece) for j, piece in enumerate(pieces)]
+    size = {j: dim_degree_piece(n, j) - len(pieces[j]) for j in (k, k + 1)}
     faces = {t: i for i, t in enumerate(combinations(range(n + 1), p - 1))}
     subsets = list(combinations(range(n + 1), p))
     block = {}
@@ -822,7 +861,7 @@ def test_pruned_koszul_blocks_keep_the_rank_of_the_full_block(monkeypatch, f, pr
         fields.append(QQ)
     built_whole = 0
     for field in fields:
-        pieces, ranked, kernel_calls = [], [], []
+        pieces, ranked, kernel_calls = {}, [], []  # pieces by degree, in no order
         real_blocks = oracle._pruned_blocks
 
         def blocks(gens, deg, r, modulus, rank):
@@ -831,8 +870,8 @@ def test_pruned_koszul_blocks_keep_the_rank_of_the_full_block(monkeypatch, f, pr
                 return block  # a section ring of the certificate
 
             def piece(k):
-                pieces.append(block(k))
-                return pieces[-1]
+                pieces[k] = block(k)
+                return pieces[k]
 
             return piece
 
@@ -957,11 +996,12 @@ def _betti_outcome(f, **kwargs):
 
 def test_the_betti_side_stops_at_the_table_regularity_plus_two(monkeypatch):
     # J_f is m-regular for m = reg + 1, proven at piece m+1, the last one
-    # built: beta_{p,q} = 0 for q - p >= m, and the band q - p <= m reads
-    # no later piece; a smooth input still ends at its first empty piece,
-    # reg + 1
+    # built in ascending order: beta_{p,q} = 0 for q - p >= m, and the band
+    # q - p <= m reads no later piece.  The walk to K = (n+1)(d-2)+1 comes
+    # first and adds at most one piece past m+1; a smooth input builds the
+    # walk alone, and its last piece, K = reg + 1, is the first empty one
     built = _record_pieces(monkeypatch)
-    singular = below_default = 0
+    singular = below_default = extra = 0
     for f, primes in dict.fromkeys([*golden_inputs(), (HSPOG, None)]):
         built.clear()
         try:
@@ -969,17 +1009,22 @@ def test_the_betti_side_stops_at_the_table_regularity_plus_two(monkeypatch):
         except ConeError:
             continue  # the cone golden has no table
         reg = full_report(table).reg
-        last = built[-1][0]
+        walk = walked_degrees(f.n, f.degree, lambda k: hilbert_function_from_table(table, k))
+        degrees = [k for k, m in built if m == built[-1][1]]  # the last pass, after a split
         if table == koszul_smooth_table(f.n, f.degree):
-            assert last == reg + 1, f
+            assert degrees == walk and max(degrees) == reg + 1, f
             continue
-        assert last == reg + 2, f
+        last = reg + 2
+        assert degrees == walk + [k for k in range(last + 1) if k not in walk], f
+        assert max(degrees) == max(last, walk[-1]) <= last + f.degree - 2, f
         singular += 1
+        extra += walk[-1] > last
         below_default += last + f.n < (f.n + 1) * (f.degree - 1)
     # the five singular corpus inputs, the cusp fixture among them, and
     # the hspog surface; only the nodal cubic curve's band reaches the
     # default bound, at m+n+1 = last+n
     assert (singular, below_default) == (6, 5)
+    assert extra == 1  # the hspog surface's walk reads degree 6, past m+1 = 5
 
 
 def seeded_forms():
@@ -1038,10 +1083,14 @@ def test_a_pinned_pair_that_splits_returns_the_rational_table(monkeypatch):
     built = _record_pieces(monkeypatch)
     table = graded_betti(HSPOG, primes=[3, 7])
     assert {m for _, m in built} == {21, None}
-    assert [k for k, m in built if m is None] == list(range(6))
+    # the walk to K = 9 first: piece 3 is on the complete-intersection
+    # series and piece 6 is not; then pieces 0..m+1, those built reused
+    walk = walked_degrees(3, 4, lambda k: hilbert_function_from_table(table, k))
+    assert walk == [3, 6]
+    assert [k for k, m in built if m is None] == [3, 6, 0, 1, 2, 4, 5]
     built.clear()
     assert table == graded_betti(HSPOG)
-    assert [k for k, _ in built] == list(range(6))  # the derived primes prove m = 4 at piece m+1
+    assert [k for k, _ in built] == [3, 6, 0, 1, 2, 4, 5]  # the derived primes prove m = 4 at piece m+1
     # a split in the certificate alone proves nothing: the pass mod N
     # goes on to the default bound and gives the same table
     real = oracle._section_dimensions
@@ -1059,7 +1108,7 @@ def test_a_pinned_pair_that_splits_returns_the_rational_table(monkeypatch):
     monkeypatch.setattr(oracle, "_section_dimensions", splitting)
     built.clear()
     assert graded_betti(HSPOG) == table
-    assert [k for k, _ in built] == list(range(13)) and None not in {m for _, m in built}
+    assert sorted(k for k, _ in built) == list(range(13)) and None not in {m for _, m in built}
 
 
 def test_a_forced_split_on_a_threefold_reruns_each_side_to_its_proven_stop(monkeypatch):
@@ -1506,10 +1555,12 @@ def test_pipelines_stop_at_the_first_empty_piece(monkeypatch):
     built = _record_pieces(monkeypatch)
     hd = hilbert_fit(f)
     assert hd.k0 == 4 and max(hd.values) == 7
-    assert asked == [0, 1, 2, 3, 4]
+    # a smooth input asks only the degrees k = K mod d-1 up to K = k0:
+    # there S/J_f = 0, so it is Artinian and every value is the series'
+    assert asked == [2, 4]
     assert graded_betti(f) == koszul_smooth_table(2, 3)
-    # one pass over degrees 0..k0, shared by both Betti primes
-    assert [k for k, _ in built] == [0, 1, 2, 3, 4]
+    # one pass over the same degrees, shared by both Betti primes
+    assert [k for k, _ in built] == [2, 4]
 
 
 def test_a_repeated_pinned_prime_is_one_pass(monkeypatch):
@@ -1518,14 +1569,162 @@ def test_a_repeated_pinned_prime_is_one_pass(monkeypatch):
     table = graded_betti(f, primes=[37, 37])
     assert table == graded_betti(f, primes=[37])
     # each call is one pass mod 37, over every piece up to the proof's,
-    # m+1 for m = reg + 1, three below the default bound (n+1)(d-1) = 6
+    # m+1 for m = reg + 1, three below the default bound (n+1)(d-1) = 6,
+    # after the walk to K = 4, whose piece 4 is off the series
     top = full_report(table).reg + 2
     assert top == 3
-    assert asked == [(k, 37) for k in range(top + 1)] * 2
+    walk = walked_degrees(2, 3, lambda k: hilbert_function_from_table(table, k))
+    assert walk == [2, 4]
+    assert asked == [(k, 37) for k in [2, 4, 0, 1, 3]] * 2
     # 3 kills every partial of the Fermat cubic: the one pass splits and
     # the rational pass gives the table of the derived primes
     fermat = FERMAT[(2, 3)]
     assert graded_betti(fermat, primes=[3, 3]) == graded_betti(fermat)
+
+
+def _record_degrees(monkeypatch):
+    """Record, for each side, the degree of every block of the full ring's
+    _pruned_blocks it asks for, in order: {"hilbert": [..], "betti": [..]}."""
+    log = {"hilbert": [], "betti": []}
+    real_pass, real_blocks = oracle._hilbert_over_field, oracle._pruned_blocks
+    side = []
+
+    def hilbert_pass(*args):
+        side.append("hilbert")
+        try:
+            return real_pass(*args)
+        finally:
+            side.pop()
+
+    def blocks(gens, deg, n, modulus, rank):
+        block = real_blocks(gens, deg, n, modulus, rank)
+        if len(gens) != n + 1:
+            return block  # a section ring's, in fewer variables
+        degrees = log[side[-1] if side else "betti"]
+
+        def piece(k):
+            degrees.append(k)
+            return block(k)
+
+        return piece
+
+    monkeypatch.setattr(oracle, "_hilbert_over_field", hilbert_pass)
+    monkeypatch.setattr(oracle, "_pruned_blocks", blocks)
+    return log
+
+
+def rational_milnor_dimension(f, k):
+    """dim (S/J_f)_k from the rank over Q of the full degree-k block: no
+    pruning, no walk and no modulus."""
+    return dim_degree_piece(f.n, k) - rank_rational(_jacobian_matrix(f, k)).rank
+
+
+def seeded_smooth_forms():
+    """Two seeded smooth forms for each (n, d) in (2, 3) x (3, 4): a Fermat
+    form plus three random terms, each coefficient in -3..3."""
+    rng = random.Random(32)
+    forms = []
+    for n in (2, 3):
+        for d in (3, 4):
+            while sum(f.n == n and f.degree == d for f in forms) < 2:
+                terms = {tuple(d * (i == j) for j in range(n + 1)): 1 for i in range(n + 1)}
+                for e in rng.sample(grevlex_exponents(n, d), 3):
+                    terms[e] = terms.get(e, 0) + rng.randint(-3, 3)
+                f = Polynomial(n, terms)
+                if rational_milnor_dimension(f, (n + 1) * (d - 2) + 1) == 0:
+                    forms.append(f)
+    return forms
+
+
+def test_the_walk_proves_a_smooth_input_from_its_class_alone(monkeypatch):
+    # on smooth forms each side builds only the degrees K mod d-1 up to
+    # K = (n+1)(d-2)+1; the values are those of the full rational blocks
+    # and the table is that of the full Koszul blocks (the dense rational
+    # rank of brute_milnor_dimension takes seconds per quartic surface)
+    log = _record_degrees(monkeypatch)
+    for f in seeded_smooth_forms():
+        n, d = f.n, f.degree
+        K = (n + 1) * (d - 2) + 1
+        walk = walked_degrees(n, d, complete_intersection_series(n, d, K).__getitem__)  # the whole class
+        for side in log.values():
+            side.clear()
+        hd, table = hilbert_fit(f), graded_betti(f)
+        assert log == {"hilbert": walk, "betti": walk}, f
+        assert hd.values == {k: rational_milnor_dimension(f, k) if k <= K else 0 for k in hd.values}, f
+        assert (hd.delta, hd.k0, hd.stop) == (None, K, K), f
+        assert table == koszul_smooth_table(n, d), f
+        koszul = {(p, p * (d - 1)): comb(n + 1, p) for p in range(n + 2)}
+        assert betti_echeloning_every_piece(f, (n + 1) * (d - 1), Field(default_primes(f)[0])) == koszul, f
+
+
+def test_the_walk_adds_at_most_one_degree_on_a_singular_input(monkeypatch):
+    # after the walk each side builds, in order, every degree of its
+    # ascending pass the walk left, up to a last one at or past the first
+    # value off the series; of the walk only its last degree, the first of
+    # K's class at or past that value, may lie beyond
+    log = _record_degrees(monkeypatch)
+    singular = extra = 0
+    for f in seeded_forms():
+        for side in log.values():
+            side.clear()
+        fit = _fit_outcome(f)
+        if not isinstance(fit, HilbertData) or fit.delta is None:
+            continue
+        table = _betti_outcome(f)
+        n, d = f.n, f.degree
+        series = complete_intersection_series(n, d, max(fit.values))
+        off = min(k for k, v in fit.values.items() if v != series[k])
+        walk = walked_degrees(n, d, fit.values.__getitem__)
+        assert all(k < off for k in walk[:-1]) and off <= walk[-1], f
+        sides = [(log["hilbert"], d - 1)]  # the Hilbert side builds no block below degree d-1
+        if isinstance(table, BettiTable):  # a cone has none
+            sides.append((log["betti"], 0))
+        for degrees, low in sides:
+            last = max([off, *degrees[len(walk) :]])  # the ascending pass reaches off
+            assert degrees == walk + [k for k in range(low, last + 1) if k not in walk], f
+            extra += walk[-1] > last
+        singular += 1
+    assert singular > 30 and extra > 0
+
+
+@pytest.mark.parametrize("f", [FERMAT_CUBICS[3], parse("x0^4+x1^4+x2^4+x3^4", 3)], ids=str)
+def test_a_window_or_bound_below_k_ranks_every_degree_in_order(monkeypatch, f):
+    # with K past the window or the bound no degree is walked: the smooth
+    # cubic and quartic surfaces (K = 5 and 9) give the error of the
+    # reference fit on their first values, and an incomplete table
+    n, d = f.n, f.degree
+    K = (n + 1) * (d - 2) + 1
+    log = _record_degrees(monkeypatch)
+    vals = complete_intersection_series(n, d, K - 1)
+    with pytest.raises(WindowTooSmallError) as err:
+        hilbert_fit(f, window=K - 1)
+    assert ("WindowTooSmallError", str(err.value), err.value.tail) == reference_hilbert_fit(n, vals, None)
+    assert log["hilbert"] == list(range(d - 1, K))
+    with pytest.raises(IncompleteTableError):
+        graded_betti(f, max_degree=K - 1)
+    assert log["betti"] == list(range(K))
+
+
+def test_a_seeded_aimed_search_finds_only_dimension_n_minus_2():
+    # sextic threefolds in (x0, x1)^2, three terms each, seed 7: every
+    # one is singular along the plane x0 = x1 = 0, so a reduced one has
+    # delta = n-2 = 2.  Each draw is refused as non-reduced or a cone, or
+    # has delta 2, a proven stop and no cross_check deviation
+    rng = random.Random(7)
+    mons = [e for e in grevlex_exponents(4, 6) if e[0] + e[1] >= 2]
+    counts = {"refused": 0, "reduced": 0, "hspog": 0}
+    for _ in range(40):
+        f = Polynomial(4, {m: rng.choice([1, -1, 2]) for m in rng.sample(mons, 3)})
+        report = cross_check(f)
+        if report.hilbert is None or report.table is None:
+            assert any("not a reduced hypersurface" in dev or "f is a cone" in dev for dev in report.deviations), f
+            counts["refused"] += 1
+            continue
+        assert report.deviations == [], f
+        assert report.hilbert.delta == 2 and report.hilbert.stop is not None, f
+        counts["reduced"] += 1
+        counts["hspog"] += "HSPOG" in report.rule_report.flags
+    assert counts == {"refused": 17, "reduced": 23, "hspog": 4}
 
 
 @pytest.mark.parametrize("f, primes", STOP_RULE_INPUTS, ids=str)
