@@ -466,8 +466,6 @@ def _hilbert_over_field(f: Polynomial, w: int, plist, modulus):
     stop, last = None, w
     for k in range(w + 1):
         vals.append(value(k))
-        if vals[-1] == 0:
-            return vals + [0] * (w - k), k
         if k == d - 1 and vals[k] != dim_degree_piece(n, k) - n - 1:
             # the n+1 partials are dependent mod N; only over Q may they be
             expected = dim_degree_piece(n, k) - rank_rational(_jacobian_matrix(f, k)).rank
@@ -508,8 +506,9 @@ def hilbert_fit(f: Polynomial, window=None, primes=None) -> HilbertData:
     rational check, because a rank mod p is at most the rank over Q.
     Where a value of that chain leaves the series, or K is past the
     window, the degrees are computed in ascending order, the chain's
-    values reused, and the first zero value ends the computation: if S_k
-    lies in J_f, so does S_{k+1} = S_1 S_k.
+    values reused.  No value there is 0: a 0 in degree k would make S/J_f
+    Artinian, with every value on the series up to its first 0 at K <= k,
+    which the chain has already proven.
 
     The values come from one pass mod the product N of the working
     primes; a split, a partial killed mod N included, reruns it whole over
@@ -536,7 +535,7 @@ def hilbert_fit(f: Polynomial, window=None, primes=None) -> HilbertData:
         vals, stop = _hilbert_over_field(f, w, plist, prod(plist))
     except _NonUnitPivot:
         vals, stop = _hilbert_over_field(f, w, plist, None)
-    if stop is not None and not vals[stop]:  # the first zero value: f is smooth
+    if stop is not None and not vals[stop]:  # the chain's 0 at K: f is smooth
         return HilbertData(n, d, dict(enumerate(vals)), (), stop, None, None, None, stop=stop)
 
     rows = [vals]  # rows[i] is the i-th forward difference
@@ -597,7 +596,8 @@ def _betti_over_field(f: Polynomial, q_max: int, field):
     K = (n+1)(d-2)+1 are built first (see _smooth_stop): piece K is 0
     exactly when the partials are a regular sequence, and then no other
     piece is built.  Otherwise the pieces are built in ascending order,
-    those already built reused, and the pass stops at the first empty one.
+    those already built reused; none of them is empty, as an empty piece
+    would make the partials a regular sequence.
 
     The pass proves its own stop (see _regularity_attempts).  Once J_f is
     proven m-regular at piece k = m+1, beta_{p,q} = 0 for q - p >= m: no
@@ -664,8 +664,6 @@ def _betti_over_field(f: Polynomial, q_max: int, field):
     for k in range(q_max + 1):
         pieces.append(block(k))
         size.append(dim_degree_piece(n, k) - len(pieces[k]))
-        if not size[k]:
-            return None, k
         if k + n <= q_max and attempt(k) is not None:
             m, q_max = k - 1, k + n  # J_f is m-regular: beta_{p,q} = 0 for q - p >= m
             break

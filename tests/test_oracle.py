@@ -282,11 +282,13 @@ def hilbert_values(draw):
 
 
 @settings(max_examples=300)
-@given(hilbert_values())
+# a 0 in degree k makes S/J_f Artinian, so every value is on the series
+# and the walk proves the stop; no ideal has a 0 the walk does not reach
+@given(hilbert_values().filter(lambda case: 0 not in case[1]))
 @example((2, [1, 3, 3, 1, 0, 0]))  # smooth
 @example((2, [1, 3, 3, 1, 0]))  # smooth, the first zero at the last degree
 @example((2, [1, 3, 3, 7, 0, 0]))  # smooth by the walk, which never asks degree 3
-@example((3, [1, 4, 6, 5, 1, 0]))  # degree 3 of the walk is off the series
+@example((3, [1, 4, 6, 5, 1, 1]))  # degree 3 of the walk is off the series
 @example((3, [1, 4, 6, 6, 6, 6, 6]))  # delta 0, tau 6
 @example((2, [1, 2, 3, 4, 5, 6]))  # degree 1 > n-2
 @example((3, [10, 9, 6, 9, 8, 7, 6, 5]))  # negative degree
@@ -300,13 +302,9 @@ def test_hilbert_fit_matches_the_reference_fit(case):
     # the window; values on the series down to 0 at K are a smooth cubic's
     walk = walked_degrees(n, 3, vals.__getitem__) if n + 2 <= w else []
     smooth = walk[-1:] == [n + 2] and vals[n + 2] == 0
-    # otherwise every degree is asked in order, the walk's values reused: a
-    # Jacobian algebra that is 0 in some degree is 0 in every later one,
-    # so hilbert_fit asks for nothing past the first zero
-    last = vals.index(0) if 0 in vals else w
-    expected = vals[: last + 1] + [0] * (w - last)
-    if smooth:
-        expected = complete_intersection_series(n, 3, w)
+    assert smooth or 0 not in vals
+    # otherwise every degree is asked in order, the walk's values reused
+    expected = complete_intersection_series(n, 3, w) if smooth else vals
     asked = []
 
     def fake_milnor_dimension(f, k, primes=None, **kwargs):
@@ -333,7 +331,7 @@ def test_hilbert_fit_matches_the_reference_fit(case):
         assert asked == walk
         assert got == reference_hilbert_fit(n, expected, primes) == ((), n + 2, None, None, None)
         return
-    if 0 not in vals[:3] and vals[2] != position_one:
+    if vals[2] != position_one:
         assert asked == walk + [k for k in range(3) if k not in walk]
         assert got == (
             "BadPrimeError",
@@ -342,7 +340,7 @@ def test_hilbert_fit_matches_the_reference_fit(case):
             None,
         )
         return
-    assert asked == walk + [k for k in range(last + 1) if k not in walk]
+    assert asked == walk + [k for k in range(w + 1) if k not in walk]
     assert got == reference_hilbert_fit(n, expected, primes)
 
 
