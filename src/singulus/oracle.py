@@ -18,7 +18,7 @@ N divides every coefficient of a nonzero partial (see _partials); either
 way that side reruns whole over the rationals, with the same sparse
 elimination kernel.  "Certified" means one thing here: a stop of either
 side proven by a regularity certificate over the pass's own field, mod
-the side's N or, after a split, over Q (see _regularity_attempts).
+the side's N or, after a split, over Q (see _prove_regularity).
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .linalg import (
     SparseMatrix,
     _MR_EXACT_BELOW,
     _NonUnitPivot,
+    _echelon,
     deterministic_primes,
     is_probable_prime,
     rank_mod_p,
@@ -103,6 +104,8 @@ def _validate(f: Polynomial):
         raise ValueError("need at least three variables (n >= 2)")
     if f.degree < 3:
         raise ValueError("need degree d >= 3")
+    if f.degree >= 1 << 16:
+        raise ValueError(f"degree must be below 2^16, got {f.degree}")
     return f.n, f.degree
 
 
@@ -262,6 +265,12 @@ def _jacobian_matrix(f: Polynomial, k: int) -> SparseMatrix:
     return _jacobian_block(_partial_terms(f), f.degree - 1, f.n, k)[0]
 
 
+def _rank(matrix: SparseMatrix, modulus):
+    """The Pivots of a matrix mod the modulus, or over Q for no modulus.
+    The kernels are looked up at each call: perfbench rebinds them."""
+    return rank_rational(matrix) if modulus is None else rank_mod_p(matrix, modulus)
+
+
 def milnor_dimension(f: Polynomial, k: int, primes=None, *, chain=None) -> int:
     """dim of the degree-k piece of the Jacobian algebra S/J_f.
 
@@ -283,9 +292,9 @@ def milnor_dimension(f: Polynomial, k: int, primes=None, *, chain=None) -> int:
         return dim_degree_piece(n, k) - chain(k).rank
     try:
         modulus = prod(_working_primes(f, primes, 1))
-        rank = _pruned_blocks(_partials(f, modulus), d - 1, n, modulus, lambda m: rank_mod_p(m, modulus))(k).rank
+        rank = _rank(_jacobian_block(_partials(f, modulus), d - 1, n, k, modulus)[0], modulus).rank
     except _NonUnitPivot:
-        rank = rank_rational(_jacobian_matrix(f, k)).rank
+        rank = _rank(_jacobian_matrix(f, k), None).rank
     return dim_degree_piece(n, k) - rank
 
 
@@ -328,14 +337,15 @@ def _restrict(gens, a, modulus):
     return out
 
 
-def _section_dimensions(f: Polynomial, modulus, vals: list, forms, partials, rank):
+def _section_dimensions(f: Polynomial, modulus, vals: list, forms, partials):
     """HF_i(k) = dim (S/(J_f, h_1..h_i))_k as a cached function of (i, k),
     the h_i given by ``forms`` (see _section_forms).  HF_0 reads the full
     ring's values ``vals``.  S/(h_1..h_i) is the polynomial ring in
     x_0..x_(n-i), so HF_i is that of the ``partials`` over the pass's
     field (see _partials) with x_n, .., x_(n-i+1) substituted in turn.
-    Each ring's blocks are its own _pruned_blocks, ranked by ``rank``,
-    each side's own entry to the kernel; a split raises _NonUnitPivot.
+    Each ring's blocks are its own _pruned_blocks.  Only their ranks and
+    records are read, so the kernel's semi-echelon form (linalg._echelon)
+    ranks them, on both sides; a split raises _NonUnitPivot.
 
     A block's pruning record is made on demand, through this same
     function.  S/(J_f, h_1..h_i) is a standard graded algebra, and adding
@@ -351,7 +361,7 @@ def _section_dimensions(f: Polynomial, modulus, vals: list, forms, partials, ran
 
     @cache
     def blocks(i):
-        return _pruned_blocks(gens(i), deg, f.n - i, modulus, rank)
+        return _pruned_blocks(gens(i), deg, f.n - i, modulus, lambda m: _echelon(m.data, modulus))
 
     @cache
     def hf(i, k):
@@ -379,7 +389,8 @@ def _certified_forms(hf, n: int, m: int):
     HF_(i+1)(m+1) = HF_i(m+1) - HF_i(m).  Forms that pass prove it;
     unlucky forms can only fail.  The criterion holds for any homogeneous
     ideal, so j runs up to n, and a non-reduced f, whose singular locus
-    has dimension n-1, is proven too.  A split in the forms' ranks (see
+    has dimension n-1, is proven too.  The section blocks are ranked by
+    the kernel alone, the same on both sides; a split in their ranks (see
     linalg) proves nothing either."""
     try:
         for i in range(n):
@@ -419,32 +430,28 @@ def _smooth_stop(n: int, d: int, top: int, value):
     return None
 
 
-def _regularity_attempts(f: Polynomial, modulus, vals: list, partials, rank):
-    """Each side's attempts to prove where it may stop: returns
-    attempt(k), called for each new value vals[k] of the side (its HF_0,
-    see _section_dimensions) until the caller's last degree would pass
-    its bound.
+def _prove_regularity(f: Polynomial, modulus, partials, top: int, value):
+    """The values value(k) for k = 0..top, a side's dim (S/J_f)_k over its
+    field (its HF_0, see _section_dimensions), and the proof (m, j) that
+    ends them, or None when none comes by ``top``.
 
     Once a value has left the series of a complete intersection, where
     the values of f stay in every degree exactly when the partials are a
     regular sequence, each new value k >= d tries to prove J_f
     (k-1)-regular (see _certified_forms) over the pass's field, with
-    forms drawn from the input digest, the side's ``partials`` and
-    section blocks ranked by ``rank``.  attempt(k) returns the number j
-    of forms that prove it, or None; a split in their ranks proves none."""
+    forms drawn from the input digest and the side's ``partials``; the
+    first j forms that prove it end the values at k = m+1.  A split in
+    their ranks proves nothing."""
     n, d = f.n, f.degree
-    hf = None  # HF_i, built at the first attempt
-    left = False  # whether a value has left the complete-intersection series
-
-    def attempt(k):
-        nonlocal hf, left
+    vals, hf, left = [], None, False  # left: a value is off the series
+    for k in range(top + 1):
+        vals.append(value(k))
         left = left or vals[k] != _complete_intersection(n, d, k)
-        if not left or k < d:  # J_f is generated in degree d-1 <= m = k-1
-            return None
-        hf = hf or _section_dimensions(f, modulus, vals, _section_forms(f, modulus), partials, rank)
-        return _certified_forms(hf, n, k - 1)
-
-    return attempt
+        if left and k >= d:  # J_f is generated in degree d-1 <= m = k-1
+            hf = hf or _section_dimensions(f, modulus, vals, _section_forms(f, modulus), partials)
+            if (j := _certified_forms(hf, n, k - 1)) is not None:
+                return vals, (k - 1, j)
+    return vals, None
 
 
 def _hilbert_over_field(f: Polynomial, w: int, plist, modulus):
@@ -453,36 +460,32 @@ def _hilbert_over_field(f: Polynomial, w: int, plist, modulus):
     killed partial included, raises _NonUnitPivot."""
     n, d = f.n, f.degree
     partials = _partials(f, modulus)
-    vals = []
-
-    def rank(m):  # the kernels are looked up at each call: perfbench rebinds them
-        return rank_rational(m) if modulus is None else rank_mod_p(m, modulus)
-
-    chain = _pruned_blocks(partials, d - 1, n, modulus, rank)
+    chain = _pruned_blocks(partials, d - 1, n, modulus, lambda m: _rank(m, modulus))
     value = cache(lambda k: milnor_dimension(f, k, chain=chain))
     if (K := _smooth_stop(n, d, w, value)) is not None:
         return [_complete_intersection(n, d, k) for k in range(w + 1)], K
-    attempt = _regularity_attempts(f, modulus, vals, partials, rank)
-    stop, last = None, w
-    for k in range(w + 1):
-        vals.append(value(k))
-        if k == d - 1 and vals[k] != dim_degree_piece(n, k) - n - 1:
+
+    def checked(k):
+        v = value(k)
+        if k == d - 1 and v != dim_degree_piece(n, k) - n - 1:
             # the n+1 partials are dependent mod N; only over Q may they be
-            expected = dim_degree_piece(n, k) - rank_rational(_jacobian_matrix(f, k)).rank
-            if vals[k] != expected:
+            expected = dim_degree_piece(n, k) - _rank(_jacobian_matrix(f, k), None).rank
+            if v != expected:
                 raise BadPrimeError(
                     f"degree {k} of the Jacobian algebra has dimension {expected}, "
-                    f"got {vals[k]}; the working primes {plist} are bad for this polynomial"
+                    f"got {v}; the working primes {plist} are bad for this polynomial"
                 )
-        if stop is None and (j := attempt(k)) is not None:
-            stop, last = k - 1, max(k, k + j - 2)
-        if k == last:
-            break
-    if stop is not None:
-        # the values from stop on lie on a polynomial of degree < j
-        for _ in range(w + 1 - len(vals)):
-            vals.append(sum((-1) ** (i + 1) * comb(j, i) * vals[-i] for i in range(1, j + 1)))
-    return vals, stop if last <= w else None  # K past the window: all computed
+        return v
+
+    vals, proof = _prove_regularity(f, modulus, partials, w, checked)
+    if proof is None or sum(proof) - 1 > w:  # none, or K = m+j-1 past the window: all computed
+        return vals + [value(k) for k in range(len(vals), w + 1)], None
+    m, j = proof
+    vals += [value(k) for k in range(len(vals), m + j)]  # up to max(m+1, m+j-1)
+    # the values from m on lie on a polynomial of degree < j
+    for _ in range(w + 1 - len(vals)):
+        vals.append(sum((-1) ** (i + 1) * comb(j, i) * vals[-i] for i in range(1, j + 1)))
+    return vals, m
 
 
 def hilbert_fit(f: Polynomial, window=None, primes=None) -> HilbertData:
@@ -519,7 +522,7 @@ def hilbert_fit(f: Polynomial, window=None, primes=None) -> HilbertData:
     the partials ranked over Q.
 
     A proven stop ends it earlier on singular inputs (see
-    _regularity_attempts): if J_f is m-regular with j forms, the values
+    _prove_regularity): if J_f is m-regular with j forms, the values
     from m on lie on a polynomial of degree < j, so they are computed up to
     K = max(m+1, m+j-1) and the rest of the window is filled from the last
     j, whose j-th difference is 0.  ``stop`` is then m.  When nothing
@@ -582,9 +585,7 @@ def _koszul_rank(ncols: int, rows: list, leads: set, modulus):
     to the kernel: the empty rows of a settled block, or every row of a
     block where two rows share a lead.  So ``len(leads) + len(rows)`` is
     the block's row count."""
-    matrix = SparseMatrix._from_rows(ncols, rows, modulus)
-    # the kernel is looked up at each call: perfbench rebinds it
-    pivots = rank_rational(matrix) if modulus is None else rank_mod_p(matrix, modulus)
+    pivots = _rank(SparseMatrix._from_rows(ncols, rows, modulus), modulus)
     return len(leads) + pivots.rank, leads.union(pivots)
 
 
@@ -599,18 +600,19 @@ def _betti_over_field(f: Polynomial, q_max: int, field):
     those already built reused; none of them is empty, as an empty piece
     would make the partials a regular sequence.
 
-    The pass proves its own stop (see _regularity_attempts).  Once J_f is
-    proven m-regular at piece k = m+1, beta_{p,q} = 0 for q - p >= m: no
-    later piece is built, and only the band q - p <= m is ranked, up to
-    q = m+n+1, so top[p] = m+p.  A block in the band reads pieces up to
-    m+1 and nothing more, and the Betti numbers on its edge, q - p = m,
-    are provably 0 (graded_betti checks them).  Without a proof, as below
-    a bound of m+n+1, top[p] = q_max: the same loop with no band.
+    The pass proves its own stop (see _prove_regularity) at a piece
+    k <= q_max - n.  Once J_f is proven m-regular at piece k = m+1,
+    beta_{p,q} = 0 for q - p >= m: no later piece is built, and only the
+    band q - p <= m is ranked, up to q = m+n+1, so top[p] = m+p.  A block
+    in the band reads pieces up to m+1 and nothing more, and the Betti
+    numbers on its edge, q - p = m, are provably 0 (graded_betti checks
+    them).  Without a proof, top[p] = q_max: the same loop with no band.
 
     Piece k of M is the reduced echelon form (rref) of the degree-k
-    Jacobian block over the field, from _pruned_blocks, as are the
-    certificate's section blocks.  Its non-pivot columns are a monomial
-    basis of the piece; each pivot row is minus the pivot's normal form.
+    Jacobian block over the field, from _pruned_blocks.  Its non-pivot
+    columns are a monomial basis of the piece; each pivot row is minus
+    the pivot's normal form.  The certificate's section blocks are only
+    ranked, not reduced (see _section_dimensions).
 
     K_p = Lambda^p(C^{n+1}) tensor M shifted so the differential
     d(e_S tensor m) = sum_j (-1)^j e_{S \\ s_j} tensor x_{s_j} m preserves
@@ -652,33 +654,33 @@ def _betti_over_field(f: Polynomial, q_max: int, field):
     n, d = f.n, f.degree
     gens = _partials(f, field.modulus)
 
-    def echelon(m):  # rref is looked up at each call: perfbench rebinds it
-        return rref(m.data, field)
+    # rref is looked up at each call: perfbench rebinds it
+    block = cache(_pruned_blocks(gens, d - 1, n, field.modulus, lambda m: rref(m.data, field)))
 
-    block = cache(_pruned_blocks(gens, d - 1, n, field.modulus, echelon))
-    if (K := _smooth_stop(n, d, q_max, lambda k: dim_degree_piece(n, k) - len(block(k)))) is not None:
+    def value(k):
+        return dim_degree_piece(n, k) - len(block(k))
+
+    if (K := _smooth_stop(n, d, q_max, value)) is not None:
         return None, K
-    pieces, size = [], []
-    attempt = _regularity_attempts(f, field.modulus, size, gens, echelon)
-    m = q_max  # no proof: every q - p <= q_max is ranked
-    for k in range(q_max + 1):
-        pieces.append(block(k))
-        size.append(dim_degree_piece(n, k) - len(pieces[k]))
-        if k + n <= q_max and attempt(k) is not None:
-            m, q_max = k - 1, k + n  # J_f is m-regular: beta_{p,q} = 0 for q - p >= m
-            break
+    size, proof = _prove_regularity(f, field.modulus, gens, q_max - n, value)
+    if proof is None:
+        m = q_max  # every q - p <= q_max is ranked
+        size += [value(k) for k in range(len(size), q_max + 1)]
+    else:
+        m, q_max = proof[0], proof[0] + n + 1  # beta_{p,q} = 0 for q - p >= m
 
     @cache
     def basis(k):
         """(column, key) of each basis column of piece k, its non-pivot
         columns in increasing order, with its monomial's packed key."""
-        return [(c, key) for key, c in reversed(grevlex_columns(n, k).items()) if c not in pieces[k]]
+        piece = block(k)
+        return [(c, key) for key, c in reversed(grevlex_columns(n, k).items()) if c not in piece]
 
     @cache
     def images(s, k):
         """(nu, tail) for each basis column b of piece k: nu is the column
         of x_s b in degree k+1, tail its pivot tail there or None."""
-        col_of, step, nxt = grevlex_columns(n, k + 1), 1 << 16 * s, pieces[k + 1]
+        col_of, step, nxt = grevlex_columns(n, k + 1), 1 << 16 * s, block(k + 1)
         return [(nu, nxt.get(nu)) for nu in (col_of[key + step] for _, key in basis(k))]
 
     @cache

@@ -315,6 +315,8 @@ class _Parser:
             e = int(tok)
             if e < 1:
                 raise PolynomialSyntaxError("exponent must be >= 1", pos)
+            if e >= 1 << 16:  # refused before it is expanded (see pack)
+                raise PolynomialSyntaxError("exponent must be below 2^16", pos)
             base = base**e
         return base
 
@@ -356,7 +358,7 @@ def parse(text: str, n: int) -> Polynomial:
     """Parse an expression in x0..xn into expanded normal form.
 
     The grammar accepts signed rational coefficients ``p`` or ``p/q``,
-    variables ``x<k>``, powers ``^e`` with e >= 1, parentheses, and
+    variables ``x<k>``, powers ``^e`` with 1 <= e < 2^16, parentheses, and
     implicit or explicit multiplication.  Errors carry the byte offset.
     """
     return _Parser(text, n).parse()
@@ -384,35 +386,28 @@ def _seed_of(f: Polynomial, part: int = 0) -> int:
     return int(_input_digest(f)[16 * part : 16 * part + 16], 16)
 
 
-def squarefree_check(f: Polynomial, trials: int = 3, seed=None) -> bool:
-    """Probabilistic check that f has no repeated irreducible factor.
+def squarefree_check(f: Polynomial) -> bool:
+    """Whether f has no repeated irreducible factor, read off one line.
 
-    Restricts f to random lines (pencil parametrization t*a + b through two
-    random points) and takes the univariate gcd with the derivative.  A
-    repeated factor of f restricts to a repeated factor on every line whose
-    direction avoids its zero locus, so ``trials`` independent trivial gcds
-    make squarefreeness overwhelmingly likely.  Restriction to a genuinely
+    Restricts f to the pencil t*a + b through two points drawn from the
+    input digest, with f(a) != 0, and takes the univariate gcd with the
+    derivative.  If f = g^2*h, then f(a) != 0 forces g(a) != 0, so g(t*a + b)
+    is a repeated factor of positive degree on every such line: a trivial
+    gcd proves f squarefree, and a nontrivial one on a squarefree f comes
+    only from a line tangent to it.  Restriction to a genuinely
     1-dimensional subspace of the variables would collapse a homogeneous f
     to c*t^d, hence the two-point pencil.
     """
     if f.is_zero() or not f.is_homogeneous() or f.degree < 1:
         raise ValueError("squarefree check needs a nonzero homogeneous f of degree >= 1")
-    if seed is None:
-        seed = _seed_of(f)
-    rng = random.Random(seed)
+    rng = random.Random(_seed_of(f))
     span = 10**6
-    for _ in range(trials):
-        for _attempt in range(50):
-            a = [rng.randint(-span, span) for _ in range(f.n + 1)]
-            b = [rng.randint(-span, span) for _ in range(f.n + 1)]
-            if f.evaluate(a) != 0:
-                break
-        else:
-            raise RuntimeError("could not find a line transverse to f")
-        g = _restrict_to_line(f, a, b)
-        if _gcd_with_derivative_degree(g) != 0:
-            return False
-    return True
+    for _attempt in range(50):
+        a = [rng.randint(-span, span) for _ in range(f.n + 1)]
+        b = [rng.randint(-span, span) for _ in range(f.n + 1)]
+        if f.evaluate(a) != 0:
+            return _gcd_with_derivative_degree(_restrict_to_line(f, a, b)) == 0
+    raise RuntimeError("could not find a line transverse to f")
 
 
 def _restrict_to_line(f: Polynomial, a, b) -> list[Fraction]:

@@ -271,6 +271,19 @@ def test_inspect_poly_non_homogeneous_exits_1():
     assert res.returncode == 1
 
 
+@pytest.mark.parametrize(
+    "expr, message",
+    [
+        ("x0^1000000000+x1^3+x2^3", "exponent must be below 2^16 (offset 3)"),
+        # each power is below 2^16, and the sum has degree 2^16
+        ("(x0^256)^256+(x1^256)^256+(x2^256)^256", "degree must be below 2^16, got 65536"),
+    ],
+)
+def test_inspect_poly_refuses_a_degree_of_2_to_the_16_before_expanding_it(capsys, expr, message):
+    assert cli.main(["inspect-poly", "--expr", expr]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_inspect_poly_has_no_sqfree_trials_option(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["inspect-poly", "--expr", "x0^3 + x1^3 + x2^3", "--sqfree-trials=3"])

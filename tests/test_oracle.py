@@ -247,6 +247,12 @@ def test_hilbert_fit_window_too_small():
             "max_degree must be at least d",
             id="bound-below-d",
         ),
+        pytest.param(
+            # built from its terms: the parser refuses such an exponent
+            lambda: milnor_dimension(Polynomial(2, {(1 << 16, 0, 0): 1, (0, 1 << 16, 0): 1, (0, 0, 1 << 16): 1}), 0),
+            "degree must be below 2^16, got 65536",
+            id="degree-past-the-packed-keys",
+        ),
     ],
 )
 def test_out_of_range_arguments_are_refused(call, message):
@@ -352,19 +358,26 @@ def _no_certificate(monkeypatch):
 
 
 def _fake_proof(monkeypatch, part):
-    """Make one side's certificate prove J_f (d-1)-regular with one form
-    at its first chance, degree k = d, whatever the values: the side
-    whose modulus is the product of the primes derived from part ``part``
-    of the input digest, 0 for the Betti side and 1 for the Hilbert side
-    (see default_primes).  The other side's attempts are left as they are."""
-    real = oracle._regularity_attempts
+    """Make one side's certificate prove J_f (k-1)-regular with one form
+    at its first attempt k, whatever its section values: the side whose
+    section values (see _section_dimensions) are mod the product of the
+    primes derived from part ``part`` of the input digest, 0 for the Betti
+    side and 1 for the Hilbert side (see default_primes).  The other
+    side's attempts are left as they are."""
+    real_sections, real_certified = oracle._section_dimensions, oracle._certified_forms
+    faked = []  # the HF_i of that side's attempts
 
-    def attempts(f, modulus, vals, partials, rank):
-        if modulus != prod(default_primes(f, part)):
-            return real(f, modulus, vals, partials, rank)
-        return lambda k: 1 if k == f.degree else None
+    def sections(f, modulus, *args):
+        hf = real_sections(f, modulus, *args)
+        if modulus == prod(default_primes(f, part)):
+            faked.append(hf)
+        return hf
 
-    monkeypatch.setattr(oracle, "_regularity_attempts", attempts)
+    def certified(hf, n, m):
+        return 1 if hf in faked else real_certified(hf, n, m)
+
+    monkeypatch.setattr(oracle, "_section_dimensions", sections)
+    monkeypatch.setattr(oracle, "_certified_forms", certified)
 
 
 def test_the_proven_stop_is_the_table_regularity_plus_one():
@@ -464,14 +477,10 @@ def test_coordinate_forms_do_not_prove_the_cusp_regular():
     modulus = prod(default_primes(f, 1))
     vals = [hilbert_fit(f).values[k] for k in range(5)]
     partials = _partials(f, modulus)
-
-    def rank(block):
-        return rank_mod_p(block, modulus)
-
     coordinate = [[0] * (f.n - i + 1) for i in range(1, f.n + 1)]
-    hf = _section_dimensions(f, modulus, vals, coordinate, partials, rank)
+    hf = _section_dimensions(f, modulus, vals, coordinate, partials)
     assert _certified_forms(hf, f.n, 3) is None
-    hf = _section_dimensions(f, modulus, vals, _section_forms(f, modulus), partials, rank)
+    hf = _section_dimensions(f, modulus, vals, _section_forms(f, modulus), partials)
     assert _certified_forms(hf, f.n, 3) == 1
 
 
@@ -1365,7 +1374,7 @@ def _record_sections(monkeypatch, n, split=False):
     instead, and ``forced`` lists those (series, i, k)."""
     log = {"built": [], "read": [], "forced": []}
     reading, series = [], []
-    real_block, real_sections = oracle._jacobian_block, oracle._section_dimensions
+    real_block, real_sections, real_echelon = oracle._jacobian_block, oracle._section_dimensions, oracle._echelon
 
     def block(gens, deg, r, k, p=None, below=None):
         out = real_block(gens, deg, r, k, p, below)
@@ -1378,15 +1387,14 @@ def _record_sections(monkeypatch, n, split=False):
             )
         return out
 
-    def sections(f, modulus, vals, forms, partials, rank):
+    def echelon(rows, p):  # the kernel call that ranks each section block
+        log["built"][-1].pivots = pivots = real_echelon(rows, p)
+        return pivots
+
+    def sections(f, modulus, vals, forms, partials):
         series.append(modulus)
         this = len(series)
-
-        def ranking(m):
-            log["built"][-1].pivots = pivots = rank(m)
-            return pivots
-
-        hf = real_sections(f, modulus, vals, forms, partials, ranking)
+        hf = real_sections(f, modulus, vals, forms, partials)
 
         def value(i, k):
             reading.append((i, k))
@@ -1399,6 +1407,7 @@ def _record_sections(monkeypatch, n, split=False):
         return value
 
     monkeypatch.setattr(oracle, "_jacobian_block", block)
+    monkeypatch.setattr(oracle, "_echelon", echelon)
     monkeypatch.setattr(oracle, "_section_dimensions", sections)
     return log
 
@@ -1506,6 +1515,39 @@ def test_a_split_in_a_lower_section_block_proves_nothing(monkeypatch):
         assert fit == plain, f
         assert table == _betti_outcome(f), f
     assert sum(forced > 0 for *_, forced in split) > 10
+
+
+def test_no_section_block_reaches_rref_or_the_rank_entries(monkeypatch):
+    # the certificate reads only the ranks and records of its section
+    # blocks, so on both sides, mod N and over Q after a split, they go to
+    # the kernel's semi-echelon form alone: none is back-substituted by
+    # rref or ranked by rank_mod_p or rank_rational
+    sections, entered = [], []
+    real_block = oracle._jacobian_block
+
+    def block(gens, deg, r, k, p=None, below=None):
+        out = real_block(gens, deg, r, k, p, below)
+        if r < f.n:  # a section ring, in fewer variables than S
+            sections.append(out[0])
+        return out
+
+    def entry(name):
+        real = getattr(oracle, name)
+
+        def traced(m, *args):
+            entered.extend(name for s in sections if m is s or m is s.data)
+            return real(m, *args)
+
+        return traced
+
+    monkeypatch.setattr(oracle, "_jacobian_block", block)
+    for name in ("rref", "rank_mod_p", "rank_rational"):
+        monkeypatch.setattr(oracle, name, entry(name))
+    for f, primes in [(CUSP_POLY, None), (parse(SPLIT_NODE, 2), [37, 41])]:
+        hilbert_fit(f, primes=primes)
+        graded_betti(f, primes=primes)
+    assert entered == []
+    assert {s.modulus is None for s in sections} == {False, True}  # both fields are covered
 
 
 @pytest.mark.parametrize(

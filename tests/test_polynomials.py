@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from singulus.errors import PolynomialSyntaxError
 from singulus.polynomials import (
     Polynomial,
+    _gcd_with_derivative_degree,
     grevlex_columns,
     infer_variable_count,
     pack,
@@ -65,6 +66,7 @@ def test_parse_parentheses_expand():
     [
         (parse, "x0 & x1", "unexpected character '&'", 3),
         (parse, "x0^0", "exponent must be >= 1", 3),
+        (parse, "x1+x0^65536", "exponent must be below 2^16", 6),
         (parse, "1/x0", "expected denominator", 2),
         (parse, "1/0*x0", "zero denominator", 2),
         (parse, "(x0+x1", "expected ')'", 6),
@@ -313,8 +315,25 @@ def test_squarefree_accepts_reduced_inputs():
 
 
 def test_squarefree_deterministic_given_seed():
+    # the line is drawn from the input digest, so two calls draw the same
     f = parse("x0^3 + x1^3 + x2^3", 2)
-    assert squarefree_check(f, seed=7) == squarefree_check(f, seed=7)
+    assert squarefree_check(f) is squarefree_check(f) is True
+
+
+def test_squarefree_decides_from_one_line(monkeypatch):
+    # a repeated factor shows on every transverse line, so one trivial gcd
+    # proves f squarefree and no second line is drawn
+    calls = []
+
+    def gcd_degree(coeffs):
+        calls.append(coeffs)
+        return _gcd_with_derivative_degree(coeffs)
+
+    monkeypatch.setattr("singulus.polynomials._gcd_with_derivative_degree", gcd_degree)
+    assert squarefree_check(parse("x0*x1*x2 + x3^3", 3)) is True
+    assert len(calls) == 1
+    assert squarefree_check(parse("x0^2*x1", 2)) is False
+    assert len(calls) == 2
 
 
 def test_squarefree_rejects_bad_input():
