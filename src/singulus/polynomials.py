@@ -12,7 +12,7 @@ import random
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd, lcm
 from operator import add, index
 
 from .documents import digest_of
@@ -150,19 +150,6 @@ class Polynomial:
             if e[i]:
                 out[e[:i] + (e[i] - 1,) + e[i + 1 :]] = c * e[i]
         return Polynomial(self.n, out)
-
-    def evaluate(self, point):
-        """Evaluate at a tuple of numbers (exact if the inputs are exact)."""
-        if len(point) != self.n + 1:
-            raise ValueError("point arity does not match variable count")
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            v = c
-            for x, k in zip(point, e):
-                if k:
-                    v *= Fraction(x) ** k
-            total += v
-        return total
 
     # -- canonical printing --------------------------------------------
 
@@ -386,68 +373,74 @@ def _seed_of(f: Polynomial, part: int = 0) -> int:
     return int(_input_digest(f)[16 * part : 16 * part + 16], 16)
 
 
+# a Mersenne prime far above any accepted degree: the squarefree check's modulus
+_P = (1 << 61) - 1
+
+
 def squarefree_check(f: Polynomial) -> bool:
     """Whether f has no repeated irreducible factor, read off one line.
 
-    Restricts f to the pencil t*a + b through two points drawn from the
-    input digest, with f(a) != 0, and takes the univariate gcd with the
-    derivative.  If f = g^2*h, then f(a) != 0 forces g(a) != 0, so g(t*a + b)
-    is a repeated factor of positive degree on every such line: a trivial
-    gcd proves f squarefree, and a nontrivial one on a squarefree f comes
-    only from a line tangent to it.  Restriction to a genuinely
-    1-dimensional subspace of the variables would collapse a homogeneous f
-    to c*t^d, hence the two-point pencil.
+    Restricts F, the primitive integer multiple of f, to the pencil
+    t*a + b through two points drawn from the input digest and takes the
+    gcd with the derivative mod P.  The leading coefficient is F(a); a line
+    where it is 0 mod P is skipped.  If f = g^2*h, then F = G^2*H over the
+    integers, so F(a) != 0 mod P forces G(a) != 0 mod P, and G(t*a + b) is
+    a repeated factor of positive degree: a trivial gcd proves f
+    squarefree.  A nontrivial one on a squarefree f comes only from a line
+    tangent to it or from P dividing a resultant.  A homogeneous f
+    restricted to a 1-dimensional subspace would collapse to c*t^d, hence
+    the two-point pencil.
     """
     if f.is_zero() or not f.is_homogeneous() or f.degree < 1:
         raise ValueError("squarefree check needs a nonzero homogeneous f of degree >= 1")
+    scale = lcm(*(c.denominator for c in f.terms.values()))
+    ints = {e: c.numerator * (scale // c.denominator) for e, c in f.terms.items()}
+    content = gcd(*ints.values())
+    terms = {e: v // content % _P for e, v in ints.items()}
     rng = random.Random(_seed_of(f))
     span = 10**6
     for _attempt in range(50):
         a = [rng.randint(-span, span) for _ in range(f.n + 1)]
         b = [rng.randint(-span, span) for _ in range(f.n + 1)]
-        if f.evaluate(a) != 0:
-            return _gcd_with_derivative_degree(_restrict_to_line(f, a, b)) == 0
+        coeffs = _restrict_to_line(terms, f.degree, a, b)
+        if coeffs[-1]:
+            return _gcd_with_derivative_degree(coeffs) == 0
     raise RuntimeError("could not find a line transverse to f")
 
 
-def _restrict_to_line(f: Polynomial, a, b) -> list[Fraction]:
-    """Coefficients of t -> f(t*a + b), lowest degree first."""
-    d = f.degree
-    coeffs = [Fraction(0)] * (d + 1)
-    for e, c in f.terms.items():
-        t = [1]
-        for i, k in enumerate(e):
+def _restrict_to_line(terms: dict, d: int, a, b) -> list[int]:
+    """Coefficients of t -> F(t*a + b) mod P, lowest degree first, for F
+    homogeneous of degree d given by its terms mod P."""
+    coeffs = [0] * (d + 1)
+    for e, c in terms.items():
+        t = [c]
+        for ai, bi, k in zip(a, b, e):
             for _ in range(k):
                 # multiply by (a_i * t + b_i)
-                nt = [0] * (len(t) + 1)
-                for j, v in enumerate(t):
-                    nt[j] += v * b[i]
-                    nt[j + 1] += v * a[i]
-                t = nt
-        for j, v in enumerate(t):
-            coeffs[j] += c * v
-    return coeffs
+                t = [(x * bi + y * ai) % _P for x, y in zip(t + [0], [0] + t)]
+        coeffs = [x + y for x, y in zip(coeffs, t)]
+    return [x % _P for x in coeffs]
 
 
-def _gcd_with_derivative_degree(coeffs: list[Fraction]) -> int:
+def _gcd_with_derivative_degree(coeffs: list[int]) -> int:
+    """Degree of the gcd mod P of a polynomial, given by its coefficients
+    mod P lowest first, with its derivative; -1 for 0."""
     def trim(p):
         while p and p[-1] == 0:
             p.pop()
         return p
 
-    p = trim([Fraction(c) for c in coeffs])
-    q = trim([Fraction(i * c) for i, c in enumerate(coeffs)][1:])
+    p = trim(list(coeffs))
+    q = trim([i * c % _P for i, c in enumerate(coeffs)][1:])
     while q:
         # p mod q by monic long division
-        inv = 1 / q[-1]
+        inv = pow(q[-1], -1, _P)
         r = list(p)
         while len(r) >= len(q):
-            f_ = r[-1] * inv
+            f_ = r[-1] * inv % _P
             shift = len(r) - len(q)
             for i, v in enumerate(q):
-                r[i + shift] -= f_ * v
+                r[i + shift] = (r[i + shift] - f_ * v) % _P
             trim(r)
-            if not r:
-                break
         p, q = q, r
     return len(p) - 1 if p else -1

@@ -374,6 +374,8 @@ def test_matmul():
 
 
 def test_matrix_validation():
+    with pytest.raises(ValueError, match="negative dimensions"):
+        SparseMatrix(-1, 2)
     with pytest.raises(ValueError):
         SparseMatrix(2, 2, [(0, 0, 1), (0, 0, 2)])
     with pytest.raises(ValueError):
@@ -393,6 +395,13 @@ def test_matrix_validation():
             SparseMatrix(1, 2, [(0, 0, 1), (0, 1, v)])
     m = SparseMatrix(1, 2, [(0, 0, 2), (0, 1, Fraction(1, 10))])
     assert entries(m) == {(0, 0): 2, (0, 1): Fraction(1, 10)}
+    # a tagged matrix is neither reduced mod another modulus nor ranked over Q
+    tagged = SparseMatrix(1, 2, [(0, 0, 1), (0, 1, 4)], modulus=7)
+    assert reduce_mod(tagged, 7) is tagged
+    with pytest.raises(ValueError, match="different prime"):
+        reduce_mod(tagged, 11)
+    with pytest.raises(ValueError, match="unreduced"):
+        rank_rational(tagged)
 
 
 def test_deterministic_primes():

@@ -1188,6 +1188,40 @@ def test_a_non_unit_lead_leaves_the_other_rows_of_its_block_settled(monkeypatch)
     assert any(reads_a_non_unit_lead(k) for k in settled)
 
 
+@pytest.mark.parametrize(
+    "expr, n, primes, k, columns",
+    [
+        ("x0*x1^2+2*x1^3+3*x0*x1*x2+3*x1*x2^2+x2^3", 2, [11, 13], 1, {1: [2, 2, 2, 2], 2: [3, 3]}),
+        ("-x1^2*x2+2*x2^3+x0*x1*x3+x1^2*x3+2*x1*x2*x3", 3, [5, 7], 2, {1: [1, 2, 2, 2, 2, 2], 2: [3, 3, 4, 4], 3: [5]}),
+    ],
+)
+def test_a_kept_row_that_leads_with_a_non_unit_sends_its_block_to_the_kernel(monkeypatch, expr, n, primes, k, columns):
+    # some kept row of a Koszul block at piece k leads with a value that is
+    # not a unit mod N, before any two rows share a lead: only the kernel
+    # may settle it, so the block is built whole (found by a seeded search)
+    f, refused = parse(expr, n), []
+    real_rank = oracle._koszul_rank
+
+    def koszul_rank(ncols, rows, leads, modulus):
+        # the first built row that settled_by_leads could not take
+        seen = set()
+        for row in filter(None, rows):
+            c = min(row)
+            if modulus and gcd(row[c], modulus) > 1:
+                refused.append(sys._getframe(1).f_locals["k"])
+                break
+            if c in seen:
+                break
+            seen.add(c)
+        return real_rank(ncols, rows, leads, modulus)
+
+    monkeypatch.setattr(oracle, "_koszul_rank", koszul_rank)
+    table = graded_betti(f, primes=primes)
+    monkeypatch.undo()
+    assert k in refused
+    assert table == graded_betti(f) == BettiTable.of(n, 3, columns)
+
+
 @pytest.mark.parametrize("f, primes", STOP_RULE_INPUTS, ids=str)
 def test_pruned_rows_span_the_full_block(f, primes):
     # each degree pruned by the pruned echelon d-1 degrees down, as the

@@ -336,6 +336,31 @@ def test_squarefree_decides_from_one_line(monkeypatch):
     assert len(calls) == 2
 
 
+def test_squarefree_scales_to_the_primitive_multiple():
+    # every coefficient is P = 2^61 - 1, so f is 0 mod P once its
+    # denominators are cleared; its primitive multiple x0^3+x1^3+x2^3 is not
+    assert squarefree_check(parse("2305843009213693951*x0^3+2305843009213693951*x1^3+2305843009213693951*x2^3", 2)) is True
+    assert squarefree_check(parse("(1/3*x0+x1)^2*x2", 2)) is False
+    assert squarefree_check(parse("1/2*x0^3+x1^3+x2^3", 2)) is True
+
+
+@st.composite
+def rational_forms(draw, min_degree):
+    k = draw(st.integers(min_value=min_degree, max_value=3))
+    picks = draw(st.lists(st.sampled_from(grevlex_exponents(2, k)), min_size=1, max_size=4, unique=True))
+    coeffs = [
+        Fraction(draw(st.integers(-9, 9).filter(bool)), draw(st.sampled_from([1, 2, 3, 7])))
+        for _ in picks
+    ]
+    return Polynomial(2, dict(zip(picks, coeffs)))
+
+
+@settings(max_examples=60)
+@given(rational_forms(1), rational_forms(0))
+def test_squarefree_finds_every_square_factor(g, h):
+    assert squarefree_check(g * g * h) is False
+
+
 def test_squarefree_rejects_bad_input():
     with pytest.raises(ValueError):
         squarefree_check(Polynomial.constant(2, 3))
