@@ -169,7 +169,7 @@ def load_table_file(path: str) -> tuple[BettiTable, dict, str]:
             raw = json.load(fh)
     except OSError as exc:
         raise DocumentError(str(exc))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the decoder recurses per level
         raise DocumentError(f"not valid JSON: {exc}")
     table, metadata = table_from_document(raw)
     digest = digest_of(canonical_json(table_to_document(table, metadata)))

@@ -247,8 +247,8 @@ _PSI_4 = 3215031751
 @lru_cache(maxsize=64)
 def is_probable_prime(n: int) -> bool:
     """Miller-Rabin, exact for n below _MR_EXACT_BELOW: the bases 2, 3, 5
-    and 7 for n below psi_4, and 2..41 from there on.  Cached: a pinned
-    prime is checked again at every degree."""
+    and 7 for n below psi_4, and 2..41 from there on.  Cached: each side
+    checks a pinned prime once, and the two sides share one test."""
     if n < 2:
         return False
     for q in _MR_BASES:

@@ -12,13 +12,10 @@ Each pipeline computes modulo its own two word-size primes, in one
 elimination mod their product N.  Ranks over a prime field can only drop,
 so a pass that finishes is wrong only where both primes drop a rank at
 once; nothing proves that away, and the comparison of the two pipelines,
-four primes in all, is the check.  Where the two prime fields would part
-ways the pass mod N splits (see linalg), and so it does where a factor of
-N divides every coefficient of a nonzero partial (see _partials); either
-way that side reruns whole over the rationals, with the same sparse
-elimination kernel.  "Certified" means one thing here: a stop of either
-side proven by a regularity certificate over the pass's own field, mod
-the side's N or, after a split, over Q (see _prove_regularity).
+four primes in all, is the check.  A pass that splits reruns whole over
+the rationals (see _exact).  "Certified" means one thing here: a stop of
+either side proven by a regularity certificate over the pass's own field,
+mod the side's N or, after a split, over Q (see _prove_regularity).
 """
 
 from __future__ import annotations
@@ -40,7 +37,6 @@ from .errors import (
     WindowTooSmallError,
 )
 from .linalg import (
-    QQ,
     Field,
     SparseMatrix,
     _MR_EXACT_BELOW,
@@ -131,6 +127,18 @@ def _working_primes(f: Polynomial, primes, part: int) -> list[int]:
     return list(dict.fromkeys(primes))
 
 
+def _exact(run, plist):
+    """run(N), a whole pass of one side mod N, the product of the working
+    primes ``plist``, or where that splits run(None), the pass over Q.  It
+    splits where the two prime fields would part ways (see linalg) and
+    where a factor of N divides every coefficient of a nonzero partial,
+    leaving ranks mod N saying nothing of ranks over Q (see _partials)."""
+    try:
+        return run(prod(plist))
+    except _NonUnitPivot:
+        return run(None)
+
+
 # -- Jacobian graded pieces ---------------------------------------------
 
 
@@ -171,11 +179,8 @@ def default_primes(f: Polynomial, part: int = 0) -> tuple[int, int]:
 def _partials(f: Polynomial, modulus=None):
     """The partials' term lists over Q, or over Z/N for a modulus N: the
     rows of the degree-(d-1) block reduced mod N, which are the partials
-    themselves, terms that vanish mod N left out.
-
-    A factor of N that divides every coefficient of a nonzero partial
-    leaves ranks mod N saying nothing about ranks over Q, so that raises
-    _NonUnitPivot, the one way out of a pass mod N (see linalg)."""
+    themselves, terms that vanish mod N left out.  A nonzero partial that
+    a factor of N kills raises _NonUnitPivot (see _exact)."""
     if modulus is None:
         return _partial_terms(f)
     keys = list(reversed(grevlex_columns(f.n, f.degree - 1)))  # in column order
@@ -277,8 +282,8 @@ def milnor_dimension(f: Polynomial, k: int, primes=None, *, chain=None) -> int:
     Pinned primes are used as given; primes derived from the input are
     the Hilbert side's own (part 1 of the digest, see default_primes).
 
-    The block is ranked once, mod the product N of the working primes, or
-    over Q when the pass splits, a killed partial included (see _partials).
+    The block is ranked once, mod the product N of the working primes or,
+    after a split, over Q (see _exact).
     A pinned prime dividing a denominator raises first (see _working_primes).
     ``chain`` is a Hilbert pass's _pruned_blocks, which prunes each degree
     by the one d-1 below; a split there raises to the pass.  Without it
@@ -290,12 +295,11 @@ def milnor_dimension(f: Polynomial, k: int, primes=None, *, chain=None) -> int:
         return dim_degree_piece(n, k)
     if chain is not None:
         return dim_degree_piece(n, k) - chain(k).rank
-    try:
-        modulus = prod(_working_primes(f, primes, 1))
-        rank = _rank(_jacobian_block(_partials(f, modulus), d - 1, n, k, modulus)[0], modulus).rank
-    except _NonUnitPivot:
-        rank = _rank(_jacobian_matrix(f, k), None).rank
-    return dim_degree_piece(n, k) - rank
+
+    def rank(modulus):
+        return _rank(_jacobian_block(_partials(f, modulus), d - 1, n, k, modulus)[0], modulus).rank
+
+    return dim_degree_piece(n, k) - _exact(rank, _working_primes(f, primes, 1))
 
 
 # -- Hilbert function fit -----------------------------------------------
@@ -456,14 +460,15 @@ def _prove_regularity(f: Polynomial, modulus, partials, top: int, value):
 
 def _hilbert_over_field(f: Polynomial, w: int, plist, modulus):
     """The values dim M(f)_k for k = 0..w over Z/modulus, or over Q for no
-    modulus, and the proven stop or None (see hilbert_fit); a split, a
-    killed partial included, raises _NonUnitPivot."""
+    modulus, and the proof that ended them: (K, 0) for a smooth input,
+    the (m, j) of _prove_regularity, or None when every degree of the
+    window was computed (see hilbert_fit).  A split raises _NonUnitPivot."""
     n, d = f.n, f.degree
     partials = _partials(f, modulus)
     chain = _pruned_blocks(partials, d - 1, n, modulus, lambda m: _rank(m, modulus))
     value = cache(lambda k: milnor_dimension(f, k, chain=chain))
     if (K := _smooth_stop(n, d, w, value)) is not None:
-        return [_complete_intersection(n, d, k) for k in range(w + 1)], K
+        return [_complete_intersection(n, d, k) for k in range(w + 1)], (K, 0)
 
     def checked(k):
         v = value(k)
@@ -485,7 +490,7 @@ def _hilbert_over_field(f: Polynomial, w: int, plist, modulus):
     # the values from m on lie on a polynomial of degree < j
     for _ in range(w + 1 - len(vals)):
         vals.append(sum((-1) ** (i + 1) * comb(j, i) * vals[-i] for i in range(1, j + 1)))
-    return vals, m
+    return vals, proof
 
 
 def hilbert_fit(f: Polynomial, window=None, primes=None) -> HilbertData:
@@ -513,13 +518,12 @@ def hilbert_fit(f: Polynomial, window=None, primes=None) -> HilbertData:
     Artinian, with every value on the series up to its first 0 at K <= k,
     which the chain has already proven.
 
-    The values come from one pass mod the product N of the working
-    primes; a split, a partial killed mod N included, reruns it whole over
-    Q, certificate and all.  At degree d-1 the value is that of n+1
-    independent partials unless they are dependent over Q, as for a cone:
-    a value that is neither means the working primes agreed on a wrong
-    rank, and raises BadPrimeError.  Only on a mismatch is the block of
-    the partials ranked over Q.
+    The values come from one pass, mod N or, after a split, over Q,
+    certificate and all (see _exact).  At degree d-1 the value is that of
+    n+1 independent partials unless they are dependent over Q, as for a
+    cone: a value that is neither means the working primes agreed on a
+    wrong rank, and raises BadPrimeError.  Only on a mismatch is the block
+    of the partials ranked over Q.
 
     A proven stop ends it earlier on singular inputs (see
     _prove_regularity): if J_f is m-regular with j forms, the values
@@ -534,11 +538,9 @@ def hilbert_fit(f: Polynomial, window=None, primes=None) -> HilbertData:
     if w < d + 1:
         raise ValueError("window upper bound is too small to say anything")
     plist = _working_primes(f, primes, 1)
-    try:
-        vals, stop = _hilbert_over_field(f, w, plist, prod(plist))
-    except _NonUnitPivot:
-        vals, stop = _hilbert_over_field(f, w, plist, None)
-    if stop is not None and not vals[stop]:  # the chain's 0 at K: f is smooth
+    vals, proof = _exact(lambda modulus: _hilbert_over_field(f, w, plist, modulus), plist)
+    stop, j = proof or (None, None)
+    if j == 0:  # the chain's 0 at K: f is smooth
         return HilbertData(n, d, dict(enumerate(vals)), (), stop, None, None, None, stop=stop)
 
     rows = [vals]  # rows[i] is the i-th forward difference
@@ -590,10 +592,10 @@ def _koszul_rank(ncols: int, rows: list, leads: set, modulus):
 
 
 def _betti_over_field(f: Polynomial, q_max: int, field):
-    """Graded Betti numbers beta_{p,q} for p = 0..n+1, q = 0..top[p], and
-    top, the last degree ranked at each position; or None, with no Betti
-    numbers, and the degree of a quotient piece that is 0 over the field
-    (see graded_betti).  The pieces of degree k = K mod d-1 up to
+    """Graded Betti numbers beta_{p,q} for p = 0..n+1 and the proof that
+    ended the pass, the (m, j) of _prove_regularity or None; or None, with
+    no Betti numbers, and (K, 0) when piece K is 0 over the field (see
+    graded_betti).  The pieces of degree k = K mod d-1 up to
     K = (n+1)(d-2)+1 are built first (see _smooth_stop): piece K is 0
     exactly when the partials are a regular sequence, and then no other
     piece is built.  Otherwise the pieces are built in ascending order,
@@ -603,10 +605,10 @@ def _betti_over_field(f: Polynomial, q_max: int, field):
     The pass proves its own stop (see _prove_regularity) at a piece
     k <= q_max - n.  Once J_f is proven m-regular at piece k = m+1,
     beta_{p,q} = 0 for q - p >= m: no later piece is built, and only the
-    band q - p <= m is ranked, up to q = m+n+1, so top[p] = m+p.  A block
-    in the band reads pieces up to m+1 and nothing more, and the Betti
-    numbers on its edge, q - p = m, are provably 0 (graded_betti checks
-    them).  Without a proof, top[p] = q_max: the same loop with no band.
+    band q - p <= m is ranked, up to q = m+n+1.  A block in the band
+    reads pieces up to m+1 and nothing more, and the Betti numbers on its
+    edge, q - p = m, are provably 0 (graded_betti checks them).  Without
+    a proof every q <= q_max is ranked: the same loop with no band.
 
     Piece k of M is the reduced echelon form (rref) of the degree-k
     Jacobian block over the field, from _pruned_blocks.  Its non-pivot
@@ -661,7 +663,7 @@ def _betti_over_field(f: Polynomial, q_max: int, field):
         return dim_degree_piece(n, k) - len(block(k))
 
     if (K := _smooth_stop(n, d, q_max, value)) is not None:
-        return None, K
+        return None, (K, 0)
     size, proof = _prove_regularity(f, field.modulus, gens, q_max - n, value)
     if proof is None:
         m = q_max  # every q - p <= q_max is ranked
@@ -780,7 +782,7 @@ def _betti_over_field(f: Polynomial, q_max: int, field):
             b = comb(n + 1, p) * size[q - p] - rank[p] - rank[p + 1]
             if b:
                 betas[(p, q)] = b
-    return betas, [min(q_max, m + p) for p in range(n + 2)]
+    return betas, proof
 
 
 def cone_check(f: Polynomial):
@@ -828,10 +830,7 @@ def graded_betti(f: Polynomial, max_degree=None, primes=None) -> BettiTable:
     cone_check(f)
 
     plist = _working_primes(f, primes, 0)
-    try:
-        betas, top = _betti_over_field(f, q_max, Field(prod(plist)))
-    except _NonUnitPivot:
-        betas, top = _betti_over_field(f, q_max, QQ)
+    betas, proof = _exact(lambda modulus: _betti_over_field(f, q_max, Field(modulus)), plist)
     if betas is None:
         return koszul_smooth_table(n, d)
 
@@ -844,13 +843,14 @@ def graded_betti(f: Polynomial, max_degree=None, primes=None) -> BettiTable:
             f"the working primes {plist} are bad for this polynomial"
         )
 
-    boundary = {p: b for (p, q), b in betas.items() if q == top[p]}
-    q_max, m = top[-1], top[0]  # m < q_max exactly when J_f is proven m-regular
-    if boundary and m < q_max:
-        raise BadPrimeError(
-            f"J_f is proven {m}-regular, but positions {sorted(boundary)} have nonzero "
-            f"Betti numbers at q - p = {m}; the working primes {plist} are bad for this polynomial"
-        )
+    if proof:  # the pass ranked the band q - p <= m up to q = m+n+1
+        m, q_max = proof[0], proof[0] + n + 1
+        if edge := sorted(p for p, q in betas if q - p == m):
+            raise BadPrimeError(
+                f"J_f is proven {m}-regular, but positions {edge} have nonzero "
+                f"Betti numbers at q - p = {m}; the working primes {plist} are bad for this polynomial"
+            )
+    boundary = {p: b for (p, q), b in betas.items() if q == q_max}
     if boundary:
         raise IncompleteTableError(
             f"nonzero Betti numbers at the degree bound {q_max} in positions "

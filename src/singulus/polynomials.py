@@ -195,6 +195,11 @@ def pack(e) -> int:
     return sum(k << 16 * i for i, k in enumerate(e))
 
 
+# the most monomials one grevlex_columns call may build, those of its
+# smaller rings included: a table at the limit takes up to about 300 MB
+_MONOMIAL_BUDGET = 1 << 20
+
+
 @lru_cache(maxsize=None)
 def grevlex_columns(n: int, k: int) -> dict[int, int]:
     """Column of each degree-k monomial, keyed by pack, in a matrix whose
@@ -204,12 +209,25 @@ def grevlex_columns(n: int, k: int) -> dict[int, int]:
     the reversed vector (e_n, ..., e_0): the exponent of x_n runs
     downwards, and in front of each value come the cached indexes of the
     smaller degrees in x_0..x_(n-1), already in order.  Callers must not
-    change them.  A degree from 2^16 on raises ValueError before anything
-    is enumerated."""
+    change them.
+
+    A degree from 2^16 on raises ValueError before anything is enumerated,
+    and so does a call whose count C(n+k+1, k+1) is over _MONOMIAL_BUDGET:
+    its smaller rings' indexes of the degrees up to k hold one key fewer,
+    and its own C(n+k, k) keys are fewer still.  Under the budget a degree
+    k >= 2 nests at most 182 rings deep; the index of degree 1, which may
+    have far more variables, is spelled out."""
     if not 0 <= k < 1 << 16:
         raise ValueError(f"degree must be in [0, 2^16), got {k}")
-    if n == 0:
+    if (count := comb(n + k + 1, k + 1)) > _MONOMIAL_BUDGET:
+        raise ValueError(
+            f"degree {k} in x0..x{n} needs a monomial table of {count} entries, "
+            f"over the limit of {_MONOMIAL_BUDGET}"
+        )
+    if n == 0 or k == 0:
         return {k: 0}
+    if k == 1:  # x_n, .., x_0
+        return {1 << 16 * i: i for i in range(n, -1, -1)}
     step = 1 << 16 * n  # pack of x_n: t is x_n^(k-j) in front of the run of degree j
     keys = [h + t for j, t in enumerate(range(k * step, -1, -step)) for h in grevlex_columns(n - 1, j)]
     return dict(zip(keys, range(len(keys) - 1, -1, -1)))
@@ -223,6 +241,8 @@ def dim_degree_piece(n: int, k: int) -> int:
 # -- parsing -----------------------------------------------------------
 
 _TOKEN = re.compile(r"\d+|x\d+|[-+*^()/]")
+# each level of parentheses is four frames of the recursive descent
+_MAX_NESTING = 100
 
 
 def _tokenize(text: str):
@@ -248,6 +268,7 @@ class _Parser:
         self.n = n
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0  # parentheses open around the current token
 
     def peek(self):
         return self.tokens[self.i][0]
@@ -332,11 +353,15 @@ class _Parser:
                 )
             return Polynomial.variable(self.n, idx)
         if tok == "(":
+            if self.depth == _MAX_NESTING:
+                raise PolynomialSyntaxError(f"parentheses nest deeper than {_MAX_NESTING}", pos)
             self.take()
+            self.depth += 1
             inner = self.expression()
             if self.peek() != ")":
                 raise PolynomialSyntaxError("expected ')'", self.pos())
             self.take()
+            self.depth -= 1
             return inner
         raise PolynomialSyntaxError("expected a coefficient, variable or '('", pos)
 
@@ -345,8 +370,9 @@ def parse(text: str, n: int) -> Polynomial:
     """Parse an expression in x0..xn into expanded normal form.
 
     The grammar accepts signed rational coefficients ``p`` or ``p/q``,
-    variables ``x<k>``, powers ``^e`` with 1 <= e < 2^16, parentheses, and
-    implicit or explicit multiplication.  Errors carry the byte offset.
+    variables ``x<k>``, powers ``^e`` with 1 <= e < 2^16, parentheses
+    nested at most _MAX_NESTING deep, and implicit or explicit
+    multiplication.  Errors carry the byte offset.
     """
     return _Parser(text, n).parse()
 

@@ -232,6 +232,16 @@ def test_analyze_betti_file_that_is_not_json_exits_1(tmp_path, capsys, text):
     assert err.startswith("error: not valid JSON: ") and err.count("\n") == 1
 
 
+def test_analyze_betti_document_nested_too_deep_exits_1(tmp_path):
+    # the decoder recurses per level and runs out of stack
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    res = run_cli("analyze-betti", str(deep))
+    assert res.returncode == 1
+    assert "Traceback" not in res.stderr
+    assert res.stderr.startswith("error: not valid JSON: ") and res.stderr.count("\n") == 1
+
+
 def test_analyze_betti_missing_file_exits_1():
     res = run_cli("analyze-betti", "no-such-file.json")
     assert res.returncode == 1
@@ -282,6 +292,23 @@ def test_inspect_poly_non_homogeneous_exits_1():
 def test_inspect_poly_refuses_a_degree_of_2_to_the_16_before_expanding_it(capsys, expr, message):
     assert cli.main(["inspect-poly", "--expr", expr]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_inspect_poly_refuses_parentheses_nested_too_deep():
+    res = run_cli("inspect-poly", "--expr", "(" * 3000 + "x0" + ")" * 3000)
+    assert res.returncode == 1
+    assert "Traceback" not in res.stderr
+    assert res.stderr == "error: parentheses nest deeper than 100 (offset 100)\n"
+
+
+def test_inspect_poly_refuses_a_monomial_table_past_the_limit():
+    # 401 variables: the count of the degree-2 index, C(403, 3), is over the limit
+    res = run_cli("inspect-poly", "--expr", "x0^3+x1^3+x2^3", "--n", "400", "--format", "json")
+    assert res.returncode == 1
+    assert "Traceback" not in res.stderr
+    table = "degree 2 in x0..x400 needs a monomial table of 10827401 entries, over the limit of 1048576"
+    assert res.stderr.splitlines() == [f"error: {side} failed: {table}" for side in ("hilbert_fit", "graded_betti")]
+    assert json.loads(res.stdout)["deviations"] == [line.removeprefix("error: ") for line in res.stderr.splitlines()]
 
 
 def test_inspect_poly_has_no_sqfree_trials_option(capsys):

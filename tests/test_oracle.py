@@ -253,6 +253,21 @@ def test_hilbert_fit_window_too_small():
             "degree must be below 2^16, got 65536",
             id="degree-past-the-packed-keys",
         ),
+        pytest.param(
+            lambda: hilbert_fit(parse("x0^3000+x1^3000+x2^3000", 2)),
+            "degree 2999 in x0..x2 needs a monomial table of 4504501 entries, over the limit of 1048576",
+            id="monomial-table-of-a-high-degree",
+        ),
+        pytest.param(
+            lambda: hilbert_fit(parse("x0^3+x1^3+x2^3", 400)),
+            "degree 2 in x0..x400 needs a monomial table of 10827401 entries, over the limit of 1048576",
+            id="monomial-table-of-many-variables",
+        ),
+        pytest.param(
+            lambda: hilbert_fit(CUSP_POLY, primes=[3317044064679887385961981, 5]),
+            "3317044064679887385961981 is too large: pinned primes must be below 3317044064679887385961981",
+            id="pinned-prime-at-the-ceiling",
+        ),
     ],
 )
 def test_out_of_range_arguments_are_refused(call, message):
@@ -902,7 +917,7 @@ def test_pruned_koszul_blocks_keep_the_rank_of_the_full_block(monkeypatch, f, pr
         monkeypatch.setattr(oracle, "_koszul_rank", record_block)
         monkeypatch.setattr(oracle, "_pruned_blocks", blocks)
         try:
-            betas, top = _betti_over_field(f, q_max, field)
+            betas, proof = _betti_over_field(f, q_max, field)
         except _NonUnitPivot:
             assert primes and field.modulus is not None  # QQ then covers it
             continue
@@ -912,11 +927,12 @@ def test_pruned_koszul_blocks_keep_the_rank_of_the_full_block(monkeypatch, f, pr
             assert ranked == kernel_calls == []  # an empty piece ends the pass before any rank
             continue
         # every Koszul rank of the pass in its band q - p <= m, in its
-        # order: each degree q up to top[n+1] from p = min(q, n+1) down to
-        # max(2, q-m), where m = top[0], or the bound without a proof
-        m = top[0]
+        # order: each degree q up to m+n+1 from p = min(q, n+1) down to
+        # max(2, q-m), where (m, j) is the proof; without one, every q up
+        # to the bound, m = q_max
+        m, top = (proof[0], proof[0] + n + 1) if proof else (q_max, q_max)
         order = [
-            (p, q) for q in range(top[-1] + 1) for p in range(min(q, n + 1), max(2, q - m) - 1, -1)
+            (p, q) for q in range(top + 1) for p in range(min(q, n + 1), max(2, q - m) - 1, -1)
         ]
         assert len(ranked) == len(kernel_calls) == len(order)  # one kernel call per block
         above = None  # (q, pivot columns) of d_(p+1) in the same degree

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from singulus.errors import PolynomialSyntaxError
 from singulus.polynomials import (
+    _MONOMIAL_BUDGET,
     Polynomial,
     _gcd_with_derivative_degree,
     grevlex_columns,
@@ -71,6 +73,8 @@ def test_parse_parentheses_expand():
         (parse, "1/0*x0", "zero denominator", 2),
         (parse, "(x0+x1", "expected ')'", 6),
         (parse, "x0+*x1", "expected a coefficient, variable or '('", 3),
+        # the 101st open parenthesis, at offset 3 + 100
+        (parse, "x0+" + "(" * 101 + "x1" + ")" * 101, "parentheses nest deeper than 100", 103),
         (lambda text, n: infer_variable_count(text), "1+2", "no variables found", 0),
     ],
 )
@@ -79,6 +83,12 @@ def test_syntax_errors_name_the_fault_and_its_offset(call, text, message, offset
         call(text, 2)
     assert str(err.value) == f"{message} (offset {offset})"
     assert err.value.offset == offset
+
+
+def test_parentheses_nest_up_to_the_limit():
+    # a closed parenthesis no longer counts, so siblings may each nest 100 deep
+    deep = "(" * 100 + "x0+x1" + ")" * 100
+    assert parse(f"{deep}*{deep}", 1) == parse("(x0+x1)^2", 1)
 
 
 def test_parse_rejects_stray_division():
@@ -239,6 +249,21 @@ def test_grevlex_columns_refuse_a_degree_whose_keys_would_overlap():
         with pytest.raises(ValueError, match="degree must be in"):
             grevlex_columns(2, k)
     assert grevlex_columns.cache_info().currsize == before  # nothing was enumerated
+
+
+def test_grevlex_columns_refuse_a_table_past_the_limit_before_building_it():
+    before = grevlex_columns.cache_info().currsize
+    for n, k in ((2, 1448), (183, 2), (69, 3), (10**6, 1)):
+        assert comb(n + k + 1, k + 1) > _MONOMIAL_BUDGET
+        with pytest.raises(ValueError, match=f"^degree {k} in x0..x{n} needs a monomial table of"):
+            grevlex_columns(n, k)
+    assert grevlex_columns.cache_info().currsize == before  # nothing was enumerated
+    # the most variables the index of degree 1 may have, more than the
+    # rings a recursion could nest: it is built without one
+    n = max(n for n in range(2000) if comb(n + 2, 2) <= _MONOMIAL_BUDGET)
+    assert n > sys.getrecursionlimit()
+    assert list(grevlex_columns(n, 1).items())[-3:] == [(pack((0, 0, 1)), 2), (pack((0, 1)), 1), (pack((1,)), 0)]
+    assert grevlex_columns(10**6, 0) == {0: 0}
 
 
 def _random_poly(draw, n, max_degree=4, max_terms=5):
