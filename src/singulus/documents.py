@@ -11,14 +11,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+from itertools import groupby
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .errors import DocumentError
-from .tables import BettiTable, _plain_shifts
+from .tables import _INT, BettiTable, _plain_shifts
 
-# a list or tuple of exactly these types goes to the C encoder in one call
+# an array of exactly these types, not all ints, goes to the C encoder
 _FLAT = frozenset({int, str, float, bool, type(None)})
+# the JSON type of each exact type; other values take json's isinstance tests
+_EXACT = {t: t for t in _FLAT} | {list: list, tuple: list, dict: dict}
 
 
 def canonical_json(obj) -> str:
@@ -26,8 +29,9 @@ def canonical_json(obj) -> str:
     newline.  Raises TypeError on anything that is not a JSON value.
 
     ``json`` falls back to its pure-Python encoder whenever ``indent`` is
-    set, so the containers are laid out here and flat lists are handed to
-    the C encoder with the line break inside the item separator.
+    set, so the containers are laid out here, plain int arrays run by run,
+    and other flat arrays are handed to the C encoder with the line break
+    inside the item separator.
     """
     parts = []
     _encode(obj, "\n", parts.append)
@@ -35,53 +39,63 @@ def canonical_json(obj) -> str:
     return "".join(parts)
 
 
+def _json_type(o):
+    """The JSON type of a subclass, by the tests ``json`` runs in its
+    order, so it serializes as its base value."""
+    for base in (str, int, float, list, tuple, dict):
+        if isinstance(o, base):
+            return _EXACT[base]
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
 def _encode(o, newline, emit):
     """Emit o as it sits on a line that ``newline`` starts (with its indent).
 
-    The type tests run in the order ``json`` runs them, and ints and floats
-    are written through ``int.__repr__`` and ``json.dumps`` as ``json``
-    writes them, so subclasses serialize as their base values.
+    Ints and floats are written through ``int.__repr__`` and ``json.dumps``
+    as ``json`` writes them.
     """
-    if isinstance(o, str):
+    kind = _EXACT.get(type(o)) or _json_type(o)
+    if kind is str:
         emit(encode_basestring_ascii(o))
-    elif o is None:
-        emit("null")
-    elif o is True:
-        emit("true")
-    elif o is False:
-        emit("false")
-    elif isinstance(o, int):
+    elif kind is int:
         emit(int.__repr__(o))
-    elif isinstance(o, float):
-        emit(json.dumps(o))
-    elif isinstance(o, (list, tuple)):
+    elif kind is list:
         if not o:
             emit("[]")
             return
         inner = newline + "  "
+        sep = "," + inner
+        if _INT.issuperset(map(type, o)):
+            # only plain ints: True == 1 and 0.0 == -0.0 would join runs
+            # whose entries are written differently
+            runs = "".join((int.__repr__(v) + sep) * len(list(g)) for v, g in groupby(o))
+            emit("[" + inner + runs[: -len(sep)] + newline + "]")
+            return
         if _FLAT.issuperset(map(type, o)):
-            flat = json.dumps(o, separators=("," + inner, ": "))
+            flat = json.dumps(o, separators=(sep, ": "))
             emit("[" + inner + flat[1:-1] + newline + "]")
             return
-        sep = "[" + inner
+        lead = "[" + inner
         for value in o:
-            emit(sep)
+            emit(lead)
             _encode(value, inner, emit)
-            sep = "," + inner
+            lead = sep
         emit(newline + "]")
-    elif isinstance(o, dict):
+    elif kind is dict:
         if not o:
             emit("{}")
             return
         inner = newline + "  "
         sep = "{" + inner
         for key, value in sorted(o.items()):
-            emit(sep + encode_basestring_ascii(_key(key)) + ": ")
+            emit(sep + encode_basestring_ascii(key if type(key) is str else _key(key)) + ": ")
             _encode(value, inner, emit)
             sep = "," + inner
         emit(newline + "}")
+    elif kind is float:
+        emit(json.dumps(o))
     else:
-        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        emit("null" if o is None else "true" if o else "false")
 
 
 def _key(key) -> str:

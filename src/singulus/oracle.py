@@ -177,19 +177,21 @@ def default_primes(f: Polynomial, part: int = 0) -> tuple[int, int]:
 
 
 def _partials(f: Polynomial, modulus=None):
-    """The partials' term lists over Q, or over Z/N for a modulus N: the
-    rows of the degree-(d-1) block reduced mod N, which are the partials
-    themselves, terms that vanish mod N left out.  A nonzero partial that
-    a factor of N kills raises _NonUnitPivot (see _exact)."""
+    """The partials' term lists over Q, or over Z/N for a modulus N: each
+    partial, as a row over its packed exponents (all below 2^(16(n+1)),
+    see pack), reduced mod N in its own term order, terms that vanish
+    mod N left out.  A denominator that shares a factor with N raises
+    BadPrimeError (see reduce_mod); a nonzero partial that a factor of N
+    kills raises _NonUnitPivot (see _exact)."""
+    terms = _partial_terms(f)
     if modulus is None:
-        return _partial_terms(f)
-    keys = list(reversed(grevlex_columns(f.n, f.degree - 1)))  # in column order
-    block = reduce_mod(_jacobian_matrix(f, f.degree - 1), modulus)
+        return terms
+    rows = SparseMatrix._from_rows(1 << 16 * (f.n + 1), [dict(t) for t in terms])
     out = []
-    for terms, row in zip(_partial_terms(f), block.data):
-        if terms and gcd(modulus, *row.values()) > 1:
+    for t, row in zip(terms, reduce_mod(rows, modulus).data):
+        if t and gcd(modulus, *row.values()) > 1:
             raise _NonUnitPivot(f"a factor of {modulus} kills a partial")
-        out.append([(keys[c], v) for c, v in row.items()])
+        out.append(list(row.items()))
     return out
 
 

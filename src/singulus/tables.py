@@ -43,8 +43,10 @@ class BettiTable:
         for k, col in enumerate(self.columns, start=1):
             if not isinstance(col, tuple):
                 raise ValueError(f"column {k} must be a tuple")
-            if _plain_shifts(col) and all(map(le, col, col[1:])):
-                continue
+            # a sorted column of plain ints is non-negative when its first entry is
+            if _INT.issuperset(map(type, col)) and all(map(le, col, col[1:])):
+                if not col or col[0] >= 0:
+                    continue
             for e in col:
                 if not isinstance(e, int) or isinstance(e, bool) or e < 0:
                     raise ValueError(f"column {k} entries must be non-negative integers")

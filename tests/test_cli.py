@@ -17,6 +17,7 @@ from singulus.documents import (
 )
 from singulus.errors import DocumentError
 from singulus.tables import BettiTable
+from _helpers import generate_repaired_tables
 
 REPO = Path(__file__).resolve().parent.parent
 FIXTURES = REPO / "fixtures"
@@ -94,8 +95,20 @@ def _dicts(values):
     return st.dictionaries(_str_keys, values) | st.dictionaries(_number_keys, values)
 
 
+def _runs(entries):
+    """Arrays of runs of equal entries, each run up to 40 long."""
+    return st.lists(st.tuples(entries, st.integers(1, 40)), max_size=6).map(
+        lambda runs: [v for v, length in runs for _ in range(length)]
+    )
+
+
+# int arrays are written run by run; a bool or an _Int beside ints equal
+# to it must break the run
+_int_runs = _runs(st.integers(-2, 2) | st.integers()) | _runs(
+    st.integers(-1, 1) | st.booleans() | st.builds(_Int, st.integers(-1, 1))
+)
 _json_values = st.recursive(
-    _scalars | st.lists(st.integers() | st.booleans()),
+    _scalars | st.lists(st.integers() | st.booleans()) | _int_runs,
     lambda inner: st.one_of(
         st.lists(inner),
         st.lists(inner).map(tuple),
@@ -109,6 +122,16 @@ _json_values = st.recursive(
 @given(_json_values)
 def test_canonical_json_is_the_indented_json_dumps_bytes(value):
     assert canonical_json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "array",
+    [[], [-3], [0] * 50, [2] * 9 + [-1] * 4 + [2] * 3, [1, 1, True, 1, 1], [0, 0, _Int(0), 0]],
+    ids=["empty", "one", "one-run", "negative-runs", "bool-in-run", "subclass-in-run"],
+)
+def test_canonical_json_writes_int_runs_as_json_does(array):
+    for value in (array, tuple(array), {"a": array}, [{"b": [array, array]}]):
+        assert canonical_json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
 
 
 def test_canonical_json_rejects_what_is_not_json():
@@ -194,6 +217,17 @@ def test_analyze_betti_obstructed_table_exits_2(tmp_path):
     doc = json.loads(res.stdout)
     assert doc["obstructions"] == ["euler"]
     assert doc["verdict"] == {"kind": "inconsistent", "reason": "euler"}
+
+
+def test_analyze_betti_json_is_canonical_on_a_large_table(tmp_path):
+    table = max(
+        (table for _, table in generate_repaired_tables(7, 100)), key=lambda t: sum(map(len, t.columns))
+    )
+    path = tmp_path / "large.json"
+    path.write_text(canonical_json(table_to_document(table)))
+    res = run_cli("analyze-betti", str(path), "--format", "json")
+    assert res.returncode in (0, 2), res.stderr
+    assert res.stdout == json.dumps(json.loads(res.stdout), sort_keys=True, indent=2) + "\n"
 
 
 def test_analyze_betti_smooth_table_exits_0():

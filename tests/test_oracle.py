@@ -2020,6 +2020,62 @@ def test_a_prime_killing_a_partial_splits_both_sides(f):
         assert hilbert_fit(f, primes=primes) == fit, primes
 
 
+
+# the pinned primes that tests/test_cli.py passes to inspect-poly, with the
+# lone primes among them
+_CLI_PINNED = [
+    ("x0^3+x1^3+x2^3", [1073741831, 2147483629]),
+    ("x0^3+x1^3+x2^3", [3, 5]),
+    ("x0^3+x1^3+x2^3", [3]),
+    ("1/3*x0^4+x1^4+x2^4", [3, 5]),
+    ("x0^3+(x1+x2)^3+10*x2^3", [5]),
+    ("x0*x1*x2+x3^3", [399165290221]),
+    ("1/3*x0^4+1/5*x1^4+x2^4", [5, 3]),
+    ("1/15*x0^4+x1^4+x2^4", [5, 3]),
+    ("x0^3+(x1+x2)^3+5*x2^3", [5]),
+    ("x0^3+x1^3+x2^3+7*x0*x1*x2", [37]),
+    ("x0^3+x1^3+x2^3+7*x0*x1*x2", [37, 41]),
+]
+
+
+def _partials_by_matrix(f, modulus):
+    """The partials mod N as the rows of the degree-(d-1) Jacobian block
+    reduced mod N, with each column mapped back to its packed exponents:
+    the reference for _partials.  Raises _NonUnitPivot where a factor of N
+    kills a nonzero partial."""
+    keys = list(reversed(grevlex_columns(f.n, f.degree - 1)))
+    rows = reduce_mod(_jacobian_matrix(f, f.degree - 1), modulus).data
+    for terms, row in zip((f.partial(i).terms for i in range(f.n + 1)), rows):
+        if terms and gcd(modulus, *row.values()) > 1:
+            raise _NonUnitPivot(modulus)
+    return [[(keys[c], v) for c, v in row.items()] for row in rows]
+
+
+def _partials_cases():
+    for f, primes in golden_inputs():
+        for plist in (default_primes(f), default_primes(f, 1), primes or ()):
+            if plist:
+                yield f, prod(set(plist))
+    for text, primes in _CLI_PINNED:
+        yield parse(text, infer_variable_count(text)), prod(set(primes))
+
+
+def test_partials_reduce_as_the_degree_d_minus_1_block_does():
+    outcomes = set()
+    for f, modulus in _partials_cases():
+        try:
+            expected = _partials_by_matrix(f, modulus)
+        except (BadPrimeError, _NonUnitPivot) as exc:
+            with pytest.raises(type(exc)) as got:
+                _partials(f, modulus)
+            if isinstance(exc, BadPrimeError):
+                assert got.value.prime == exc.prime
+            outcomes.add(type(exc).__name__)
+        else:
+            assert _partials(f, modulus) == expected, (f, modulus)
+            outcomes.add("equal")
+    assert outcomes == {"equal", "BadPrimeError", "_NonUnitPivot"}
+
 @pytest.mark.parametrize(
     "f, primes",
     # 3 kills the partial 3*x3^2; the second reaches its proven stop
