@@ -51,6 +51,7 @@ from .linalg import (
 )
 from .polynomials import (
     Polynomial,
+    _integral_terms,
     _seed_of,
     dim_degree_piece,
     grevlex_columns,
@@ -111,9 +112,8 @@ def _working_primes(f: Polynomial, primes, part: int) -> list[int]:
     the input digest (see default_primes).  Distinct, because the
     pipelines work mod their product, which must be squarefree, so a
     pinned prime must lie below _MR_EXACT_BELOW, where the test is exact.
-    Pinned primes are never replaced: the first one, in the given order,
-    that divides a denominator of a partial raises BadPrimeError naming
-    it."""
+    Any prime reduces the partials, which are integral (see
+    _partial_terms)."""
     if not primes:
         return list(default_primes(f, part))
     for p in primes:
@@ -121,9 +121,6 @@ def _working_primes(f: Polynomial, primes, part: int) -> list[int]:
             raise ValueError(f"{p} is too large: pinned primes must be below {_MR_EXACT_BELOW}")
         if not is_probable_prime(p):
             raise ValueError(f"{p} is not prime")
-    for p in primes:
-        if _divides_a_denominator(f, p):
-            raise BadPrimeError(f"a coefficient of a partial has a denominator divisible by {p}", prime=p)
     return list(dict.fromkeys(primes))
 
 
@@ -144,45 +141,33 @@ def _exact(run, plist):
 
 @lru_cache(maxsize=64)
 def _partial_terms(f: Polynomial):
-    """Each partial derivative as (packed exponents, coefficient) pairs (see
-    pack); integral coefficients become plain ints.  Every degree of both
+    """The partial derivatives of F, f times the lcm of its denominators
+    (see _integral_terms), each as (packed exponents, int coefficient)
+    pairs (see pack) in F's term order.  J_F = J_f, so both pipelines work
+    on F: f itself for integral coefficients.  Every degree of both
     pipelines asks for them, so they are cached; callers must not change
     the lists."""
-    return [
-        [(pack(e), c.numerator if c.denominator == 1 else c) for e, c in f.partial(i).terms.items()]
-        for i in range(f.n + 1)
-    ]
-
-
-def _divides_a_denominator(f: Polynomial, p: int) -> bool:
-    """Whether p divides the denominator of some coefficient of a partial,
-    the one thing that stops the partials from being reduced mod p."""
-    return any(c.denominator % p == 0 for terms in _partial_terms(f) for _, c in terms)
+    terms = [(pack(e), e, c) for e, c in _integral_terms(f).items()]
+    return [[(key - (1 << 16 * i), c * e[i]) for key, e, c in terms if e[i]] for i in range(f.n + 1)]
 
 
 @lru_cache(maxsize=64)
 def default_primes(f: Polynomial, part: int = 0) -> tuple[int, int]:
     """Working primes derived deterministically from the input digest: the
-    first two of the stream seeded by its ``part`` that divide no
-    denominator of a partial, so a derived prime is never bad.
+    first two of the stream seeded by its ``part``.
 
     The Betti side uses part 0 and the Hilbert side part 1, so the two
     sides compare four primes, not one pair twice.  Cached per polynomial;
     the tuple is shared by every caller."""
-    seed, count, good = _seed_of(f, part), 2, []
-    while len(good) < 2:
-        good = [p for p in deterministic_primes(seed, count) if not _divides_a_denominator(f, p)]
-        count += 2 - len(good)
-    return tuple(good)
+    return tuple(deterministic_primes(_seed_of(f, part), 2))
 
 
 def _partials(f: Polynomial, modulus=None):
     """The partials' term lists over Q, or over Z/N for a modulus N: each
     partial, as a row over its packed exponents (all below 2^(16(n+1)),
     see pack), reduced mod N in its own term order, terms that vanish
-    mod N left out.  A denominator that shares a factor with N raises
-    BadPrimeError (see reduce_mod); a nonzero partial that a factor of N
-    kills raises _NonUnitPivot (see _exact)."""
+    mod N left out.  A nonzero partial that a factor of N kills raises
+    _NonUnitPivot (see _exact)."""
     terms = _partial_terms(f)
     if modulus is None:
         return terms
@@ -267,8 +252,9 @@ def _pruned_blocks(gens, deg: int, n: int, modulus, rank):
 
 
 def _jacobian_matrix(f: Polynomial, k: int) -> SparseMatrix:
-    """The full degree-k block of the partials over Q, every generator
-    m*f_i: the reference the pruned blocks are tested against."""
+    """The full degree-k block of F's partials (see _partial_terms) over
+    Q, every generator m*F_i: the reference the pruned blocks are tested
+    against."""
     return _jacobian_block(_partial_terms(f), f.degree - 1, f.n, k)[0]
 
 
@@ -286,7 +272,6 @@ def milnor_dimension(f: Polynomial, k: int, primes=None, *, chain=None) -> int:
 
     The block is ranked once, mod the product N of the working primes or,
     after a split, over Q (see _exact).
-    A pinned prime dividing a denominator raises first (see _working_primes).
     ``chain`` is a Hilbert pass's _pruned_blocks, which prunes each degree
     by the one d-1 below; a split there raises to the pass.  Without it
     the block is full."""

@@ -399,6 +399,15 @@ def _seed_of(f: Polynomial, part: int = 0) -> int:
     return int(_input_digest(f)[16 * part : 16 * part + 16], 16)
 
 
+def _integral_terms(f: Polynomial) -> dict[tuple[int, ...], int]:
+    """The terms of f times the lcm of its denominators, as plain ints in
+    f's term order: f itself for integral coefficients.  A nonzero multiple
+    has the same partials' ideal and the same factors, and this one is
+    integral, so no prime divides a denominator of it."""
+    scale = lcm(*(c.denominator for c in f.terms.values()))
+    return {e: c.numerator * (scale // c.denominator) for e, c in f.terms.items()}
+
+
 # a Mersenne prime far above any accepted degree: the squarefree check's modulus
 _P = (1 << 61) - 1
 
@@ -419,8 +428,7 @@ def squarefree_check(f: Polynomial) -> bool:
     """
     if f.is_zero() or not f.is_homogeneous() or f.degree < 1:
         raise ValueError("squarefree check needs a nonzero homogeneous f of degree >= 1")
-    scale = lcm(*(c.denominator for c in f.terms.values()))
-    ints = {e: c.numerator * (scale // c.denominator) for e, c in f.terms.items()}
+    ints = _integral_terms(f)
     content = gcd(*ints.values())
     terms = {e: v // content % _P for e, v in ints.items()}
     rng = random.Random(_seed_of(f))

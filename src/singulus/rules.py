@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, isqrt
 
-from .polynomials import dim_degree_piece
+from .polynomials import _MONOMIAL_BUDGET, dim_degree_piece
 from .tables import BettiTable
 
 
@@ -137,9 +137,13 @@ def koszul_smooth_table(n: int, d: int) -> BettiTable:
 
     Column k holds C(n+1, k+1) copies of k(d-1); this is the unique table
     with all power sums at their expected values, i.e. the smooth profile.
+    A table of more than _MONOMIAL_BUDGET shifts, 2^(n+1) - n - 2 in all,
+    is refused: n >= 20.
     """
     if n < 2 or d < 3:
         raise ValueError("need n >= 2 and d >= 3")
+    if (count := (1 << n + 1) - n - 2) > _MONOMIAL_BUDGET:
+        raise ValueError(f"a smooth table for n = {n} holds {count} shifts, over the limit of {_MONOMIAL_BUDGET}")
     cols = {k: [k * (d - 1)] * comb(n + 1, k + 1) for k in range(1, n + 1)}
     return BettiTable.of(n, d, cols)
 

@@ -436,8 +436,8 @@ def test_inspect_poly_prime_dividing_every_coefficient_falls_back_to_rationals()
 @pytest.mark.parametrize(
     "expr, primes, reason",
     [
-        # a denominator vanishes mod 3
-        ("1/3*x0^4+x1^4+x2^4", ["3", "5"], "divisible by 3"),
+        # 15 = 3*5 is a product, not a prime
+        ("x0^3+x1^3+x2^3", ["15"], "15 is not prime"),
         # one prime, under which the partials are dependent but none
         # vanishes, so position 1 comes out wrong
         ("x0^3+(x1+x2)^3+10*x2^3", ["5"], "primes [5] are bad"),
@@ -474,15 +474,24 @@ def test_inspect_poly_refuses_a_strong_pseudoprime(pseudoprime, reason):
     assert all(line.endswith(reason) for line in lines)
 
 
-@pytest.mark.parametrize("expr", ["1/3*x0^4+1/5*x1^4+x2^4", "1/15*x0^4+x1^4+x2^4"])
-def test_inspect_poly_names_the_first_pinned_prime_dividing_a_denominator(expr):
-    # both 5 and 3 divide a denominator: 5 comes first on the command line
-    res = run_cli("inspect-poly", "--expr", expr, "--prime", "5", "--prime", "3")
-    assert res.returncode == 1
-    assert "Traceback" not in res.stderr
-    lines = res.stderr.splitlines()
-    assert [line.split(":")[1] for line in lines] == [" hilbert_fit failed", " graded_betti failed"]
-    assert all(line.endswith("divisible by 5") for line in lines)
+@pytest.mark.parametrize(
+    "expr, primes",
+    [
+        ("1/3*x0^4+x1^4+x2^4", ["3", "5"]),
+        ("1/3*x0^4+1/5*x1^4+x2^4", ["5", "3"]),
+        ("1/15*x0^4+x1^4+x2^4", ["5", "3"]),
+    ],
+)
+def test_inspect_poly_answers_pinned_denominator_primes(expr, primes):
+    # the oracle works on f times the lcm of its denominators, whose
+    # partials are integral, so any prime reduces them.  Each pair here
+    # kills a partial of that multiple, so both sides rerun over Q and the
+    # report is the derived primes' one, byte for byte
+    args = [arg for p in primes for arg in ("--prime", p)]
+    pinned = run_cli("inspect-poly", "--expr", expr, *args, "--format", "json")
+    derived = run_cli("inspect-poly", "--expr", expr, "--format", "json")
+    assert (pinned.returncode, pinned.stderr) == (0, "")
+    assert pinned.stdout == derived.stdout
 
 
 def test_inspect_poly_lone_prime_with_dependent_partials_fails_both_sides():
@@ -668,6 +677,13 @@ def test_smooth_table_usage_error():
         res = run_cli("smooth-table", *args)
         assert (res.returncode, res.stdout) == (1, "")
         assert res.stderr == "error: need n >= 2 and d >= 3\n"
+
+
+def test_smooth_table_past_the_monomial_budget_is_refused():
+    # 2^41 - 42 shifts: refused before any column is built
+    res = run_cli("smooth-table", "40", "3")
+    assert (res.returncode, res.stdout) == (1, "")
+    assert res.stderr == "error: a smooth table for n = 40 holds 2199023255510 shifts, over the limit of 1048576\n"
 
 
 def test_hspog_outputs():

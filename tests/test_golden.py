@@ -26,6 +26,7 @@ import pytest
 
 from singulus.cli import main
 from singulus.documents import canonical_json, digest_of, report_to_document
+from singulus.polynomials import infer_variable_count, parse
 from singulus.rules import full_report, koszul_smooth_table
 
 from _helpers import (
@@ -77,14 +78,18 @@ CASES = {
 # the paper's theorem where it first bites: an hspog surface (delta 1,
 # degree 5), an irreducible hspog cubic surface (delta 1 = n-2, degree 1,
 # though hspog_dim_guarantee(3, 3) is false), an hspog threefold past the
-# threshold (delta 2, degree 14), whose expression starts with "-", and a
-# threefold of degree 80 with a proven stop 13; the oracle's tests leave
-# these out of golden_inputs, as checking the hspog threefold against its
-# full blocks alone takes minutes
+# threshold (delta 2, degree 14), whose expression starts with "-", two
+# irreducible hspog threefolds (delta 2; degree 14 for the sextic, past
+# the threshold, degree 4 for the quartic, below it), singular along
+# x3 = x4 = 0 by construction, and a threefold of degree 80 with a proven
+# stop 13; the oracle's tests leave these out of golden_inputs, as
+# checking the hspog threefold against its full blocks alone takes minutes
 THEOREM_CASES = {
     "hspog_surface": _inspect("x0^2*x1*x2+x2^4+2*x0^3*x3"),
     "hspog_cubic_surface": _inspect("-x2^3-x0*x2*x3+2*x1*x3^2"),
     "hspog_threefold": _inspect("-x0*x1*x2^3*x4+x0^2*x1*x2*x4^2+x1^2*x2*x3*x4^2"),
+    "hspog_sextic_threefold": _inspect("x0*x3^5-x1*x3^2*x4^3-x2*x3^3*x4^2+x3^6+x4^6"),
+    "hspog_quartic_threefold": _inspect("2*x0*x3^3-x1*x3*x4^2+x2*x3^2*x4-x4^4"),
     "threefold_degree_80": _inspect("x0^5*x4+x1^5*x3+x2^6"),
 }
 CASES.update(THEOREM_CASES)
@@ -145,6 +150,22 @@ def test_report_is_byte_identical(name, expected):
 def test_text_report_has_no_trailing_whitespace(name):
     _, out, _ = run(CASES[name])
     assert [line for line in out.splitlines() if line != line.rstrip()] == []
+
+
+@pytest.mark.parametrize("name", ["hspog_sextic_threefold", "hspog_quartic_threefold"])
+def test_the_irreducible_hspog_threefolds_are_irreducible(name):
+    # f = x0*A + x1*B + x2*C + D with A, B, C, D forms in x3, x4 has degree
+    # 1 in x0, x1, x2 together, so a factorization has a factor h in x3,
+    # x4 alone, and h divides A, B, C and D.  With A = c*x3^a and a term
+    # x4^e in D, h divides x3^a, and x3 does not divide D, so h is a
+    # constant: f is irreducible
+    expr = CASES[name][2]
+    f = parse(expr, infer_variable_count(expr))
+    assert f.n == 4
+    assert all(e[0] + e[1] + e[2] <= 1 for e in f.terms)
+    a_terms = [e for e in f.terms if e[0]]
+    assert len(a_terms) == 1 and a_terms[0][4] == 0
+    assert any(e[:4] == (0, 0, 0, 0) for e in f.terms)
 
 
 def test_rule_engine_documents_are_byte_identical():

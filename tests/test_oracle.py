@@ -4,7 +4,7 @@ import random
 import sys
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd, prod
+from math import comb, gcd, lcm, prod
 from types import SimpleNamespace
 
 import pytest
@@ -150,6 +150,19 @@ def walked_degrees(n, d, value):
         if value(k) != series[k]:
             break
     return walk
+
+
+def test_the_smooth_series_is_the_hilbert_function_of_the_koszul_table():
+    # both sides prove a smooth input from _complete_intersection, and the
+    # rule engine reads the smooth table's values off its shifts: up to two
+    # degrees past K = (n+1)(d-2)+1 the three agree
+    for n in range(2, 6):
+        for d in range(3, 7):
+            table, top = koszul_smooth_table(n, d), (n + 1) * (d - 2) + 3
+            series = complete_intersection_series(n, d, top)
+            for k in range(top + 1):
+                got = oracle._complete_intersection(n, d, k), hilbert_function_from_table(table, k)
+                assert got == (series[k], series[k]), (n, d, k)
 
 
 def test_milnor_dimension_reference_values():
@@ -1978,21 +1991,17 @@ def literal_jacobian_entries(f, k):
     ],
 )
 def test_jacobian_matrix_matches_monomial_products(f):
+    # the blocks are those of F, f times the lcm of its denominators
+    F = f.scale(lcm(*(c.denominator for c in f.terms.values())))
     for k in range(f.degree + 3):
         m = _jacobian_matrix(f, k)
-        rows, cols, literal = literal_jacobian_entries(f, k)
+        rows, cols, literal = literal_jacobian_entries(F, k)
         assert (m.rows, m.cols, entries(m)) == (rows, cols, literal)
-        # integral coefficients enter as plain ints
-        assert all(type(v) is int or v.denominator != 1 for v in entries(m).values())
+        # F's coefficients enter as plain ints
+        assert all(type(v) is int for v in entries(m).values())
         # over F_p: every value mapped by the reference, zeros dropped
         for p in (3, 5, 2147483647):
-            try:
-                expected = {rc: x for rc, v in literal.items() if (x := residue(v, p))}
-            except ZeroDivisionError:
-                with pytest.raises(BadPrimeError) as err:
-                    jacobian_mod(f, k, p)
-                assert err.value.prime == p
-                continue
+            expected = {rc: x for rc, v in literal.items() if (x := residue(v, p))}
             m = jacobian_mod(f, k, p)
             assert (m.rows, m.cols, m.modulus, entries(m)) == (rows, cols, p, expected)
 
@@ -2060,21 +2069,62 @@ def _partials_cases():
         yield parse(text, infer_variable_count(text)), prod(set(primes))
 
 
+def test_partial_terms_of_an_integral_f_are_its_partials():
+    # on integer coefficients F = f: the terms are those of f.partial(i),
+    # plain ints in the same order, on the goldens, which hold the bench
+    # corpora, and on the theorem cases
+    inputs = [f for f, _ in golden_inputs()]
+    inputs += [parse(argv[2], infer_variable_count(argv[2])) for argv in THEOREM_CASES.values()]
+    for f in inputs:
+        assert all(c.denominator == 1 for c in f.terms.values())
+        expected = [[(pack(e), c.numerator) for e, c in f.partial(i).terms.items()] for i in range(f.n + 1)]
+        got = oracle._partial_terms(f)
+        assert got == expected, f
+        assert all(type(c) is int for terms in got for _, c in terms)
+
+
+def _fit_and_table(f, primes):
+    out = []
+    for side in (hilbert_fit, graded_betti):
+        try:
+            out.append(side(f, primes=primes))
+        except (ValueError, WindowTooSmallError) as exc:
+            out.append((type(exc).__name__, str(exc)))
+    return out
+
+
+def test_a_constant_multiple_has_the_same_fit_and_table():
+    # J_(c*f) = J_f, and the oracle works on the integral multiple F of
+    # each: with the derived primes, which differ between f and c*f, and
+    # with 3 and 5 pinned, which divide some of these denominators
+    rng = random.Random(5)
+    scales = [Fraction(1, 3), Fraction(2, 5), Fraction(-1, 6), 7]
+    outcomes = set()
+    for i in range(60):
+        n, d = rng.choice((2, 3)), rng.choice((3, 4))
+        monos = rng.sample(grevlex_exponents(n, d), rng.randint(3, 6))
+        f = Polynomial(n, {m: rng.choice((1, -1, 2)) for m in monos})
+        g = f.scale(scales[i % 4])
+        for primes in (None, [3, 5]):
+            expected = _fit_and_table(f, primes)
+            assert _fit_and_table(g, primes) == expected, (f, g, primes)
+            outcomes.update(type(x).__name__ for x in expected)
+    assert outcomes == {"HilbertData", "BettiTable", "tuple"}
+
+
 def test_partials_reduce_as_the_degree_d_minus_1_block_does():
     outcomes = set()
     for f, modulus in _partials_cases():
         try:
             expected = _partials_by_matrix(f, modulus)
-        except (BadPrimeError, _NonUnitPivot) as exc:
-            with pytest.raises(type(exc)) as got:
+        except _NonUnitPivot:
+            with pytest.raises(_NonUnitPivot):
                 _partials(f, modulus)
-            if isinstance(exc, BadPrimeError):
-                assert got.value.prime == exc.prime
-            outcomes.add(type(exc).__name__)
+            outcomes.add("_NonUnitPivot")
         else:
             assert _partials(f, modulus) == expected, (f, modulus)
             outcomes.add("equal")
-    assert outcomes == {"equal", "BadPrimeError", "_NonUnitPivot"}
+    assert outcomes == {"equal", "_NonUnitPivot"}
 
 @pytest.mark.parametrize(
     "f, primes",
@@ -2130,9 +2180,13 @@ def test_a_prime_killing_a_partial_takes_no_modular_rank(monkeypatch):
     monkeypatch.setattr(oracle, "rank_mod_p", rank_mod_p)
     assert hilbert_fit(f, primes=[3, 5]).values == expected
     assert calls == []
-    # the block is still built mod 15: 3 also divides a denominator here
-    with pytest.raises(BadPrimeError, match="divisible by 3"):
-        hilbert_fit(parse("3*x0^3 + x1^3 + 1/9*x2^3", 2), primes=[3, 5])
+    # 3 divides a denominator here and kills every partial of
+    # F = 27*x0^3 + 9*x1^3 + x2^3
+    g = parse("3*x0^3 + x1^3 + 1/9*x2^3", 2)
+    expected = hilbert_fit(g)
+    calls.clear()
+    assert hilbert_fit(g, primes=[3, 5]) == expected
+    assert calls == []
 
 
 @pytest.mark.parametrize(
@@ -2143,15 +2197,25 @@ def test_a_prime_killing_a_partial_takes_no_modular_rank(monkeypatch):
         ("1/3*x0^4+1/5*x1^4+x2^4", [3, 5]),
     ],
 )
-def test_a_bad_pinned_prime_is_the_first_one_given(expr, primes):
-    # every pinned prime here divides a denominator; the error names the
-    # first one given, never their product
+def test_a_pinned_denominator_prime_is_used_on_F(expr, primes):
+    # every pinned prime here divides a denominator of f, and none divides
+    # one of F, f times the lcm of its denominators; the pair kills a
+    # partial of F, so each side reruns over Q: the derived primes' answers
     f = parse(expr, 2)
-    sides = [hilbert_fit, graded_betti, lambda f, primes: milnor_dimension(f, 3, primes=primes)]
-    for side in sides:
-        with pytest.raises(BadPrimeError, match=f"divisible by {primes[0]}$") as err:
-            side(f, primes=primes)
-        assert err.value.prime == primes[0]
+    with pytest.raises(_NonUnitPivot):
+        _partials(f, prod(primes))
+    assert hilbert_fit(f, primes=primes) == hilbert_fit(f)
+    assert graded_betti(f, primes=primes) == graded_betti(f)
+    assert milnor_dimension(f, 3, primes=primes) == milnor_dimension(f, 3)
+
+
+def test_a_prime_dividing_every_denominator_ranks_F_mod_N():
+    # 5 divides every denominator of f but kills no partial of F = 5*f,
+    # so the pass mod 35 does not split on the partials
+    f = parse("1/5*x0^4+1/5*x1^4+1/5*x2^4+x0*x1*x2^2", 2)
+    assert all(_partials(f, 35))
+    assert hilbert_fit(f, primes=[5, 7]) == hilbert_fit(f)
+    assert graded_betti(f, primes=[5, 7]) == graded_betti(f)
 
 
 def test_prime_disagreement_runs_the_rational_fallback(monkeypatch):
@@ -2180,9 +2244,11 @@ def test_prime_disagreement_runs_the_rational_fallback(monkeypatch):
     assert "rref" in fallbacks
 
 
-def test_bad_derived_prime_is_replaced_in_both_pipelines(monkeypatch):
-    # 3 divides the denominator 9: with 3 leading both streams, each pair
-    # skips it and takes the next two primes, and the answers stay exact
+def test_derived_primes_are_the_first_two_of_their_stream(monkeypatch):
+    # 3 divides the denominator 9 and kills every partial of
+    # F = x0^3 + 9*x1^3 + 9*x2^3: with 3 leading both streams, each pair is
+    # 3 and the stream's next prime, both passes rerun over Q, and the
+    # answers stay exact
     f = parse("1/9*x0^3+x1^3+x2^3", 2)
     expected = hilbert_fit(f)
     assert expected.delta is None
@@ -2191,8 +2257,7 @@ def test_bad_derived_prime_is_replaced_in_both_pipelines(monkeypatch):
     oracle.default_primes.cache_clear()
     try:
         pairs = [oracle.default_primes(f, part) for part in (0, 1)]
-        assert pairs == [tuple(real(oracle._seed_of(f, part), 2)) for part in (0, 1)]
-        assert all(3 not in pair for pair in pairs)
+        assert pairs == [(3, real(oracle._seed_of(f, part), 1)[0]) for part in (0, 1)]
         assert hilbert_fit(f) == expected
         assert graded_betti(f) == koszul_smooth_table(2, 3)
     finally:
