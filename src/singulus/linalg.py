@@ -156,19 +156,38 @@ def _subtract(row, f, prow, p):
                 del row[c]
 
 
+def _divide(tail, x, p):
+    """Divide the tail of a new pivot row, in place, by its leading entry x
+    over F_p, or over Q when p is None, and return it.  An x that is not a
+    unit mod a product of primes raises _NonUnitPivot."""
+    if p is None:
+        inv = 1 / Fraction(x)
+        for c, v in tail.items():
+            tail[c] = v * inv
+        return tail
+    try:
+        inv = pow(x, -1, p)
+    except ValueError:
+        raise _NonUnitPivot(f"{x} is not a unit mod {p}") from None
+    for c, v in tail.items():
+        tail[c] = v * inv % p
+    return tail
+
+
 def _echelon(rows, p):
     """Semi-echelon form of sparse rows over F_p, or over Q when p is None.
 
-    Each row is reduced at its leading (smallest) column against the pivots
-    found so far.  A row that survives is scaled to a leading 1 (a copy
-    of it, when its leading entry is already 1) and stored under that
-    column as its tail, the 1 dropped; stored rows are never touched
-    again.  Returns the Pivots, pivot column -> tail, with
+    A row whose leading (smallest) column holds no pivot yet is stored
+    there at once; any other row is reduced, in a copy, at its leading
+    column against the pivots found so far until it vanishes or leads at a
+    new column.  A row that survives is stored under that column as its
+    tail, a copy scaled to a leading 1 with the 1 dropped, and is never
+    touched again.  Returns the Pivots, pivot column -> tail, with
     ``lead`` recording the index of the row behind each pivot.  The pivot
     columns are canonical: column c is a pivot iff it lies outside the
     span of the columns before it.  So the pivots created by the first t
     rows are the leading columns of those rows' span.  Input rows must
-    hold no zero values.
+    hold no zero values, and are left as they are.
 
     With p a product of distinct primes, a new pivot whose leading entry
     is not a unit mod p raises _NonUnitPivot (see the module docstring).
@@ -176,27 +195,21 @@ def _echelon(rows, p):
     pivots = Pivots()
     lead = pivots.lead = {}
     for r, row in enumerate(rows):
-        row = dict(row)
-        while row:
-            c = min(row)
-            x = row.pop(c)
-            prow = pivots.get(c)
-            if prow is not None:
-                _subtract(row, x, prow, p)
-                continue
-            if x == 1:  # row.copy() is compact; dict(row) over-allocates small rows
-                pivots[c] = row.copy()
-            elif p is None:
-                inv = 1 / Fraction(x)
-                pivots[c] = {cc: v * inv for cc, v in row.items()}
+        c = min(row) if row else None
+        if c in pivots:
+            row = dict(row)
+            while c in pivots:
+                _subtract(row, row.pop(c), pivots[c], p)
+                c = min(row) if row else None
+        if c is not None:
+            x = row[c]
+            if len(row) > 1:
+                tail = row.copy()  # the caller owns it; an input row is never changed
+                del tail[c]
             else:
-                try:
-                    inv = pow(x, -1, p)
-                except ValueError:
-                    raise _NonUnitPivot(f"{x} is not a unit mod {p}") from None
-                pivots[c] = {cc: v * inv % p for cc, v in row.items()}
+                tail = {}  # smaller than a copy emptied by del, which keeps its table
+            pivots[c] = tail if x == 1 else _divide(tail, x, p)
             lead[c] = r
-            break
     return pivots
 
 
@@ -224,8 +237,9 @@ def rref(rows, field) -> Pivots:
     p = field.modulus
     pivots = _echelon(rows, p)
     # descending order: every pivot row used to clear column cc > c is
-    # already reduced, so it brings in free columns only
-    for c in sorted(pivots, reverse=True):
+    # already reduced, so it brings in free columns only; an empty tail
+    # has nothing to clear
+    for c in sorted([c for c, tail in pivots.items() if tail], reverse=True):
         row = pivots[c]
         for cc in [cc for cc in row if cc in pivots]:
             _subtract(row, row.pop(cc), pivots[cc], p)

@@ -690,19 +690,30 @@ def _betti_over_field(f: Polynomial, q_max: int, field):
                 out.append(c if field.modulus is None or gcd(tail[c], field.modulus) == 1 else -1)
         return out
 
-    subset_cache = {p: list(combinations(range(n + 1), p)) for p in range(n + 2)}
+    @cache
+    def faces(p):
+        """(index(S), [(index(T), odd sign, s) of each face T = S less s])
+        for each p-subset S, index() its place among the subsets of its
+        size."""
+        t_index = {t: i for i, t in enumerate(combinations(range(n + 1), p - 1))}
+        return [
+            (si, [(t_index[s_set[:j] + s_set[j + 1 :]], (p - 1 - j) % 2, s) for j, s in enumerate(s_set)])
+            for si, s_set in enumerate(combinations(range(n + 1), p))
+        ]
+
     # N - v, not -v: a matrix tagged with N holds residues in [1, N)
     negate = neg if field.modulus is None else field.modulus.__sub__
     minus_one = negate(1)
 
-    def settled_by_leads(faces, k, cols, skip):
+    def settled_by_leads(p, k, own, width, skip):
         """The distinct leading columns of the kept rows of a block and its
         empty rows; None at the first column two rows share, or at a kept
         row whose lead only the kernel may settle (see leads)."""
-        seen, empty = set(), []
-        for base, s_faces in faces:
+        seen, empty, cols = set(), [], basis(k)
+        for si, s_faces in faces(p):
+            base = si * own
             # smallest shift first: S less its last index, then the others
-            lead_lists = [(shift, leads(s, k)) for shift, _, s in reversed(s_faces)]
+            lead_lists = [(ti * width, leads(s, k)) for ti, _, s in reversed(s_faces)]
             for b, (c, _) in enumerate(cols):
                 if base + c in skip:
                     continue
@@ -722,26 +733,20 @@ def _betti_over_field(f: Polynomial, q_max: int, field):
 
     def rank_of(p, q, skip):
         """The rank of d_p in degree q and the pivot columns of its block,
-        less the rows at the columns in ``skip``."""
+        less the rows at the columns in ``skip``.  Row e_S tensor b sits at
+        index(S) * dim S_k + b, and face T's columns from
+        index(T) * dim S_(k+1) on."""
         k = q - p
         own, width = dim_degree_piece(n, k), dim_degree_piece(n, k + 1)
-        t_index = {t: i for i, t in enumerate(subset_cache[p - 1])}
-        ncols, cols = len(t_index) * width, basis(k)
-        # (row offset of e_S, [(column offset, odd sign, s) of each face])
-        faces = [
-            (
-                si * own,
-                [(t_index[s_set[:j] + s_set[j + 1 :]] * width, (p - 1 - j) % 2, s) for j, s in enumerate(s_set)],
-            )
-            for si, s_set in enumerate(subset_cache[p])
-        ]
-        settled = settled_by_leads(faces, k, cols, skip)
+        ncols, cols = comb(n + 1, p - 1) * width, basis(k)
+        settled = settled_by_leads(p, k, own, width, skip)
         if settled is not None:
             pivots, empty = settled
             return _koszul_rank(ncols, empty, pivots, field.modulus)
         data = []
-        for base, s_faces in faces:
-            s_faces = [(shift, odd, images(s, k)) for shift, odd, s in s_faces]
+        for si, s_faces in faces(p):
+            base = si * own
+            s_faces = [(ti * width, odd, images(s, k)) for ti, odd, s in s_faces]
             for b, (c, _) in enumerate(cols):
                 if base + c in skip:
                     continue

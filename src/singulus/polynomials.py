@@ -388,9 +388,11 @@ def infer_variable_count(text: str) -> int:
 # -- input digest and squarefreeness ------------------------------------
 
 
+@lru_cache(maxsize=64)
 def _input_digest(f: Polynomial) -> str:
     """SHA-256 hex digest of the canonical input ``f"{n}:{f}"``; reports
-    carry it, and every seed derived from the input is 64 bits of it."""
+    carry it, and every seed derived from the input is 64 bits of it.
+    Cached per polynomial: each seed part and the report ask for it."""
     return digest_of(f"{f.n}:{f}")
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from singulus import cli, oracle
+from singulus import cli, oracle, polynomials
 from singulus.documents import (
     canonical_json,
     table_from_document,
@@ -343,6 +343,18 @@ def test_inspect_poly_refuses_a_monomial_table_past_the_limit():
     table = "degree 2 in x0..x400 needs a monomial table of 10827401 entries, over the limit of 1048576"
     assert res.stderr.splitlines() == [f"error: {side} failed: {table}" for side in ("hilbert_fit", "graded_betti")]
     assert json.loads(res.stdout)["deviations"] == [line.removeprefix("error: ") for line in res.stderr.splitlines()]
+
+
+def test_inspect_poly_hashes_its_input_once(monkeypatch, capsys):
+    # the report, both sides' primes, the section forms and the squarefree
+    # check all read one cached digest of the input
+    texts, digest_of = [], polynomials.digest_of
+    monkeypatch.setattr(polynomials, "digest_of", lambda text: texts.append(text) or digest_of(text))
+    polynomials._input_digest.cache_clear()
+    oracle.default_primes.cache_clear()
+    assert cli.main(["inspect-poly", "--expr", "x0*x1*x2 + x3^3", "--format", "json"]) == 0
+    assert texts == ["3:x0*x1*x2+x3^3"]
+    assert json.loads(capsys.readouterr().out)["deviations"] == []
 
 
 def test_inspect_poly_has_no_sqfree_trials_option(capsys):

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 from math import gcd
@@ -354,6 +355,40 @@ def test_scaling_rows_by_units_changes_no_echelon(m, units):
             scaled = [{c: v * u % p for c, v in row.items()} for row, u in zip(rows, units)]
         for kernel in (lambda rows: _echelon(rows, p), lambda rows: rref(rows, field)):
             assert _outcome(kernel, scaled) == _outcome(kernel, rows), p
+
+
+@st.composite
+def kernel_inputs(draw):
+    """A sparse matrix of ints and Fractions with denominators prime to 97
+    and 35; some rows are empty, and some lead with 1."""
+    cols = draw(st.integers(1, 6))
+    values = st.fractions(-20, 20, max_denominator=4).filter(bool)
+    rows = draw(st.lists(st.dictionaries(st.integers(0, cols - 1), values, max_size=cols), max_size=6))
+    for row in rows:
+        if row and draw(st.booleans()):
+            row[min(row)] = 1
+    return SparseMatrix(len(rows), cols, [(r, c, v) for r, row in enumerate(rows) for c, v in row.items()])
+
+
+@settings(derandomize=True, deadline=None)
+@given(kernel_inputs())
+def test_kernel_calls_leave_their_input_untouched(m):
+    """rank_mod_p, rank_rational and rref never change the rows they are
+    given, and no returned tail is one of them: mod a prime, mod a product
+    of two primes (where the pass may split) and over Q."""
+    runs = [(m, lambda: rank_rational(m)), (m, lambda: rref(m.data, QQ))]
+    for p in (97, 35):
+        tagged = reduce_mod(m, p)
+        runs += [(tagged, lambda t=tagged, p=p: rank_mod_p(t, p)), (tagged, lambda t=tagged, p=p: rref(t.data, Field(p)))]
+    for matrix, kernel in runs:
+        before = copy.deepcopy(matrix.data)
+        try:
+            pivots = kernel()
+        except _NonUnitPivot:
+            assert matrix.modulus == 35
+            pivots = {}
+        assert matrix.data == before
+        assert not {id(tail) for tail in pivots.values()} & {id(row) for row in matrix.data}
 
 
 def test_a_non_unit_pivot_splits_and_is_no_value_error():
