@@ -101,45 +101,48 @@ class Polynomial:
             self._hash = hash((self.n, frozenset(self.terms.items())))
         return self._hash
 
+    @classmethod
+    def _wrap(cls, n: int, terms: dict) -> "Polynomial":
+        """Wrap a term map the package built itself, unchecked: its exponent
+        tuples have n+1 non-negative ints and its coefficients are nonzero
+        Fractions."""
+        f = cls.__new__(cls)
+        f.n = n
+        f.terms = terms
+        f._hash = None
+        return f
+
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_arity(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return Polynomial(self.n, out)
+        return Polynomial._wrap(self.n, _sum(self.terms, other.terms))
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.n, {m: -c for m, c in self.terms.items()})
+        return Polynomial._wrap(self.n, _negated(self.terms))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        self._check_arity(other)
+        return Polynomial._wrap(self.n, _sum(self.terms, _negated(other.terms)))
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             self._check_arity(other)
-            out: dict[tuple[int, ...], Fraction] = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = tuple(map(add, e1, e2))
-                    out[e] = out.get(e, Fraction(0)) + c1 * c2
-            return Polynomial(self.n, out)
+            return Polynomial._wrap(self.n, _product(self.terms, other.terms))
         return self.scale(other)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "Polynomial":
         c = _exact(c)
-        return Polynomial(self.n, {m: c * v for m, v in self.terms.items()})
+        return Polynomial._wrap(self.n, {m: c * v for m, v in self.terms.items()} if c else {})
 
     def __pow__(self, e: int) -> "Polynomial":
         if e < 0:
             raise ValueError("negative power")
-        result = Polynomial.constant(self.n, 1)
-        for _ in range(e):
-            result = result * self
-        return result
+        if e == 0:
+            return Polynomial.constant(self.n, 1)
+        return Polynomial._wrap(self.n, _power(self.terms, e))
 
     def partial(self, i: int) -> "Polynomial":
         """Partial derivative with respect to x_i."""
@@ -149,7 +152,7 @@ class Polynomial:
         for e, c in self.terms.items():
             if e[i]:
                 out[e[:i] + (e[i] - 1,) + e[i + 1 :]] = c * e[i]
-        return Polynomial(self.n, out)
+        return Polynomial._wrap(self.n, out)
 
     # -- canonical printing --------------------------------------------
 
@@ -172,6 +175,47 @@ class Polynomial:
     def _check_arity(self, other: "Polynomial"):
         if self.n != other.n:
             raise ValueError("mixed variable counts")
+
+
+# -- term maps -----------------------------------------------------------
+# The operators and the parser share these: they take maps from exponent
+# tuples to nonzero ints or Fractions, return a new map with no zero
+# coefficient, and leave their inputs untouched.
+
+
+def _sum(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        c += out.get(e, 0)
+        if c:
+            out[e] = c
+        else:
+            del out[e]
+    return out
+
+
+def _negated(a: dict) -> dict:
+    return {e: -c for e, c in a.items()}
+
+
+def _product(a: dict, b: dict) -> dict:
+    out: dict = {}
+    get = out.get
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _power(a: dict, e: int) -> dict:
+    """a^e for e >= 1, multiplying by a e - 1 times: each product is of
+    one large map and a small one, where square-and-multiply ends on
+    products of two large maps and is several times slower (README)."""
+    out = dict(a)
+    for _ in range(e - 1):
+        out = _product(out, a)
+    return out
 
 
 def _grevlex_key(e: tuple[int, ...]):
@@ -264,6 +308,10 @@ def _tokenize(text: str):
 
 
 class _Parser:
+    """Recursive descent over term maps (see _sum): coefficients stay ints
+    until a p/q makes a Fraction, and parse hands the finished map to the
+    Polynomial constructor, which validates it once."""
+
     def __init__(self, text: str, n: int):
         self.n = n
         self.tokens = _tokenize(text)
@@ -281,7 +329,7 @@ class _Parser:
         self.i += 1
         return tok
 
-    def parse(self) -> Polynomial:
+    def parse(self) -> dict:
         p = self.expression()
         if self.peek() != "":
             raise PolynomialSyntaxError(
@@ -289,30 +337,32 @@ class _Parser:
             )
         return p
 
-    def expression(self) -> Polynomial:
-        sign = 1
+    def expression(self) -> dict:
+        negate = self.peek() == "-"
         if self.peek() in ("+", "-"):
-            sign = -1 if self.take()[0] == "-" else 1
-        acc = self.term().scale(sign)
+            self.take()
+        acc = self.term()
+        if negate:
+            acc = _negated(acc)
         while self.peek() in ("+", "-"):
             op = self.take()[0]
             t = self.term()
-            acc = acc + (t if op == "+" else -t)
+            acc = _sum(acc, t if op == "+" else _negated(t))
         return acc
 
-    def term(self) -> Polynomial:
+    def term(self) -> dict:
         p = self.power()
         while True:
             nxt = self.peek()
             if nxt == "*":
                 self.take()
-                p = p * self.power()
+                p = _product(p, self.power())
             elif nxt and (nxt[0].isdigit() or nxt[0] == "x" or nxt == "("):
-                p = p * self.power()  # adjacency means multiplication
+                p = _product(p, self.power())  # adjacency means multiplication
             else:
                 return p
 
-    def power(self) -> Polynomial:
+    def power(self) -> dict:
         base = self.atom()
         if self.peek() == "^":
             self.take()
@@ -325,14 +375,14 @@ class _Parser:
                 raise PolynomialSyntaxError("exponent must be >= 1", pos)
             if e >= 1 << 16:  # refused before it is expanded (see pack)
                 raise PolynomialSyntaxError("exponent must be below 2^16", pos)
-            base = base**e
+            base = _power(base, e)
         return base
 
-    def atom(self) -> Polynomial:
+    def atom(self) -> dict:
         tok, pos = self.tokens[self.i]
         if tok.isdigit():
             self.take()
-            num = int(tok)
+            c = int(tok)
             if self.peek() == "/":
                 self.take()
                 dtok, dpos = self.tokens[self.i]
@@ -342,8 +392,8 @@ class _Parser:
                 den = int(dtok)
                 if den == 0:
                     raise PolynomialSyntaxError("zero denominator", dpos)
-                return Polynomial.constant(self.n, Fraction(num, den))
-            return Polynomial.constant(self.n, num)
+                c = Fraction(c, den)
+            return {(0,) * (self.n + 1): c} if c else {}
         if tok.startswith("x"):
             self.take()
             idx = int(tok[1:])
@@ -351,7 +401,9 @@ class _Parser:
                 raise PolynomialSyntaxError(
                     f"variable x{idx} out of range for n={self.n}", pos
                 )
-            return Polynomial.variable(self.n, idx)
+            e = [0] * (self.n + 1)
+            e[idx] = 1
+            return {tuple(e): 1}
         if tok == "(":
             if self.depth == _MAX_NESTING:
                 raise PolynomialSyntaxError(f"parentheses nest deeper than {_MAX_NESTING}", pos)
@@ -374,7 +426,7 @@ def parse(text: str, n: int) -> Polynomial:
     nested at most _MAX_NESTING deep, and implicit or explicit
     multiplication.  Errors carry the byte offset.
     """
-    return _Parser(text, n).parse()
+    return Polynomial(n, _Parser(text, n).parse())
 
 
 def infer_variable_count(text: str) -> int:

@@ -152,30 +152,40 @@ def hilbert_function_from_table(table: BettiTable, k: int) -> int:
     """Dimension of the degree-k piece predicted by the resolution.
 
     Alternating sum of the dimensions of the free modules' degree-k pieces;
-    exactness makes this valid in every degree, not just large ones.
+    exactness makes this valid in every degree, not just large ones.  The
+    shifts enter once each, with their signed counts.
     """
     if k < 0:
         raise ValueError("degree must be non-negative")
-    n, d = table.n, table.d
-    total = dim_degree_piece(n, k) - (n + 1) * dim_degree_piece(n, k - d + 1)
-    for kk in range(1, n + 1):
-        s = sum(dim_degree_piece(n, k - d + 1 - e) for e in table.column(kk))
-        total += s if kk % 2 == 1 else -s
+    n, top = table.n, k - table.d + 1
+    total = dim_degree_piece(n, k) - (n + 1) * dim_degree_piece(n, top)
+    for e, m in table.signed_counts:
+        if e > top:  # the shifts ascend, and the rest have no degree-k piece
+            break
+        total += m * comb(top - e + n, n)
     return total
 
 
 def _newton_fit(heads, base) -> tuple[Fraction, ...]:
     """sum_i heads[i] * C(k - base, i), the polynomial whose i-th forward
-    difference at base is heads[i], as coefficients in k (low first)."""
-    coeffs = [Fraction(0)] * len(heads)
-    binom = [Fraction(1)]  # C(k - base, i), low coefficient first
+    difference at base is heads[i], as coefficients in k (low first).
+
+    For integer heads and base the sum times r!, r = len(heads) - 1, has
+    integer coefficients, since r! * C(k - base, i) is r!/i! times the
+    falling factorial (k - base)...(k - base - i + 1); it is worked out on
+    ints and divided by r! once per coefficient."""
+    den = factorial(len(heads) - 1) if heads else 1
+    weight = den  # r!/i!
+    falling = [1]  # (k - base)...(k - base - i + 1), low coefficient first
+    num: list = []
     for i, head in enumerate(heads):
-        coeffs[: i + 1] = [c + head * b for c, b in zip(coeffs, binom)]
-        # C(k - base, i + 1) = C(k - base, i) * (k - base - i) / (i + 1)
-        binom = [(a - (base + i) * b) / (i + 1) for a, b in zip([0] + binom, binom + [0])]
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
+        w = head * weight
+        num = [c + w * b for c, b in zip(num + [0], falling)]
+        falling = [a - (base + i) * b for a, b in zip([0] + falling, falling + [0])]
+        weight //= i + 1
+    while num and num[-1] == 0:
+        num.pop()
+    return tuple(Fraction(c, den) for c in num)
 
 
 def hilbert_polynomial_from_table(table: BettiTable) -> list[Fraction]:

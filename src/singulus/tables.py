@@ -85,14 +85,22 @@ class BettiTable:
         return max(nonempty) if nonempty else None
 
     @cached_property
-    def power_sums(self) -> tuple[int, ...]:
-        """sigma_0..sigma_n, where sigma_j = sum_k (-1)^(k+1) sum_i d_{k,i}^j
-        (0**0 == 1), summed once per table over the distinct shifts, each
-        with its signed multiplicity."""
+    def signed_counts(self) -> tuple[tuple[int, int], ...]:
+        """(e, m) for each distinct shift e in increasing order, where m is
+        sum_k (-1)^(k+1) times the multiplicity of e in column k; shifts
+        whose count cancels to 0 are left out."""
         counts = Counter()
         for k, col in enumerate(self.columns, start=1):
             counts.update({e: m if k % 2 else -m for e, m in Counter(col).items()})
-        return tuple(sum(m * e**j for e, m in counts.items()) for j in range(self.n + 1))
+        return tuple((e, m) for e, m in sorted(counts.items()) if m)
+
+    @cached_property
+    def power_sums(self) -> tuple[int, ...]:
+        """sigma_0..sigma_n, where sigma_j = sum_k (-1)^(k+1) sum_i d_{k,i}^j
+        (0**0 == 1), summed over the distinct shifts with their signed
+        counts."""
+        counts = self.signed_counts
+        return tuple(sum(m * e**j for e, m in counts) for j in range(self.n + 1))
 
     def __str__(self):
         cols = ", ".join(

@@ -1,10 +1,12 @@
 import random
 import sys
 from fractions import Fraction
-from math import comb
+from functools import reduce
+from math import comb, prod
+from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from singulus.errors import PolynomialSyntaxError
@@ -73,6 +75,10 @@ def test_parse_parentheses_expand():
         (parse, "1/0*x0", "zero denominator", 2),
         (parse, "(x0+x1", "expected ')'", 6),
         (parse, "x0+*x1", "expected a coefficient, variable or '('", 3),
+        (parse, "x0^x1", "expected integer exponent", 3),
+        (parse, "x1+x5", "variable x5 out of range for n=2", 3),
+        (parse, "(x0+x1))", "unexpected trailing input ')'", 7),
+        (parse, "1/2/3*x0", "unexpected trailing input '/'", 3),
         # the 101st open parenthesis, at offset 3 + 100
         (parse, "x0+" + "(" * 101 + "x1" + ")" * 101, "parentheses nest deeper than 100", 103),
         (lambda text, n: infer_variable_count(text), "1+2", "no variables found", 0),
@@ -83,6 +89,90 @@ def test_syntax_errors_name_the_fault_and_its_offset(call, text, message, offset
         call(text, 2)
     assert str(err.value) == f"{message} (offset {offset})"
     assert err.value.offset == offset
+
+
+N = 2
+# the operators and the parser share their term-map code, so each case
+# also carries its value at these points, worked out from the expression
+POINTS = ((Fraction(3), Fraction(-2), Fraction(5, 7)), (Fraction(-1, 2), Fraction(4), Fraction(1)))
+
+
+def _const(c):
+    return (str(c), Polynomial.constant(N, c), tuple(Fraction(c) for _ in POINTS))
+
+
+_leaves = st.one_of(
+    st.integers(0, 12).map(_const),
+    st.tuples(st.integers(0, 12), st.integers(1, 6)).map(
+        lambda pq: (f"{pq[0]}/{pq[1]}",) + _const(Fraction(*pq))[1:]
+    ),
+    st.integers(0, N).map(lambda i: (f"x{i}", Polynomial.variable(N, i), tuple(x[i] for x in POINTS))),
+)
+_OPS = {"+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": mul, "": mul}
+
+
+def _combined(children):
+    """An operator applied to parenthesised operands: the text, the same
+    polynomial built by Polynomial's operators, and its values."""
+    binary = st.tuples(children, st.sampled_from(sorted(_OPS)), children).map(
+        lambda t: (
+            f"({t[0][0]}){t[1]}({t[2][0]})",
+            _OPS[t[1]](t[0][1], t[2][1]),
+            tuple(map(_OPS[t[1]], t[0][2], t[2][2])),
+        )
+    )
+    # a power is a chain of products, so the reference multiplies
+    powers = st.tuples(children, st.integers(1, 3)).map(
+        lambda t: (f"({t[0][0]})^{t[1]}", reduce(mul, [t[0][1]] * t[1]), tuple(v ** t[1] for v in t[0][2]))
+    )
+    negated = children.map(lambda c: (f"-({c[0]})", -c[1], tuple(-v for v in c[2])))
+    return st.one_of(binary, powers, negated)
+
+
+expressions = st.recursive(_leaves, _combined, max_leaves=8)
+
+
+def value_at(f, point):
+    return sum(c * prod(x**k for x, k in zip(point, e)) for e, c in f.terms.items())
+
+
+def assert_wrapped_in_fractions(f):
+    assert all(type(c) is Fraction and c for c in f.terms.values())
+    assert all(type(e) is tuple and len(e) == f.n + 1 for e in f.terms)
+
+
+@settings(derandomize=True, deadline=None)
+@given(expressions)
+@example(("(x0)-(x0)", Polynomial(N), (0, 0)))
+@example(("(0)*(x1)", Polynomial(N), (0, 0)))
+@example(("-(1/2)", Polynomial.constant(N, Fraction(-1, 2)), (Fraction(-1, 2),) * 2))
+@example(
+    (
+        "(x0+x1-x2)^7",
+        reduce(mul, [Polynomial.variable(N, 0) + Polynomial.variable(N, 1) - Polynomial.variable(N, 2)] * 7),
+        tuple((x[0] + x[1] - x[2]) ** 7 for x in POINTS),
+    )
+)
+def test_parse_equals_the_operator_chain(case):
+    text, built, values = case
+    f = parse(text, N)
+    assert f == built
+    assert tuple(value_at(f, x) for x in POINTS) == values
+    assert str(f) == str(built)
+    assert_wrapped_in_fractions(f)
+    assert_wrapped_in_fractions(built)
+
+
+def test_operators_leave_their_operands_untouched():
+    f, g = parse("x0^2-1/3*x1*x2+5", 2), parse("x1-x0+2", 2)
+    before = (dict(f.terms), dict(g.terms))
+    results = [f + g, f - g, f * g, -f, f**3, f.scale(Fraction(2, 7)), f.partial(0), f**1]
+    assert (f.terms, g.terms) == before
+    assert all(r.terms is not f.terms for r in results)
+    for r in results:
+        assert_wrapped_in_fractions(r)
+    assert f - f == f.scale(0) == Polynomial(2)
+    assert f**0 == Polynomial.constant(2, 1)
 
 
 def test_parentheses_nest_up_to_the_limit():

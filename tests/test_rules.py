@@ -1,12 +1,15 @@
+import json
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from singulus import rules
+from singulus.polynomials import dim_degree_piece
 from singulus.rules import (
     SigmaProfile,
     degree_of_sigma,
@@ -123,6 +126,65 @@ def test_hilbert_polynomial_from_table():
     assert hilbert_polynomial_from_table(koszul_smooth_table(3, 3)) == []
     assert hilbert_polynomial_from_table(EX2) == [Fraction(17)]
     assert hilbert_polynomial_from_table(EX1) == [Fraction(-8)]
+
+
+def fraction_newton_fit(heads, base):
+    """The Newton expansion summed in Fractions, one binomial C(k - base, i)
+    at a time: the reference for rules._newton_fit."""
+    coeffs = [Fraction(0)] * len(heads)
+    binom = [Fraction(1)]  # C(k - base, i), low coefficient first
+    for i, head in enumerate(heads):
+        coeffs[: i + 1] = [c + head * b for c, b in zip(coeffs, binom)]
+        binom = [(a - (base + i) * b) / (i + 1) for a, b in zip([0] + binom, binom + [0])]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.lists(st.integers(-(10**12), 10**12), max_size=9), st.integers(-50, 200))
+@example([], 0)
+@example([0, 0, 0], 5)
+@example([6, 0, 0], 3)  # a constant
+@example([1, -2, 1], 0)  # (k^2 - 5k + 2) / 2, in halves
+def test_newton_fit_on_ints_is_the_fraction_expansion(heads, base):
+    fit = rules._newton_fit(heads, base)
+    assert fit == fraction_newton_fit(heads, base)
+    assert all(type(c) is Fraction for c in fit)
+
+
+def per_entry_hilbert_function(table, k):
+    """The alternating sum with one binomial per entry of every column."""
+    n, d = table.n, table.d
+    total = dim_degree_piece(n, k) - (n + 1) * dim_degree_piece(n, k - d + 1)
+    for kk in range(1, n + 1):
+        s = sum(dim_degree_piece(n, k - d + 1 - e) for e in table.column(kk))
+        total += s if kk % 2 == 1 else -s
+    return total
+
+
+def golden_tables():
+    golden = Path(__file__).resolve().parent.parent / "fixtures" / "golden"
+    for path in sorted(golden.glob("*.json")):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        if "betti_columns" in doc:
+            yield BettiTable.of(doc["n"], doc["d"], {c["k"]: c["degrees"] for c in doc["betti_columns"]})
+
+
+def test_hilbert_function_over_signed_counts_is_the_per_entry_sum():
+    tables = [table for _, table in generate_repaired_tables(1, 200)]
+    golden = list(golden_tables())
+    assert len(golden) == 20
+    for table in tables + golden:
+        for k in range((table.n + 1) * (table.d - 1) + 3):
+            assert hilbert_function_from_table(table, k) == per_entry_hilbert_function(table, k)
+
+
+def test_signed_counts_cancel_across_columns():
+    table = BettiTable.of(3, 4, {1: [2, 3, 3], 2: [3, 3, 5], 3: [5, 5]})
+    assert table.signed_counts == ((2, 1), (5, 1))
+    per_entry = [sum((-1) ** (k + 1) * e**j for k, col in enumerate(table.columns, start=1) for e in col) for j in range(4)]
+    assert table.power_sums == tuple(per_entry) == (2, 7, 29, 133)
 
 
 def assert_hilbert_polynomial_fits_the_function(table):
